@@ -593,7 +593,8 @@ mod tests {
     #[test]
     fn feeds_cep_engine_end_to_end() {
         use crate::engine::CepEngine;
-        use crate::epl;
+        use crate::query::{Predicate, QuerySpec};
+        use simcore::SimDuration;
         // The exact pipeline of the paper: audit text → parser → CEP.
         let mut log = String::new();
         for i in 0..6u64 {
@@ -610,9 +611,10 @@ mod tests {
         let (events, bad) = parse_log(&log);
         assert_eq!(bad, 0);
         let mut eng = CepEngine::new();
-        let q = eng.register(
-            epl::parse("select count(*) from audit(cmd='open').win:time(60) group by src").unwrap(),
-        );
+        let q = eng.register(QuerySpec {
+            predicates: vec![Predicate::Eq("cmd".into(), Value::str("open"))],
+            ..QuerySpec::count_per_group("audit", "src", SimDuration::from_secs(60))
+        });
         for e in &events {
             eng.push(e);
         }

@@ -1,9 +1,9 @@
 //! Event routing, query registration and subscriptions.
 //!
-//! The engine is the piece ERMS talks to: register queries (built in
-//! code or compiled from EPL text), push every audit event at it, and
-//! either poll grouped rows or subscribe a callback that fires whenever
-//! a query's HAVING clause admits a row for the arriving event's group.
+//! The engine is the piece ERMS talks to: register queries, push every
+//! audit event at it, and either poll grouped rows or subscribe a
+//! callback that fires whenever a query's HAVING clause admits a row
+//! for the arriving event's group.
 
 use crate::event::Event;
 use crate::pattern::{FollowedBy, PatternMatch, PatternState};

@@ -72,9 +72,8 @@ pub use thresholds::Thresholds;
 /// config/builder/error types, the cluster it manages, the typed ids that
 /// key its columnar state ([`FileId`](hdfs_sim::FileId),
 /// [`BlockId`](hdfs_sim::BlockId), [`NodeId`](hdfs_sim::NodeId)), the
-/// generational-arena primitives behind them, the simulation clock, and
-/// the telemetry sinks — everything a harness or example needs without
-/// spelling out five crate paths.
+/// simulation clock, and the telemetry sinks — everything a harness or
+/// example needs without spelling out five crate paths.
 pub mod prelude {
     pub use crate::config::{ConfigError, ErmsConfig, ErmsConfigBuilder};
     pub use crate::judge::{DataClass, JudgeBackend, JudgeRule};
@@ -83,7 +82,6 @@ pub mod prelude {
     pub use crate::replication::IncreaseStrategy;
     pub use crate::thresholds::Thresholds;
     pub use hdfs_sim::{BlockId, ClusterConfig, ClusterSim, FileId, NodeId};
-    pub use simcore::arena::{Arena, Handle};
     pub use simcore::telemetry::{
         Event as TelemetryEvent, MetricsRegistry, TelemetrySink, TracedEvent,
     };

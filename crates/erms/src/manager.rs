@@ -393,25 +393,6 @@ impl ErmsManager {
         };
         report.files_judged = snapshots.len();
 
-        // 4a. classify, shard by shard. `classify` only reads CEP state
-        // (window decay at a fixed `now` is idempotent), so visiting
-        // files in shard order instead of namespace order changes no
-        // verdict. What it *does* change is telemetry order — the judge
-        // emits `WindowEmit` events as it evaluates queries — so while
-        // classifying we point the judge at a private capture sink and
-        // stash each file's events next to its verdict. The act phase
-        // below replays them in FileId order, which makes the trace
-        // byte-identical for every shard count (and to the pre-sharded
-        // loop).
-        let shards = self.cfg.shards.max(1) as u64;
-        let capture = if self.telemetry.enabled() {
-            Some(TelemetrySink::recording())
-        } else {
-            None
-        };
-        if let Some(cap) = &capture {
-            self.judge.set_telemetry(cap.clone());
-        }
         // Reward meters for learning backends — the storage/energy
         // accounting the system already keeps, sampled once per tick.
         // Skipped entirely for backends that don't want a reward (the
@@ -437,217 +418,160 @@ impl ErmsManager {
         } else {
             RewardMeters::default()
         };
+
+        // Judge and act, file by file in FileId order (the snapshot
+        // walk order). The policy decides from the snapshot, the judge's
+        // CEP windows and the table it froze at `begin_pass`; acting on
+        // one file touches none of those, so it cannot change the next
+        // file's verdict.
         self.policy.begin_pass(now, &meters);
-        let mut judged: Vec<Option<(Judgment, Vec<simcore::telemetry::TracedEvent>)>> =
-            snapshots.iter().map(|_| None).collect();
         {
             prof_scope!("judge");
-            // Split borrow: the policy decides, probing the judge's CEP
-            // windows. Backends are visit-order independent by contract
-            // (frozen tables, per-(pass, file) RNG, per-file beliefs),
-            // so shard order changes no verdict — the same invariant the
-            // rules satisfied by only reading idempotent window state.
-            let (judge, policy) = (&mut self.judge, &mut self.policy);
-            for shard in 0..shards {
-                prof_scope!(&format!("shard{shard}"));
-                for (i, snap) in snapshots.iter().enumerate() {
-                    if snap.id.0 % shards != shard {
-                        continue;
+            for snap in &snapshots {
+                let is_fresh = fresh.contains(&snap.path);
+                let is_promoted = promoted.contains(&snap.path);
+                let verdict = self.policy.classify(now, snap, is_fresh, &mut self.judge);
+                let class = if verdict.class == DataClass::Normal && is_promoted {
+                    DataClass::Hot
+                } else {
+                    verdict.class
+                };
+                trace!(
+                    self.telemetry,
+                    now,
+                    Tel::Verdict {
+                        path: snap.path.clone(),
+                        verdict: class_name(class).into(),
+                        file_sessions: verdict.n_d,
+                        max_block_sessions: verdict.n_b_max,
+                        replicas: snap.replication as u32,
                     }
-                    let verdict =
-                        policy.classify(now, snap, fresh.contains(&snap.path), &mut *judge);
-                    let emitted = match &capture {
-                        Some(cap) => cap.drain_events(),
-                        None => Vec::new(),
-                    };
-                    judged[i] = Some((verdict, emitted));
+                );
+                if class != DataClass::Cooled {
+                    self.cooled_streak.remove(&snap.path);
                 }
-            }
-        }
-        self.policy.end_pass();
-        if capture.is_some() {
-            self.judge.set_telemetry(self.telemetry.clone());
-        }
-
-        // 4b. act on the verdicts in FileId order (the snapshot walk
-        // order), replaying each file's captured window emissions first
-        // so the trace reads exactly as if the file had been classified
-        // in place. Event emission is batched through `pending` when
-        // `telemetry_batch > 1`; the buffer is flushed before anything
-        // that writes to the sink directly (Condor's submit trace), so
-        // batching never reorders the trace — it only amortises the
-        // per-event sink borrow.
-        let batch = self.cfg.telemetry_batch.max(1);
-        let mut pending: Vec<(SimTime, Tel)> = Vec::new();
-        // Explicit guard (not `prof_scope!`): the merge phase must end
-        // before dispatch below, and a block around the act loop would
-        // re-indent half the function.
-        let merge_scope = if simcore::profiler::is_enabled() {
-            Some(simcore::profiler::enter("merge"))
-        } else {
-            None
-        };
-        for (snap, slot) in snapshots.iter().zip(judged) {
-            let (verdict, emitted) = slot.expect("every shard slot judged");
-            for ev in emitted {
-                buf_emit(&self.telemetry, &mut pending, batch, ev.time, ev.event);
-            }
-            let class = if verdict.class == DataClass::Normal && promoted.contains(&snap.path) {
-                DataClass::Hot
-            } else {
-                verdict.class
-            };
-            buf_emit(
-                &self.telemetry,
-                &mut pending,
-                batch,
-                now,
-                Tel::Verdict {
-                    path: snap.path.clone(),
-                    verdict: class_name(class).into(),
-                    file_sessions: verdict.n_d,
-                    max_block_sessions: verdict.n_b_max,
-                    replicas: snap.replication as u32,
-                },
-            );
-            if class != DataClass::Cooled {
-                self.cooled_streak.remove(&snap.path);
-            }
-            match class {
-                DataClass::Hot => {
-                    report.hot += 1;
-                    // the pre-boost bump for predicted files must not
-                    // escape the cap Formula (1)'s target respects
-                    let target = optimal_replication(
-                        verdict.n_d,
-                        self.cfg.thresholds.tau_hot,
-                        default_r,
-                        self.cfg.max_replication,
-                    )
-                    .max(if promoted.contains(&snap.path) {
-                        snap.replication + 1
-                    } else {
-                        0
-                    })
-                    .min(self.cfg.max_replication.max(default_r));
-                    if snap.encoded {
-                        // `DecodeCold` is traced when the rewrite lands
-                        // in `exec_decode`, not at submission.
-                        buf_flush(&self.telemetry, &mut pending);
-                        self.submit(
-                            now,
-                            ErmsTask::Decode {
-                                path: snap.path.clone(),
-                                target: target.max(default_r),
-                            },
-                            Priority::Immediate,
-                            &mut report,
-                        );
-                    } else if target > snap.replication {
-                        buf_flush(&self.telemetry, &mut pending);
-                        if self.submit(
-                            now,
-                            ErmsTask::Increase {
-                                path: snap.path.clone(),
-                                target,
-                            },
-                            Priority::Immediate,
-                            &mut report,
-                        ) {
-                            buf_emit(
-                                &self.telemetry,
-                                &mut pending,
-                                batch,
+                match class {
+                    DataClass::Hot => {
+                        report.hot += 1;
+                        // the pre-boost bump for predicted files must not
+                        // escape the cap Formula (1)'s target respects
+                        let target = optimal_replication(
+                            verdict.n_d,
+                            self.cfg.thresholds.tau_hot,
+                            default_r,
+                            self.cfg.max_replication,
+                        )
+                        .max(if is_promoted { snap.replication + 1 } else { 0 })
+                        .min(self.cfg.max_replication.max(default_r));
+                        if snap.encoded {
+                            // `DecodeCold` is traced when the rewrite lands
+                            // in `exec_decode`, not at submission.
+                            self.submit(
+                                now,
+                                ErmsTask::Decode {
+                                    path: snap.path.clone(),
+                                    target: target.max(default_r),
+                                },
+                                Priority::Immediate,
+                                &mut report,
+                            );
+                        } else if target > snap.replication
+                            && self.submit(
+                                now,
+                                ErmsTask::Increase {
+                                    path: snap.path.clone(),
+                                    target,
+                                },
+                                Priority::Immediate,
+                                &mut report,
+                            )
+                        {
+                            trace!(
+                                self.telemetry,
                                 now,
                                 Tel::ReplicationBoost {
                                     path: snap.path.clone(),
                                     from: snap.replication as u32,
                                     to: target as u32,
                                     sessions: verdict.n_d,
-                                },
+                                }
                             );
                         }
                     }
-                }
-                DataClass::Cooled => {
-                    report.cooled += 1;
-                    let streak = self.cooled_streak.entry(snap.path.clone()).or_insert(0);
-                    *streak += 1;
-                    let patient = *streak >= self.cfg.cooled_patience;
-                    if patient && snap.replication > default_r {
-                        buf_flush(&self.telemetry, &mut pending);
-                        if self.submit(
-                            now,
-                            ErmsTask::Decrease {
-                                path: snap.path.clone(),
-                                target: default_r,
-                            },
-                            Priority::WhenIdle,
-                            &mut report,
-                        ) {
-                            buf_emit(
-                                &self.telemetry,
-                                &mut pending,
-                                batch,
+                    DataClass::Cooled => {
+                        report.cooled += 1;
+                        let streak = self.cooled_streak.entry(snap.path.clone()).or_insert(0);
+                        *streak += 1;
+                        let patient = *streak >= self.cfg.cooled_patience;
+                        if patient
+                            && snap.replication > default_r
+                            && self.submit(
+                                now,
+                                ErmsTask::Decrease {
+                                    path: snap.path.clone(),
+                                    target: default_r,
+                                },
+                                Priority::WhenIdle,
+                                &mut report,
+                            )
+                        {
+                            trace!(
+                                self.telemetry,
                                 now,
                                 Tel::ReplicationShed {
                                     path: snap.path.clone(),
                                     from: snap.replication as u32,
                                     to: default_r as u32,
-                                },
+                                }
                             );
                         }
                     }
-                }
-                DataClass::Cold => {
-                    report.cold += 1;
-                    if self.cfg.enable_encode && !snap.encoded {
-                        // `EncodeCold` is traced when the stripes land
-                        // in `exec_encode`, not at submission.
-                        buf_flush(&self.telemetry, &mut pending);
-                        self.submit(
-                            now,
-                            ErmsTask::Encode {
-                                path: snap.path.clone(),
-                            },
-                            Priority::WhenIdle,
-                            &mut report,
-                        );
+                    DataClass::Cold => {
+                        report.cold += 1;
+                        if self.cfg.enable_encode && !snap.encoded {
+                            // `EncodeCold` is traced when the stripes land
+                            // in `exec_encode`, not at submission.
+                            self.submit(
+                                now,
+                                ErmsTask::Encode {
+                                    path: snap.path.clone(),
+                                },
+                                Priority::WhenIdle,
+                                &mut report,
+                            );
+                        }
                     }
-                }
-                DataClass::Normal => {
-                    if fresh.contains(&snap.path) && !snap.encoded && snap.replication == default_r
-                    {
-                        buf_flush(&self.telemetry, &mut pending);
-                        if self.submit(
-                            now,
-                            ErmsTask::Increase {
-                                path: snap.path.clone(),
-                                target: default_r + 1,
-                            },
-                            Priority::Immediate,
-                            &mut report,
-                        ) {
-                            buf_emit(
-                                &self.telemetry,
-                                &mut pending,
-                                batch,
+                    DataClass::Normal => {
+                        if is_fresh
+                            && !snap.encoded
+                            && snap.replication == default_r
+                            && self.submit(
+                                now,
+                                ErmsTask::Increase {
+                                    path: snap.path.clone(),
+                                    target: default_r + 1,
+                                },
+                                Priority::Immediate,
+                                &mut report,
+                            )
+                        {
+                            trace!(
+                                self.telemetry,
                                 now,
                                 Tel::ReplicationBoost {
                                     path: snap.path.clone(),
                                     from: snap.replication as u32,
                                     to: (default_r + 1) as u32,
                                     sessions: verdict.n_d,
-                                },
+                                }
                             );
                         }
                     }
                 }
+                self.note_visit(snap, class, &verdict);
             }
-            self.note_visit(snap, class, &verdict);
         }
-        buf_flush(&self.telemetry, &mut pending);
-        drop(merge_scope);
+        self.policy.end_pass();
 
         // 5. dispatch + execute Condor tasks
         let idle = cluster.is_idle();
@@ -1470,40 +1394,6 @@ fn class_name(class: DataClass) -> &'static str {
         DataClass::Cooled => "cooled",
         DataClass::Normal => "normal",
         DataClass::Cold => "cold",
-    }
-}
-
-/// Emit one trace event through the tick's batch buffer. With
-/// `telemetry_batch == 1` this is a plain [`TelemetrySink::emit`]; with a
-/// larger batch the event queues in `pending` and the sink is borrowed
-/// once per `batch` events via [`TelemetrySink::emit_many`]. Events keep
-/// their push order either way, so batching never changes the trace —
-/// provided [`buf_flush`] runs before anything that writes to the sink
-/// directly (Condor's submit trace, the cluster's copy traces).
-fn buf_emit(
-    sink: &TelemetrySink,
-    pending: &mut Vec<(SimTime, Tel)>,
-    batch: usize,
-    now: SimTime,
-    event: Tel,
-) {
-    if !sink.enabled() {
-        return;
-    }
-    if batch <= 1 {
-        sink.emit(now, event);
-    } else {
-        pending.push((now, event));
-        if pending.len() >= batch {
-            sink.emit_many(pending.drain(..));
-        }
-    }
-}
-
-/// Drain the batch buffer into the sink, preserving order.
-fn buf_flush(sink: &TelemetrySink, pending: &mut Vec<(SimTime, Tel)>) {
-    if !pending.is_empty() {
-        sink.emit_many(pending.drain(..));
     }
 }
 

@@ -3,8 +3,8 @@
 //! The paper's Data Judge is a fixed threshold machine (Formulas
 //! (1)–(6)). This crate extracts the *decision* out of the CEP feature
 //! plumbing into a [`JudgePolicy`] trait so alternative judges — learned
-//! ones — can be dropped into the manager's sharded judge pass without
-//! touching the audit→CEP pipeline, the FileId-ordered merge, or the
+//! ones — can be dropped into the manager's judge pass without
+//! touching the audit→CEP pipeline, the `FileId` visit order, or the
 //! checkpoint discipline:
 //!
 //! * the rule-based judge (in `erms`) implements the trait by running
@@ -25,11 +25,11 @@
 //! a snapshot section, so the byte-identical resume-equivalence guard
 //! holds for learned judges exactly as it does for the rules. Learned
 //! backends must also be *visit-order independent* within a judge pass
-//! (the manager shards the pass by `FileId % shards`): decisions read a
-//! table frozen at the start of the pass, exploration randomness is
-//! derived per `(pass, file)` rather than drawn from a sequential
-//! stream, and updates are batched and applied in `FileId` order at
-//! [`JudgePolicy::end_pass`].
+//! (a file's verdict never depends on which files were judged before it
+//! in the same pass): decisions read a table frozen at the start of the
+//! pass, exploration randomness is derived per `(pass, file)` rather
+//! than drawn from a sequential stream, and updates are batched and
+//! applied in `FileId` order at [`JudgePolicy::end_pass`].
 
 pub mod features;
 pub mod hmm;
@@ -152,9 +152,9 @@ impl JudgeRule {
 /// What the judge needs to know about a file to classify it.
 #[derive(Debug, Clone)]
 pub struct FileSnapshot {
-    /// Dense namespace id — the key the sharded control loop partitions
-    /// and merges by (`id % shards`), and the sort key that keeps the
-    /// judge pass in namespace-walk order.
+    /// Dense namespace id — the sort key that keeps the judge pass in
+    /// namespace-walk order, and the order learned backends apply their
+    /// batched updates in.
     pub id: hdfs_sim::FileId,
     pub path: String,
     /// Current replication factor `r` of the file's data blocks.
@@ -218,8 +218,8 @@ pub struct RewardMeters {
 ///
 /// Implementations must be deterministic per seed and must make their
 /// decisions independent of visit order *within* a judge pass (the
-/// manager classifies shard by shard but merges in `FileId` order; see
-/// the crate docs). All learner state is part of
+/// manager judges and acts file by file in `FileId` order; see the
+/// crate docs). All learner state is part of
 /// [`save_state`](checkpoint::Checkpointable::save_state) so resumes
 /// are byte-identical.
 pub trait JudgePolicy: checkpoint::Checkpointable {
@@ -252,7 +252,7 @@ pub trait JudgePolicy: checkpoint::Checkpointable {
 
     /// End of a judge pass, after the last `classify` of the tick.
     /// Learned backends apply their batched table updates here, in
-    /// `FileId` order, so the table evolution is shard-count
+    /// `FileId` order, so the table evolution is visit-order
     /// independent.
     fn end_pass(&mut self) {}
 

@@ -6,18 +6,17 @@
 //! `DataClass` verdicts (the manager's gating still applies, so a
 //! spurious boost of an idle file is a no-op task-wise).
 //!
-//! # Determinism and shard independence
+//! # Determinism and visit-order independence
 //!
 //! * Decisions during a judge pass read a table **frozen** at
 //!   `begin_pass`; the `(s, a, r, s')` updates observed during the pass
 //!   are queued and applied sorted by `FileId` in `end_pass`, so the
-//!   table's evolution does not depend on the shard count or the shard
-//!   visit order.
+//!   table's evolution does not depend on the visit order.
 //! * Exploration randomness is not a sequential stream: each draw is
 //!   derived by SplitMix64-mixing `(stream salt, pass index, file id)`,
 //!   where the salt itself comes from a forked `DetRng` stream at
 //!   construction. Same seed → same exploration, regardless of how
-//!   many files exist or in which order shards run.
+//!   many files exist or in which order they are visited.
 //! * Reward needs the *consequence* of an action, which is only
 //!   observable at the file's next visit: `classify` settles the
 //!   pending `(state, action)` recorded last time using the features it
@@ -310,8 +309,7 @@ impl JudgePolicy for QLearningJudge {
 
     fn end_pass(&mut self) {
         // FileId order, not visit order: the Q-update sequence (which
-        // matters — updates compose) is pinned to the namespace, so it
-        // cannot depend on the shard count.
+        // matters — updates compose) is pinned to the namespace.
         self.queue.sort_by_key(|u| u.file);
         for u in self.queue.drain(..) {
             let next_best = {

@@ -6,9 +6,6 @@
 //!
 //! * [`time`] — a nanosecond-resolution simulated clock ([`SimTime`],
 //!   [`SimDuration`]) with total ordering and saturating arithmetic,
-//! * [`arena`] — generational arenas ([`arena::Arena`],
-//!   [`arena::Handle`]) backing the columnar, dense-id state tables of
-//!   the simulators; stale handles are detected, never silently re-read,
 //! * [`queue`] — a deterministic, cancellable event queue
 //!   ([`EventQueue`]) plus a closure-based orchestration engine
 //!   ([`engine::Engine`]),
@@ -45,7 +42,6 @@
 //! assert_eq!(queue.now(), SimTime::from_secs(2));
 //! ```
 
-pub mod arena;
 pub mod engine;
 pub mod profiler;
 pub mod queue;
@@ -56,7 +52,6 @@ pub mod telemetry;
 pub mod time;
 pub mod units;
 
-pub use arena::{Arena, Handle};
 pub use engine::Engine;
 pub use queue::{EventId, EventQueue};
 pub use rng::DetRng;

@@ -7,7 +7,7 @@
 //! frame stack: entering a scope pushes a frame, dropping the guard pops
 //! it and charges the elapsed wall-ns (plus an optional
 //! allocation-count delta) to the node addressed by the stack of scope
-//! names above it. The result is a tree — `tick` → `judge` → `shard0` —
+//! names above it. The result is a tree — `tick` → `judge` —
 //! mirroring the phase structure of the code.
 //!
 //! Determinism discipline (same rules as [`trace!`](crate::trace)):
@@ -106,9 +106,14 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Drop all recorded frames and the live stack (guards from before the
-/// reset become inert). Enabled state is unchanged.
+/// reset become inert). Enabled state and the allocation probe are
+/// unchanged.
 pub fn reset() {
-    PROF.with(|p| *p.borrow_mut() = ProfilerState::new());
+    PROF.with(|p| {
+        let mut p = p.borrow_mut();
+        p.nodes = vec![NodeSlot::root()];
+        p.stack.clear();
+    });
 }
 
 /// Install (or clear) the allocation-count probe used for the `alloc`
@@ -212,7 +217,7 @@ pub struct ProfileNode {
 
 impl ProfileNode {
     /// Look up a descendant by `/`-joined path of scope names
-    /// (`"tick/judge/shard0"`), starting below this node.
+    /// (`"tick/judge"`), starting below this node.
     pub fn find(&self, path: &str) -> Option<&ProfileNode> {
         let mut cur = self;
         for part in path.split('/') {
@@ -352,7 +357,7 @@ fn fmt_ns(ns: u64) -> String {
 /// Mirrors the [`trace!`](crate::trace) discipline: on a disabled
 /// profiler this is a single thread-local branch and the name
 /// expression is **not** evaluated, so dynamic names
-/// (`&format!("shard{i}")`) cost nothing unless profiling is on.
+/// (`&format!("phase{i}")`) cost nothing unless profiling is on.
 ///
 /// ```
 /// use simcore::{profiler, prof_scope};
@@ -360,10 +365,10 @@ fn fmt_ns(ns: u64) -> String {
 /// profiler::reset();
 /// profiler::set_enabled(true);
 /// for i in 0..2 {
-///     prof_scope!(&format!("shard{i}"));
+///     prof_scope!(&format!("phase{i}"));
 /// }
 /// profiler::set_enabled(false);
-/// assert_eq!(profiler::snapshot().find("shard1").unwrap().calls, 1);
+/// assert_eq!(profiler::snapshot().find("phase1").unwrap().calls, 1);
 /// ```
 #[macro_export]
 macro_rules! prof_scope {
@@ -463,6 +468,29 @@ mod tests {
         drop(guard); // must not panic or resurrect the frame
         set_enabled(false);
         assert!(snapshot().children.is_empty());
+    }
+
+    #[test]
+    fn reset_keeps_the_alloc_probe() {
+        thread_local!(static TICKS: Cell<u64> = const { Cell::new(0) });
+        fn probe() -> u64 {
+            TICKS.with(|t| {
+                t.set(t.get() + 1);
+                t.get()
+            })
+        }
+        set_alloc_probe(Some(probe));
+        reset();
+        set_enabled(true);
+        {
+            prof_scope!("tick");
+        }
+        set_enabled(false);
+        set_alloc_probe(None);
+        assert!(
+            snapshot().find("tick").unwrap().alloc > 0,
+            "a probe installed before reset() still feeds the alloc column"
+        );
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! Both modes' traces must also satisfy every causal invariant the
 //! trace oracle knows.
 
-use erms::{ErmsConfig, ErmsManager, ErmsPlacement, Thresholds, TickReport};
+use cep::fnv::FnvHasher;
+use erms::{ErmsConfig, ErmsManager, ErmsPlacement, JudgeBackend, Thresholds, TickReport};
 use hdfs_sim::topology::{ClientId, Endpoint};
 use hdfs_sim::{ClusterConfig, ClusterSim, NodeId};
 use simcore::telemetry::TelemetrySink;
 use simcore::units::MB;
 use simcore::SimDuration;
+use std::hash::Hasher;
 use trace_tools::{check, OracleConfig};
 
 fn thresholds() -> Thresholds {
@@ -34,8 +36,8 @@ struct Run {
 
 /// One scripted workload — flash crowd, background traffic, a delete, a
 /// node kill, then a long cool-down — driven tick-for-tick identically
-/// regardless of the manager's visit-set mode.
-fn run(full_rescan: bool) -> Run {
+/// regardless of the manager's visit-set mode or judge backend.
+fn run(full_rescan: bool, backend: JudgeBackend) -> Run {
     let mut c = ClusterSim::new(
         ClusterConfig::paper_testbed(),
         Box::new(ErmsPlacement::new()),
@@ -45,6 +47,8 @@ fn run(full_rescan: bool) -> Run {
         .standby((10..18).map(NodeId))
         .self_healing(true)
         .full_rescan(full_rescan)
+        .judge_backend(backend)
+        .judge_seed(42)
         .build()
         .unwrap();
     let mut m = ErmsManager::new(cfg, &mut c).unwrap();
@@ -146,8 +150,8 @@ fn actions(r: &TickReport) -> Actions {
 
 #[test]
 fn incremental_and_full_rescan_take_identical_actions() {
-    let inc = run(false);
-    let full = run(true);
+    let inc = run(false, JudgeBackend::Rules);
+    let full = run(true, JudgeBackend::Rules);
 
     assert_eq!(inc.reports.len(), full.reports.len());
     for (i, (a, b)) in inc.reports.iter().zip(&full.reports).enumerate() {
@@ -179,8 +183,28 @@ fn incremental_and_full_rescan_take_identical_actions() {
 
 #[test]
 fn incremental_runs_are_deterministic() {
-    let a = run(false);
-    let b = run(false);
+    let a = run(false, JudgeBackend::Rules);
+    let b = run(false, JudgeBackend::Rules);
     assert_eq!(a.trace, b.trace, "same-seed traces must be byte-identical");
     assert_eq!(a.files, b.files);
+}
+
+/// The scripted workload's trace, pinned per judge backend: FNV-1a-64 of
+/// the JSONL bytes plus the event count. A refactor of the control loop
+/// that reorders, drops or rewords a single event fails here.
+#[test]
+fn trace_digest_is_pinned() {
+    let pinned = [
+        (JudgeBackend::Rules, 0xf6af_fbcb_066b_fd39_u64, 1013_usize),
+        (JudgeBackend::QLearning, 0x3a6c_9320_fe6d_2451, 1315),
+        (JudgeBackend::Hmm, 0x6fbd_2805_540c_1505, 1046),
+    ];
+    for (backend, digest, events) in pinned {
+        let trace = run(false, backend).trace;
+        let mut h = FnvHasher::default();
+        h.write(trace.as_bytes());
+        let got = (h.finish(), trace.lines().count());
+        println!("{backend}: {:#018x} {}", got.0, got.1);
+        assert_eq!(got, (digest, events), "{backend} trace changed");
+    }
 }

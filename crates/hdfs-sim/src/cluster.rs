@@ -209,11 +209,35 @@ struct WriteReq {
     failed: bool,
 }
 
+/// A flow completion waiting to fire, ordered against the queue's
+/// events by `(at, id)` like any of them.
+#[derive(Debug, Clone, Copy)]
+struct FlowEvent {
+    at: SimTime,
+    id: EventId,
+    flow: FlowId,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct PendingSession {
     read: ReadId,
     block: BlockId,
     node: NodeId,
+}
+
+/// Occupancy of the event queue and the flow model
+/// ([`ClusterSim::queue_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Entries the event heap holds, cancelled ones included.
+    pub heap_len: usize,
+    /// Events that will still fire.
+    pub live_events: usize,
+    /// Transfers in flight in the flow model.
+    pub active_flows: usize,
+    /// Capacity resources registered with the flow model: disks, NICs
+    /// and uplinks, plus one NIC per client ever seen.
+    pub resources: usize,
 }
 
 /// The HDFS cluster simulator.
@@ -239,7 +263,13 @@ pub struct ClusterSim {
     next_write: u64,
     completed_writes: Vec<WriteStats>,
     transfers: BTreeMap<FlowId, Transfer>,
-    flow_events: BTreeMap<FlowId, EventId>,
+    /// The one pending `FlowDone`: the completion
+    /// [`FlowNet::next_completion`] named at the last resync. Every
+    /// change to the flows ends in a resync, so no other flow can finish
+    /// before this one fires or is replaced. It is held here, beside the
+    /// queue, because a resync replaces it — a heap entry would have to
+    /// be cancelled and left behind as a tombstone each time.
+    flow_event: Option<FlowEvent>,
     tickets: BTreeMap<SessionTicket, PendingSession>,
     next_ticket: u64,
     next_copy: u64,
@@ -348,7 +378,7 @@ impl ClusterSim {
             next_write: 0,
             completed_writes: Vec::new(),
             transfers: BTreeMap::new(),
-            flow_events: BTreeMap::new(),
+            flow_event: None,
             tickets: BTreeMap::new(),
             next_ticket: 0,
             next_copy: 0,
@@ -511,6 +541,18 @@ impl ClusterSim {
     pub fn total_load(&self) -> usize {
         self.nodes.iter().map(DataNode::load).sum()
     }
+
+    /// Event-queue and flow-model occupancy; `heap_len - live_events` is
+    /// the number of cancelled events not yet discarded.
+    pub fn queue_stats(&self) -> QueueStats {
+        QueueStats {
+            heap_len: self.queue.raw_len(),
+            live_events: self.queue.len() + usize::from(self.flow_event.is_some()),
+            active_flows: self.net.active_flows(),
+            resources: self.net.resources(),
+        }
+    }
+
     pub fn is_idle(&self) -> bool {
         self.transfers.is_empty()
             && self.tickets.is_empty()
@@ -2116,6 +2158,8 @@ impl ClusterSim {
         Some(id)
     }
 
+    /// Tear down every transfer touching `n`. The pending `FlowDone` may
+    /// name one of them: callers resync afterwards, which replaces it.
     fn fail_node_transfers(&mut self, n: NodeId, retry_reads: bool) {
         let now = self.now();
         // cancel flows touching the node
@@ -2134,9 +2178,6 @@ impl ClusterSim {
             .collect();
         for (flow, t) in affected {
             self.net.remove(now, flow);
-            if let Some(ev) = self.flow_events.remove(&flow) {
-                self.queue.cancel(ev);
-            }
             self.transfers.remove(&flow);
             match t {
                 Transfer::ReadBlock { read, .. } => {
@@ -2223,7 +2264,8 @@ impl ClusterSim {
 
     /// Run events up to and including `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(t) = self.queue.peek_time() {
+        simcore::prof_scope!("hdfs/run_until");
+        while let Some(t) = self.next_event_time() {
             if t > deadline {
                 break;
             }
@@ -2236,7 +2278,13 @@ impl ClusterSim {
 
     /// Process one event. Returns false when nothing is pending.
     pub fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.queue.pop() else {
+        let (t, ev) = if let Some(f) = self.flow_event_if_next() {
+            self.flow_event = None;
+            self.queue.advance_to(f.at);
+            (f.at, Ev::FlowDone(f.flow))
+        } else if let Some(queued) = self.queue.pop() {
+            queued
+        } else {
             return false;
         };
         match ev {
@@ -2265,7 +2313,6 @@ impl ClusterSim {
     }
 
     fn on_flow_done(&mut self, now: SimTime, flow: FlowId) {
-        self.flow_events.remove(&flow);
         let Some(transfer) = self.transfers.remove(&flow) else {
             return; // already cancelled
         };
@@ -2485,19 +2532,39 @@ impl ClusterSim {
         }
     }
 
-    /// Reschedule each active flow's completion event after rates change.
+    /// Re-aim the pending `FlowDone` after rates changed.
+    ///
+    /// The schedule is defined as if every active flow got a completion
+    /// event here, in `FlowId` order with consecutive ids. Only the
+    /// earliest of those could ever fire — it ends in the next resync,
+    /// which would replace all the others — so it alone is kept, under
+    /// the id its rank gives it, and the id counter moves past the rest.
+    /// Every event id and same-nanosecond tie-break in the run depends
+    /// on that numbering.
     fn resync_flow_events(&mut self) {
-        let now = self.now();
-        let flows: Vec<FlowId> = self.transfers.keys().copied().collect();
-        for f in flows {
-            if let Some(eta) = self.net.eta(f) {
-                let at = eta.max(now);
-                if let Some(old) = self.flow_events.remove(&f) {
-                    self.queue.cancel(old);
-                }
-                let ev = self.queue.schedule(at, Ev::FlowDone(f));
-                self.flow_events.insert(f, ev);
-            }
+        simcore::prof_scope!("resync");
+        debug_assert_eq!(self.transfers.len(), self.net.active_flows());
+        let first = self.queue.reserve_seqs(self.net.active_flows() as u64);
+        self.flow_event = self.net.next_completion(self.now()).map(|next| FlowEvent {
+            at: next.at,
+            id: EventId::from_raw(first.raw() + next.rank as u64),
+            flow: next.flow,
+        });
+    }
+
+    /// The pending flow completion, if it fires before the queue's head.
+    fn flow_event_if_next(&mut self) -> Option<FlowEvent> {
+        let f = self.flow_event?;
+        self.queue
+            .peek()
+            .is_none_or(|head| (f.at, f.id) < head)
+            .then_some(f)
+    }
+
+    fn next_event_time(&mut self) -> Option<SimTime> {
+        match self.flow_event_if_next() {
+            Some(f) => Some(f.at),
+            None => self.queue.peek_time(),
         }
     }
 }
@@ -2516,9 +2583,14 @@ fn i_is_parity(ns: &Namespace, b: BlockId) -> bool {
 // uplink resource ids) is NOT captured: restore hydrates a freshly
 // constructed `ClusterSim` built from the same config, then overwrites
 // the dynamic fields. Crucially the event queue is restored verbatim
-// (ids, seq counter and all) and `resync_flow_events` is NOT run — it
-// would cancel and reschedule flow completions under fresh event ids,
-// breaking bit-identical resume.
+// (ids, id counter and all) and `resync_flow_events` is NOT run. The
+// pending flow completion travels as the queue entry it stands for and
+// is lifted back out on load; a resync in its place would reserve a
+// fresh batch of ids, so every event scheduled after the restore would
+// be numbered differently from the straight-through run, and it would
+// re-derive the completion time from a flow model that has since been
+// settled to the snapshot instant, which rounds to a different
+// nanosecond. Either breaks bit-identical resume.
 
 mod ck {
     //! Value codecs for the cluster's private types.
@@ -2919,7 +2991,16 @@ impl checkpoint::Checkpointable for ClusterSim {
     fn save_state(&self) -> checkpoint::Value {
         use checkpoint::codec::{f64_bits, seq_of, MapBuilder};
         use checkpoint::Value;
-        let qs = self.queue.snapshot();
+        // the pending flow completion is written where it sorts among
+        // the queue's entries, as the queued event it stands for
+        let mut qs = self.queue.snapshot();
+        if let Some(f) = self.flow_event {
+            let pos = qs
+                .entries
+                .partition_point(|&(at, seq, _)| (at, seq) < (f.at, f.id.raw()));
+            qs.entries
+                .insert(pos, (f.at, f.id.raw(), Ev::FlowDone(f.flow)));
+        }
         MapBuilder::new()
             .put("namespace", self.namespace.save_state())
             .put("blockmap", self.blockmap.save_state())
@@ -2965,8 +3046,8 @@ impl checkpoint::Checkpointable for ClusterSim {
             )
             .put(
                 "flow_events",
-                seq_of(self.flow_events.iter(), |(f, ev)| {
-                    Value::Seq(vec![Value::U64(f.0), Value::U64(ev.raw())])
+                seq_of(self.flow_event.iter(), |f| {
+                    Value::Seq(vec![Value::U64(f.flow.0), Value::U64(f.id.raw())])
                 }),
             )
             .put(
@@ -3113,11 +3194,21 @@ impl checkpoint::Checkpointable for ClusterSim {
         for (node, nv) in self.nodes.iter_mut().zip(node_states) {
             node.load_state(nv)?;
         }
+        let pair_u64 =
+            |x: &checkpoint::Value, field: &str| -> Result<(u64, u64), CheckpointError> {
+                let s = c::as_seq(x, field)?;
+                if s.len() != 2 {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "`{field}` entry is not a pair"
+                    )));
+                }
+                Ok((c::as_u64(&s[0], field)?, c::as_u64(&s[1], field)?))
+            };
         // The event queue is restored verbatim: same entries, same seqs,
         // same id counter — deliberately NOT re-derived from the flow
         // table, so resumed runs replay the identical schedule.
         let qv = c::get(state, "queue")?;
-        let entries = c::get_seq(qv, "entries")?
+        let mut entries = c::get_seq(qv, "entries")?
             .iter()
             .map(|e| {
                 let t = c::as_seq(e, "queue.entries[]")?;
@@ -3133,21 +3224,42 @@ impl checkpoint::Checkpointable for ClusterSim {
                 ))
             })
             .collect::<Result<Vec<_>, _>>()?;
+        // Flow completions leave the queue: the first to pop becomes the
+        // pending one. A snapshot may list a completion for every active
+        // flow (`flow_events` then pairs each with its event); only the
+        // earliest can fire before the resync it ends in replaces them
+        // all, so dropping the others here leaves the resumed schedule
+        // exactly as it was.
+        self.flow_event = entries
+            .iter()
+            .filter_map(|(at, seq, ev)| match ev {
+                Ev::FlowDone(flow) => Some((*at, *seq, *flow)),
+                _ => None,
+            })
+            .min()
+            .map(|(at, seq, flow)| FlowEvent {
+                at,
+                id: EventId::from_raw(seq),
+                flow,
+            });
+        entries.retain(|(_, _, ev)| !matches!(ev, Ev::FlowDone(_)));
+        let mut listed = c::get_seq(state, "flow_events")?
+            .iter()
+            .map(|x| pair_u64(x, "flow_events"));
+        let pending_listed = match self.flow_event {
+            Some(f) => listed.any(|p| p.is_ok_and(|p| p == (f.flow.0, f.id.raw()))),
+            None => listed.next().is_none(),
+        };
+        if !pending_listed {
+            return Err(CheckpointError::Corrupt(
+                "`flow_events` disagrees with the queued flow completions".into(),
+            ));
+        }
         self.queue = EventQueue::restore(simcore::queue::QueueSnapshot {
             now: c::get_time(qv, "now")?,
             next_seq: c::get_u64(qv, "next_seq")?,
             entries,
         });
-        let pair_u64 =
-            |x: &checkpoint::Value, field: &str| -> Result<(u64, u64), CheckpointError> {
-                let s = c::as_seq(x, field)?;
-                if s.len() != 2 {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "`{field}` entry is not a pair"
-                    )));
-                }
-                Ok((c::as_u64(&s[0], field)?, c::as_u64(&s[1], field)?))
-            };
         self.client_nic = c::get_seq(state, "client_nic")?
             .iter()
             .map(|x| {
@@ -3183,10 +3295,6 @@ impl checkpoint::Checkpointable for ClusterSim {
                     ck::transfer_back(&s[1])?,
                 ))
             })
-            .collect::<Result<_, _>>()?;
-        self.flow_events = c::get_seq(state, "flow_events")?
-            .iter()
-            .map(|x| pair_u64(x, "flow_events").map(|(f, ev)| (FlowId(f), EventId::from_raw(ev))))
             .collect::<Result<_, _>>()?;
         self.tickets = c::get_seq(state, "tickets")?
             .iter()
@@ -3385,6 +3493,189 @@ mod tests {
             .collect();
         assert_eq!(ca, cb, "copy completions must match after resume");
         assert_eq!(straight.drain_audit(), resumed.drain_audit());
+    }
+
+    fn crowd_cluster() -> ClusterSim {
+        let cfg = ClusterConfig {
+            datanodes: 60,
+            racks: 6,
+            max_sessions_per_node: 24,
+            ..ClusterConfig::paper_testbed()
+        };
+        ClusterSim::new(cfg, Box::new(DefaultRackAware))
+    }
+
+    /// 240 clients each reading one of 24 four-block files on a 60-node
+    /// cluster: more than 200 flows at once.
+    fn read_crowd() -> ClusterSim {
+        let mut c = crowd_cluster();
+        for f in 0..24 {
+            c.create_file(&format!("/crowd/{f}"), 256 * MB, 3, None)
+                .unwrap();
+        }
+        for i in 0..240u32 {
+            let path = format!("/crowd/{}", i % 24);
+            c.open_read(Endpoint::Client(ClientId(i)), &path).unwrap();
+        }
+        c
+    }
+
+    /// What a finished run leaves behind: each read's `(id, bytes,
+    /// finished, failed)`, the audit log and the end time.
+    type Ledger = (Vec<(ReadId, Bytes, SimTime, bool)>, Vec<String>, SimTime);
+
+    fn finish(c: &mut ClusterSim) -> Ledger {
+        let end = c.run_until_quiescent();
+        let reads = c
+            .drain_completed_reads()
+            .iter()
+            .map(|r| (r.id, r.bytes, r.finished, r.failed))
+            .collect();
+        (reads, c.drain_audit(), end)
+    }
+
+    #[test]
+    fn a_read_crowd_keeps_one_flow_completion_and_a_heap_of_live_events() {
+        let mut c = read_crowd();
+        let mut peak_flows = 0;
+        loop {
+            let q = c.queue_stats();
+            assert!(q.heap_len <= q.live_events, "tombstones pile up: {q:?}");
+            assert_eq!(c.flow_event.is_some(), q.active_flows > 0, "{q:?}");
+            let in_heap = c.queue.snapshot().entries;
+            assert!(!in_heap
+                .iter()
+                .any(|(_, _, ev)| matches!(ev, Ev::FlowDone(_))));
+            peak_flows = peak_flows.max(q.active_flows);
+            if !c.step() {
+                break;
+            }
+        }
+        assert!(peak_flows >= 200, "only {peak_flows} flows at once");
+        assert_eq!(c.queue_stats().live_events, 0);
+        let (reads, _, _) = finish(&mut c);
+        assert_eq!(reads.len(), 240);
+        assert!(reads.iter().all(|r| r.1 == 256 * MB && !r.3));
+        // every client's NIC stays registered after its read
+        assert_eq!(c.queue_stats().resources, 2 * 60 + 6 + 240);
+    }
+
+    /// Load `state` into a fresh crowd cluster, check it re-saves as
+    /// `expect` and finish the run.
+    fn resume_crowd(state: &checkpoint::Value, expect: &checkpoint::Value) -> Ledger {
+        use checkpoint::Checkpointable;
+        let json = serde_json::to_string(state).unwrap();
+        let mut resumed = crowd_cluster();
+        resumed
+            .load_state(&serde_json::parse_value(&json).unwrap())
+            .unwrap();
+        assert!(
+            resumed.save_state() == *expect,
+            "reloaded state re-saves differently"
+        );
+        finish(&mut resumed)
+    }
+
+    #[test]
+    fn a_crowd_snapshot_resumes_to_the_straight_through_run() {
+        use checkpoint::Checkpointable;
+        let mut straight = read_crowd();
+        straight.run_until(SimTime::from_millis(1500));
+        let q = straight.queue_stats();
+        assert!(q.active_flows >= 200, "{q:?}");
+        let state = straight.save_state();
+        let listed = checkpoint::codec::get_seq(&state, "flow_events").unwrap();
+        assert_eq!(listed.len(), 1, "one pending completion for {q:?}");
+
+        assert_eq!(resume_crowd(&state, &state), finish(&mut straight));
+    }
+
+    /// `c`'s state as a build that queued a completion per active flow
+    /// wrote it. Exact only straight after a resync, while the flow
+    /// model's settle point is still the resync's `now`.
+    fn saved_with_every_flow_queued(c: &ClusterSim) -> checkpoint::Value {
+        use checkpoint::codec::{as_seq, as_u64};
+        use checkpoint::{Checkpointable, Value};
+        let pending = c.flow_event.unwrap();
+        let rank = c.transfers.keys().position(|&f| f == pending.flow).unwrap();
+        let first_id = pending.id.raw() - rank as u64;
+        let all: Vec<(SimTime, u64, FlowId)> = c
+            .transfers
+            .keys()
+            .enumerate()
+            .map(|(i, &f)| (c.net.eta(f).unwrap().max(c.now()), first_id + i as u64, f))
+            .collect();
+        assert_eq!(
+            all.iter().min(),
+            Some(&(pending.at, pending.id.raw(), pending.flow))
+        );
+
+        let mut state = c.save_state();
+        *seq_mut(&mut state, &["flow_events"]) = all
+            .iter()
+            .map(|&(_, id, f)| Value::Seq(vec![Value::U64(f.0), Value::U64(id)]))
+            .collect();
+        let entries = seq_mut(&mut state, &["queue", "entries"]);
+        let parts = |e: &Value| -> (u64, u64, Ev) {
+            let t = as_seq(e, "entry").unwrap();
+            let u = |v| as_u64(v, "entry").unwrap();
+            (u(&t[0]), u(&t[1]), ck::ev_back(&t[2]).unwrap())
+        };
+        entries.retain(|e| !matches!(parts(e).2, Ev::FlowDone(_)));
+        entries.extend(all.iter().map(|&(at, id, f)| {
+            Value::Seq(vec![
+                Value::U64(at.as_nanos()),
+                Value::U64(id),
+                ck::ev(&Ev::FlowDone(f)),
+            ])
+        }));
+        entries.sort_by_key(|e| (parts(e).0, parts(e).1));
+        state
+    }
+
+    /// The sequence at `path` (map keys, outermost first) inside `v`.
+    fn seq_mut<'a>(v: &'a mut checkpoint::Value, path: &[&str]) -> &'a mut Vec<checkpoint::Value> {
+        use checkpoint::Value;
+        match (v, path) {
+            (Value::Seq(items), []) => items,
+            (Value::Map(m), [key, rest @ ..]) => {
+                let (_, inner) = m.iter_mut().find(|(k, _)| k == key).unwrap();
+                seq_mut(inner, rest)
+            }
+            (other, _) => panic!("no {path:?} in {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_snapshot_with_every_flow_queued_loads_as_the_one_pending_completion() {
+        use checkpoint::Checkpointable;
+        let mut straight = read_crowd();
+        straight.run_until(SimTime::from_millis(1500));
+        // a no-op capacity change: settles the flows and resyncs at `now`
+        straight.set_node_slowdown(NodeId(0), 1.0);
+        let flows = straight.queue_stats().active_flows;
+        assert!(flows >= 200, "{flows} flows");
+
+        let old_format = saved_with_every_flow_queued(&straight);
+        let listed = checkpoint::codec::get_seq(&old_format, "flow_events").unwrap();
+        assert_eq!(listed.len(), flows);
+        let resumed = resume_crowd(&old_format, &straight.save_state());
+        assert_eq!(resumed, finish(&mut straight));
+    }
+
+    #[test]
+    fn flow_events_must_list_the_pending_completion() {
+        use checkpoint::Checkpointable;
+        let mut c = read_crowd();
+        c.run_until(SimTime::from_millis(1500));
+        let mut state = c.save_state();
+        seq_mut(&mut state, &["flow_events"]).clear();
+        match crowd_cluster().load_state(&state) {
+            Err(checkpoint::CheckpointError::Corrupt(msg)) => {
+                assert!(msg.contains("flow_events"), "{msg}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -10,14 +10,43 @@
 //! contention behaviour the paper measures (per-session throughput
 //! collapsing as sessions pile onto the nodes holding hot replicas).
 //!
-//! Rates are recomputed from scratch on every flow arrival/departure and
-//! on capacity changes (node death). Clusters here run at most a few
-//! hundred concurrent flows, so the O(flows × resources) recompute is
-//! nowhere near the profile.
+//! # Cost model
+//!
+//! Rates are recomputed on every flow arrival, departure and capacity
+//! change, so `FlowNet::recompute` runs once per flow event and is the
+//! data plane's inner loop. It costs O(rounds × (L + Σ path lengths))
+//! where L is the number of resources a live flow crosses — a few dozen
+//! to a few hundred — and **not** the number of resources registered.
+//! That distinction is the whole point: the cluster registers one NIC
+//! per `ClientId` the first time that client moves a byte and never
+//! releases it, so a long run holds thousands of resources of which all
+//! but a handful are idle at any instant. The filling therefore builds
+//! its list of loaded resources while it counts the flows on each, and
+//! every later round walks that list only. The per-resource `counts` and
+//! `residual` vectors and the two work lists live in the `FlowNet` and
+//! are reused, so a recompute allocates nothing; rates are written into
+//! the flows as they freeze, and a frozen flow's resources are
+//! un-counted on the spot.
+//!
+//! # Why the sparse filling is bit-identical to a dense one
+//!
+//! A dense filling (the test module keeps one as the reference oracle)
+//! sweeps every registered resource each round. Restricting the sweep to
+//! loaded resources changes no floating-point result: a round's `delta`
+//! is a `min` over the quotients of exactly the resources with a live
+//! flow (exact and order-independent), `level` accumulates the same
+//! deltas in the same order, a loaded resource's `residual` sees the same
+//! subtraction, and an idle resource's dense update is `-= delta * 0`.
+//! Traces pin completion times to the nanosecond, so this matters.
+//!
+//! Filling is deliberately **not** restricted to the connected component
+//! of the flow↔resource graph that changed. Each component would then
+//! reach its rates through its own sequence of deltas, and
+//! `(a + b) + c` is not `a + (b + c)`: rates move by ULPs, nanosecond
+//! ETAs shift and every pinned trace digest with them.
 
 use simcore::units::Bandwidth;
-use simcore::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use simcore::SimTime;
 
 /// A capacity resource (a NIC, a disk, a rack uplink).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,18 +58,43 @@ pub struct FlowId(pub u64);
 
 #[derive(Debug)]
 struct Flow {
+    id: FlowId,
     resources: Vec<ResourceId>,
     remaining: f64,
     rate: f64,
+}
+
+/// Residual capacity at or below which a resource counts as saturated.
+const SATURATED: f64 = 1e-6;
+
+/// The flow that finishes first, as [`FlowNet::next_completion`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NextCompletion {
+    pub at: SimTime,
+    pub flow: FlowId,
+    /// Position of `flow` among the active flows in `FlowId` order.
+    pub rank: usize,
 }
 
 /// The flow network.
 #[derive(Debug, Default)]
 pub struct FlowNet {
     capacities: Vec<f64>,
-    flows: BTreeMap<FlowId, Flow>,
+    /// Active flows in ascending `FlowId` order (ids only grow, so a new
+    /// flow is pushed at the back).
+    flows: Vec<Flow>,
     next_flow: u64,
     last_settle: SimTime,
+
+    // `recompute` scratch, kept so a recompute allocates nothing.
+    /// Unfrozen flows on each resource; all zero between recomputes.
+    counts: Vec<u32>,
+    /// Capacity left on each resource; meaningful only for `loaded` ones.
+    residual: Vec<f64>,
+    /// Resources crossed by at least one flow.
+    loaded: Vec<usize>,
+    /// Indices into `flows` of the flows not yet frozen.
+    live: Vec<usize>,
 }
 
 impl FlowNet {
@@ -51,6 +105,8 @@ impl FlowNet {
     /// Register a resource; capacity may later change (e.g. node death).
     pub fn add_resource(&mut self, capacity: Bandwidth) -> ResourceId {
         self.capacities.push(capacity.bytes_per_sec());
+        self.counts.push(0);
+        self.residual.push(0.0);
         ResourceId(self.capacities.len() - 1)
     }
 
@@ -64,20 +120,23 @@ impl FlowNet {
         Bandwidth(self.capacities[r.0])
     }
 
+    /// Resources registered so far, loaded or idle.
+    pub fn resources(&self) -> usize {
+        self.capacities.len()
+    }
+
     /// Start a flow of `bytes` across `resources`.
     pub fn start(&mut self, now: SimTime, bytes: u64, resources: Vec<ResourceId>) -> FlowId {
         debug_assert!(resources.iter().all(|r| r.0 < self.capacities.len()));
         self.settle(now);
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
-        self.flows.insert(
+        self.flows.push(Flow {
             id,
-            Flow {
-                resources,
-                remaining: bytes as f64,
-                rate: 0.0,
-            },
-        );
+            resources,
+            remaining: bytes as f64,
+            rate: 0.0,
+        });
         self.recompute();
         id
     }
@@ -86,13 +145,21 @@ impl FlowNet {
     /// still had left (0 ⇒ it was done).
     pub fn remove(&mut self, now: SimTime, id: FlowId) -> Option<u64> {
         self.settle(now);
-        let flow = self.flows.remove(&id)?;
+        let flow = self.flows.remove(self.index_of(id)?);
         self.recompute();
         Some(flow.remaining.max(0.0).round() as u64)
     }
 
+    fn index_of(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id, |f| f.id).ok()
+    }
+
+    fn get(&self, id: FlowId) -> Option<&Flow> {
+        self.index_of(id).map(|i| &self.flows[i])
+    }
+
     pub fn contains(&self, id: FlowId) -> bool {
-        self.flows.contains_key(&id)
+        self.index_of(id).is_some()
     }
     pub fn active_flows(&self) -> usize {
         self.flows.len()
@@ -100,35 +167,39 @@ impl FlowNet {
 
     /// Current rate of a flow in bytes/sec.
     pub fn rate(&self, id: FlowId) -> Option<Bandwidth> {
-        self.flows.get(&id).map(|f| Bandwidth(f.rate))
+        self.get(id).map(|f| Bandwidth(f.rate))
     }
 
     /// Remaining bytes of a flow as of the last settle point.
     pub fn remaining(&self, id: FlowId) -> Option<u64> {
-        self.flows
-            .get(&id)
-            .map(|f| f.remaining.max(0.0).round() as u64)
+        self.get(id).map(|f| f.remaining.max(0.0).round() as u64)
     }
 
     /// Predicted completion time of a flow given current rates.
     pub fn eta(&self, id: FlowId) -> Option<SimTime> {
-        let f = self.flows.get(&id)?;
-        Some(self.last_settle + Bandwidth(f.rate).transfer_time(f.remaining.max(0.0) as u64))
+        self.get(id).map(|f| self.eta_of(f))
     }
 
-    /// The earliest (time, flow) completion under current rates.
-    pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
-        self.flows
-            .iter()
-            .map(|(&id, f)| {
-                let d = if f.rate <= f64::EPSILON {
-                    SimDuration::from_hours(24 * 365)
-                } else {
-                    SimDuration::from_secs_f64((f.remaining.max(0.0)) / f.rate)
-                };
-                (self.last_settle + d, id)
-            })
-            .min_by_key(|&(t, id)| (t, id))
+    fn eta_of(&self, f: &Flow) -> SimTime {
+        self.last_settle + Bandwidth(f.rate).transfer_time(f.remaining.max(0.0) as u64)
+    }
+
+    /// The flow that completes first under current rates, no completion
+    /// counted earlier than `not_before`; the lowest `FlowId` wins a tie.
+    /// Until rates next change no other flow can complete before it.
+    pub fn next_completion(&self, not_before: SimTime) -> Option<NextCompletion> {
+        let mut best: Option<NextCompletion> = None;
+        for (rank, f) in self.flows.iter().enumerate() {
+            let at = self.eta_of(f).max(not_before);
+            if best.is_none_or(|b| at < b.at) {
+                best = Some(NextCompletion {
+                    at,
+                    flow: f.id,
+                    rank,
+                });
+            }
+        }
+        best
     }
 
     /// Advance internal progress accounting to `now`.
@@ -137,58 +208,68 @@ impl FlowNet {
             return;
         }
         let dt = (now - self.last_settle).as_secs_f64();
-        for f in self.flows.values_mut() {
+        for f in &mut self.flows {
             f.remaining = (f.remaining - f.rate * dt).max(0.0);
         }
         self.last_settle = now;
     }
 
-    /// Max-min fair progressive filling.
+    /// Max-min fair progressive filling over the loaded resources.
     fn recompute(&mut self) {
-        let n_res = self.capacities.len();
-        let mut residual = self.capacities.clone();
-        let mut frozen: BTreeMap<FlowId, f64> = BTreeMap::new();
-        let mut level = 0.0f64;
-        // flows not yet frozen
-        let mut live: Vec<FlowId> = self.flows.keys().copied().collect();
-
-        while !live.is_empty() {
-            // count live flows per resource
-            let mut counts = vec![0usize; n_res];
-            for id in &live {
-                for r in &self.flows[id].resources {
-                    counts[r.0] += 1;
+        simcore::prof_scope!("flow_recompute");
+        let FlowNet {
+            capacities,
+            flows,
+            counts,
+            residual,
+            loaded,
+            live,
+            ..
+        } = self;
+        loaded.clear();
+        live.clear();
+        live.extend(0..flows.len());
+        for f in flows.iter() {
+            for r in &f.resources {
+                if counts[r.0] == 0 {
+                    residual[r.0] = capacities[r.0];
+                    loaded.push(r.0);
                 }
+                counts[r.0] += 1;
             }
-            // headroom per live flow on each loaded resource
+        }
+
+        let mut level = 0.0f64;
+        while !live.is_empty() {
+            // headroom per live flow on each resource that still has one
             let mut delta = f64::INFINITY;
-            for r in 0..n_res {
+            for &r in loaded.iter() {
                 if counts[r] > 0 {
-                    delta = delta.min(residual[r].max(0.0) / counts[r] as f64);
+                    delta = delta.min(residual[r].max(0.0) / f64::from(counts[r]));
                 }
             }
             if !delta.is_finite() {
                 // live flows traverse no resources: unconstrained — give
                 // them an effectively unlimited rate and stop.
-                for id in live.drain(..) {
-                    frozen.insert(id, f64::MAX / 4.0);
+                for &i in live.iter() {
+                    flows[i].rate = f64::MAX / 4.0;
                 }
                 break;
             }
             level += delta;
-            for r in 0..n_res {
-                residual[r] -= delta * counts[r] as f64;
+            for &r in loaded.iter() {
+                residual[r] -= delta * f64::from(counts[r]);
             }
             // freeze flows crossing any saturated resource
-            let eps = 1e-6;
             let before = live.len();
-            live.retain(|id| {
-                let saturated = self.flows[id]
-                    .resources
-                    .iter()
-                    .any(|r| residual[r.0] <= eps);
+            live.retain(|&i| {
+                let f = &mut flows[i];
+                let saturated = f.resources.iter().any(|r| residual[r.0] <= SATURATED);
                 if saturated {
-                    frozen.insert(*id, level);
+                    f.rate = level;
+                    for r in &f.resources {
+                        counts[r.0] -= 1;
+                    }
                 }
                 !saturated
             });
@@ -198,14 +279,14 @@ impl FlowNet {
             );
             if live.len() == before {
                 // numerical corner: freeze everything at current level
-                for id in live.drain(..) {
-                    frozen.insert(id, level);
+                for &i in live.iter() {
+                    flows[i].rate = level;
                 }
+                break;
             }
         }
-
-        for (id, f) in self.flows.iter_mut() {
-            f.rate = frozen.get(id).copied().unwrap_or(0.0);
+        for &r in loaded.iter() {
+            counts[r] = 0;
         }
     }
 }
@@ -221,9 +302,9 @@ impl checkpoint::Checkpointable for FlowNet {
             )
             .put(
                 "flows",
-                seq_of(self.flows.iter(), |(id, f)| {
+                seq_of(self.flows.iter(), |f| {
                     MapBuilder::new()
-                        .u64("id", id.0)
+                        .u64("id", f.id.0)
                         .put(
                             "resources",
                             Value::Seq(
@@ -249,21 +330,22 @@ impl checkpoint::Checkpointable for FlowNet {
             .iter()
             .map(|v| c::as_f64_bits(v, "capacities[]"))
             .collect::<Result<_, _>>()?;
+        self.counts = vec![0; self.capacities.len()];
+        self.residual = vec![0.0; self.capacities.len()];
         self.flows.clear();
         for fv in c::get_seq(state, "flows")? {
             let resources = c::get_seq(fv, "resources")?
                 .iter()
                 .map(|v| c::as_u64(v, "resources[]").map(|n| ResourceId(n as usize)))
                 .collect::<Result<_, _>>()?;
-            self.flows.insert(
-                FlowId(c::get_u64(fv, "id")?),
-                Flow {
-                    resources,
-                    remaining: c::get_f64b(fv, "remaining")?,
-                    rate: c::get_f64b(fv, "rate")?,
-                },
-            );
+            self.flows.push(Flow {
+                id: FlowId(c::get_u64(fv, "id")?),
+                resources,
+                remaining: c::get_f64b(fv, "remaining")?,
+                rate: c::get_f64b(fv, "rate")?,
+            });
         }
+        self.flows.sort_by_key(|f| f.id);
         self.next_flow = c::get_u64(state, "next_flow")?;
         self.last_settle = c::get_time(state, "last_settle")?;
         Ok(())
@@ -274,6 +356,7 @@ impl checkpoint::Checkpointable for FlowNet {
 mod tests {
     use super::*;
     use simcore::units::MB;
+    use std::collections::BTreeMap;
 
     fn bw(mb: f64) -> Bandwidth {
         Bandwidth::from_mb_per_sec(mb)
@@ -286,9 +369,9 @@ mod tests {
         let nic = net.add_resource(bw(119.0));
         let f = net.start(SimTime::ZERO, 80 * MB, vec![disk, nic]);
         assert!((net.rate(f).unwrap().mb_per_sec() - 80.0).abs() < 1e-6);
-        let (t, id) = net.next_completion().unwrap();
-        assert_eq!(id, f);
-        assert!((t.as_secs_f64() - 1.0).abs() < 1e-6);
+        let next = net.next_completion(SimTime::ZERO).unwrap();
+        assert_eq!((next.flow, next.rank), (f, 0));
+        assert!((next.at.as_secs_f64() - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -325,15 +408,22 @@ mod tests {
         assert_eq!(net.remaining(f1), Some(100 * MB));
         assert!((net.rate(f1).unwrap().mb_per_sec() - 50.0).abs() < 1e-6);
         // both need 2 more seconds
-        let (t, _) = net.next_completion().unwrap();
-        assert!((t.as_secs_f64() - 3.0).abs() < 1e-6);
+        let next = net.next_completion(SimTime::ZERO).unwrap();
+        assert!((next.at.as_secs_f64() - 3.0).abs() < 1e-6);
+        assert_eq!(next.flow, f1, "a tie goes to the lowest FlowId");
+        assert_eq!(Some(next.at), net.eta(f1));
+        assert_eq!(
+            net.next_completion(SimTime::from_secs(5)).unwrap().at,
+            SimTime::from_secs(5),
+            "never reported before `not_before`"
+        );
         // completing f1 at t=3 restores f2 to full rate with 0 left
         net.settle(SimTime::from_secs(3));
         assert_eq!(net.remaining(f1), Some(0));
         assert_eq!(net.remaining(f2), Some(0));
         assert_eq!(net.remove(SimTime::from_secs(3), f1), Some(0));
         assert_eq!(net.remove(SimTime::from_secs(3), f2), Some(0));
-        assert!(net.next_completion().is_none());
+        assert!(net.next_completion(SimTime::ZERO).is_none());
     }
 
     #[test]
@@ -344,7 +434,7 @@ mod tests {
         net.set_capacity(SimTime::from_millis(500), nic, bw(50.0));
         assert!((net.rate(f).unwrap().mb_per_sec() - 50.0).abs() < 1e-6);
         // 50MB left at 50MB/s → done at t=1.5
-        let (t, _) = net.next_completion().unwrap();
+        let t = net.next_completion(SimTime::ZERO).unwrap().at;
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-6);
     }
 
@@ -354,7 +444,7 @@ mod tests {
         let dead = net.add_resource(bw(0.0));
         let f = net.start(SimTime::ZERO, MB, vec![dead]);
         assert_eq!(net.rate(f).unwrap().bytes_per_sec(), 0.0);
-        let (t, _) = net.next_completion().unwrap();
+        let t = net.next_completion(SimTime::ZERO).unwrap().at;
         assert!(
             t.as_secs_f64() > 1e6,
             "stalled flow sorts far in the future"
@@ -393,6 +483,114 @@ mod tests {
         );
         for &f in &flows {
             assert!((net.rate(f).unwrap().mb_per_sec() - 5.0).abs() < 1e-6);
+        }
+    }
+
+    /// The reference oracle: the same model with the textbook dense
+    /// filling — every round allocates and sweeps a vector over every
+    /// registered resource, and rates are collected in a map. Slow and
+    /// obviously right; [`FlowNet`] must agree with it to the bit.
+    #[derive(Default)]
+    struct DenseNet {
+        capacities: Vec<f64>,
+        flows: BTreeMap<FlowId, (Vec<ResourceId>, f64, f64)>, // resources, remaining, rate
+        next_flow: u64,
+        last_settle: SimTime,
+    }
+
+    impl DenseNet {
+        fn add_resource(&mut self, capacity: Bandwidth) {
+            self.capacities.push(capacity.bytes_per_sec());
+        }
+
+        fn set_capacity(&mut self, now: SimTime, r: ResourceId, capacity: Bandwidth) {
+            self.settle(now);
+            self.capacities[r.0] = capacity.bytes_per_sec();
+            self.recompute();
+        }
+
+        fn start(&mut self, now: SimTime, bytes: u64, resources: Vec<ResourceId>) -> FlowId {
+            self.settle(now);
+            let id = FlowId(self.next_flow);
+            self.next_flow += 1;
+            self.flows.insert(id, (resources, bytes as f64, 0.0));
+            self.recompute();
+            id
+        }
+
+        fn remove(&mut self, now: SimTime, id: FlowId) -> Option<u64> {
+            self.settle(now);
+            let (_, remaining, _) = self.flows.remove(&id)?;
+            self.recompute();
+            Some(remaining.max(0.0).round() as u64)
+        }
+
+        fn rate(&self, id: FlowId) -> f64 {
+            self.flows[&id].2
+        }
+
+        fn eta(&self, id: FlowId) -> SimTime {
+            let (_, remaining, rate) = &self.flows[&id];
+            self.last_settle + Bandwidth(*rate).transfer_time(remaining.max(0.0) as u64)
+        }
+
+        fn settle(&mut self, now: SimTime) {
+            if now <= self.last_settle {
+                return;
+            }
+            let dt = (now - self.last_settle).as_secs_f64();
+            for (_, remaining, rate) in self.flows.values_mut() {
+                *remaining = (*remaining - *rate * dt).max(0.0);
+            }
+            self.last_settle = now;
+        }
+
+        fn recompute(&mut self) {
+            let n_res = self.capacities.len();
+            let mut residual = self.capacities.clone();
+            let mut frozen: BTreeMap<FlowId, f64> = BTreeMap::new();
+            let mut level = 0.0f64;
+            let mut live: Vec<FlowId> = self.flows.keys().copied().collect();
+            while !live.is_empty() {
+                let mut counts = vec![0usize; n_res];
+                for id in &live {
+                    for r in &self.flows[id].0 {
+                        counts[r.0] += 1;
+                    }
+                }
+                let mut delta = f64::INFINITY;
+                for r in 0..n_res {
+                    if counts[r] > 0 {
+                        delta = delta.min(residual[r].max(0.0) / counts[r] as f64);
+                    }
+                }
+                if !delta.is_finite() {
+                    for id in live.drain(..) {
+                        frozen.insert(id, f64::MAX / 4.0);
+                    }
+                    break;
+                }
+                level += delta;
+                for r in 0..n_res {
+                    residual[r] -= delta * counts[r] as f64;
+                }
+                let before = live.len();
+                live.retain(|id| {
+                    let saturated = self.flows[id].0.iter().any(|r| residual[r.0] <= 1e-6);
+                    if saturated {
+                        frozen.insert(*id, level);
+                    }
+                    !saturated
+                });
+                if live.len() == before {
+                    for id in live.drain(..) {
+                        frozen.insert(id, level);
+                    }
+                }
+            }
+            for (id, f) in self.flows.iter_mut() {
+                f.2 = frozen.get(id).copied().unwrap_or(0.0);
+            }
         }
     }
 
@@ -501,6 +699,130 @@ mod tests {
                     let rb = whole.remaining(b).unwrap();
                     let diff = ra.abs_diff(rb);
                     prop_assert!(diff <= 8, "stepped {ra} vs whole {rb}");
+                }
+            }
+        }
+
+        /// The cluster's shape: a block of node/uplink resources that
+        /// carry the traffic, then thousands of client NICs that were
+        /// each used once and sit idle for the rest of the run.
+        const BUSY: usize = 24;
+        const REGISTERED: usize = 4_200;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// A flow over these resources (indices; none ⇒ unconstrained).
+            Start {
+                bytes: u64,
+                path: Vec<usize>,
+            },
+            /// Remove the `pick`-th active flow (modulo the live count).
+            Remove {
+                pick: usize,
+            },
+            SetCapacity {
+                res: usize,
+                mb: f64,
+            },
+            Settle,
+        }
+
+        /// Mostly the busy block, sometimes a far-away client NIC.
+        fn arb_res() -> impl Strategy<Value = usize> {
+            prop_oneof![0..BUSY, 0..BUSY, 0..BUSY, BUSY..REGISTERED]
+        }
+
+        fn arb_start() -> impl Strategy<Value = Op> {
+            (
+                1u64..(64 << 20),
+                prop::collection::btree_set(arb_res(), 0..=5),
+            )
+                .prop_map(|(bytes, path)| Op::Start {
+                    bytes,
+                    path: path.into_iter().collect(),
+                })
+        }
+
+        fn arb_remove() -> impl Strategy<Value = Op> {
+            any::<usize>().prop_map(|pick| Op::Remove { pick })
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                arb_start(),
+                arb_start(),
+                arb_start(),
+                arb_remove(),
+                arb_remove(),
+                (arb_res(), arb_capacity()).prop_map(|(res, mb)| Op::SetCapacity { res, mb }),
+                Just(Op::Settle),
+            ]
+        }
+
+        /// One capacity in five is a dead (zero) resource.
+        fn arb_capacity() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                Just(0.0),
+                0.5f64..200.0,
+                0.5f64..200.0,
+                0.5f64..200.0,
+                0.5f64..200.0
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn sparse_filling_matches_the_dense_reference(
+                caps in prop::collection::vec(arb_capacity(), BUSY),
+                ops in prop::collection::vec((arb_op(), 0u64..400), 1..60),
+            ) {
+                let mut net = FlowNet::new();
+                let mut dense = DenseNet::default();
+                for i in 0..REGISTERED {
+                    let c = bw(caps.get(i).copied().unwrap_or(119.0));
+                    net.add_resource(c);
+                    dense.add_resource(c);
+                }
+                let mut active: Vec<FlowId> = Vec::new();
+                let mut now_ms = 0u64;
+                for (op, dt_ms) in ops {
+                    now_ms += dt_ms;
+                    let now = SimTime::from_millis(now_ms);
+                    match op {
+                        Op::Start { bytes, path } => {
+                            let path: Vec<ResourceId> = path.into_iter().map(ResourceId).collect();
+                            let id = net.start(now, bytes, path.clone());
+                            prop_assert_eq!(id, dense.start(now, bytes, path));
+                            active.push(id);
+                        }
+                        Op::Remove { pick } if !active.is_empty() => {
+                            let id = active.remove(pick % active.len());
+                            prop_assert_eq!(net.remove(now, id), dense.remove(now, id));
+                        }
+                        Op::Remove { .. } => {}
+                        Op::SetCapacity { res, mb } => {
+                            net.set_capacity(now, ResourceId(res), bw(mb));
+                            dense.set_capacity(now, ResourceId(res), bw(mb));
+                        }
+                        Op::Settle => {
+                            net.settle(now);
+                            dense.settle(now);
+                        }
+                    }
+                    for &id in &active {
+                        prop_assert_eq!(
+                            net.rate(id).unwrap().bytes_per_sec().to_bits(),
+                            dense.rate(id).to_bits(),
+                            "rate of {:?}", id
+                        );
+                        prop_assert_eq!(net.eta(id), Some(dense.eta(id)), "eta of {:?}", id);
+                    }
+                    let first = active.iter().map(|&id| (dense.eta(id), id)).min();
+                    prop_assert_eq!(
+                        net.next_completion(SimTime::ZERO).map(|n| (n.at, n.flow)),
+                        first
+                    );
+                    prop_assert!(net.counts.iter().all(|&c| c == 0), "scratch counts left dirty");
                 }
             }
         }

@@ -59,7 +59,7 @@ pub mod placement;
 pub mod topology;
 
 pub use block::{BlockId, FileId};
-pub use cluster::{ClusterSim, Locality, ReadStats};
+pub use cluster::{ClusterSim, Locality, QueueStats, ReadStats};
 pub use config::{ClusterConfig, ConfigError};
 pub use faults::{FaultConfig, FaultEvent, FaultInjector, FaultPlan, TimedFault};
 pub use placement::{DefaultRackAware, PlacementContext, PlacementPolicy};

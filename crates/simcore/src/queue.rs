@@ -6,16 +6,26 @@
 //! * **Determinism** — events scheduled for the same instant pop in
 //!   insertion order (a monotone sequence number breaks ties), so a run
 //!   is a pure function of its inputs and seed.
-//! * **Cancellation** — the flow-level network model reschedules a
-//!   transfer's completion every time the bandwidth share on its path
-//!   changes; cancellation is lazy (a tombstone set) so it is O(1).
+//! * **Cancellation** is lazy and O(1): the queue keeps the set of
+//!   *pending* ids, `cancel` removes the id from it, and the orphaned
+//!   heap entry is discarded when it surfaces. An id that already fired
+//!   or was already cancelled is simply not in the set, so cancelling it
+//!   changes nothing — `len()` is the size of that set and cannot drift.
+//!
+//! An owner whose next event keeps moving (the flow model's earliest
+//! completion changes with every bandwidth share) need not churn the
+//! heap at all: it can hold that event itself, under sequence numbers
+//! taken with [`EventQueue::reserve_seqs`], and compare it against
+//! [`EventQueue::peek`] — the order is the same `(time, id)` order the
+//! heap uses.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
-/// Handle to a scheduled event, usable to cancel it later.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// Handle to a scheduled event, usable to cancel it later. Ids order
+/// by issue: of two events at the same instant the lower id pops first.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
 
 impl EventId {
@@ -66,7 +76,9 @@ impl<E> Ord for Entry<E> {
 /// A time-ordered queue of domain events `E`.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    cancelled: HashSet<EventId>,
+    /// Ids scheduled and neither popped nor cancelled. A heap entry
+    /// whose id is missing here is a tombstone.
+    pending: HashSet<EventId>,
     next_seq: u64,
     now: SimTime,
 }
@@ -81,7 +93,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            pending: HashSet::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -111,20 +123,33 @@ impl<E> EventQueue<E> {
             id,
             payload,
         });
+        self.pending.insert(id);
         self.next_seq += 1;
         id
+    }
+
+    /// Take `n` consecutive ids without queueing anything and return the
+    /// first: exactly what scheduling `n` events and cancelling them at
+    /// once would leave behind. For a caller that keeps an event of its
+    /// own beside the queue (see the module docs) — the ids it hands out
+    /// afterwards, and so every same-instant tie-break, are those of a
+    /// run in which all `n` had been scheduled.
+    pub fn reserve_seqs(&mut self, n: u64) -> EventId {
+        let first = EventId(self.next_seq);
+        self.next_seq += n;
+        first
     }
 
     /// Cancel a previously scheduled event. Cancelling an already-popped
     /// or already-cancelled id is a harmless no-op.
     pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
+        self.pending.remove(&id);
     }
 
     /// Pop the next live event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.id) {
+            if !self.pending.remove(&entry.id) {
                 continue;
             }
             self.now = entry.at;
@@ -133,26 +158,36 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// Timestamp and id of the next live event without popping it.
+    pub fn peek(&mut self) -> Option<(SimTime, EventId)> {
         loop {
             match self.heap.peek() {
                 None => return None,
-                Some(e) if self.cancelled.contains(&e.id) => {
-                    let e = self.heap.pop().expect("peeked entry vanished");
-                    self.cancelled.remove(&e.id);
+                Some(e) if self.pending.contains(&e.id) => return Some((e.at, e.id)),
+                Some(_) => {
+                    self.heap.pop();
                 }
-                Some(e) => return Some(e.at),
             }
         }
     }
 
+    /// Timestamp of the next live event without popping it.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.peek().map(|(at, _)| at)
+    }
+
     /// Number of live (non-cancelled) events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.pending.len()
     }
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.pending.is_empty()
+    }
+
+    /// Heap entries held, tombstones included: `raw_len() - len()` is
+    /// the number of cancelled events not yet discarded.
+    pub fn raw_len(&self) -> usize {
+        self.heap.len()
     }
 
     /// Force the clock forward (used by drivers that interleave external
@@ -175,7 +210,7 @@ impl<E> EventQueue<E> {
         let mut entries: Vec<(SimTime, u64, E)> = self
             .heap
             .iter()
-            .filter(|e| !self.cancelled.contains(&e.id))
+            .filter(|e| self.pending.contains(&e.id))
             .map(|e| (e.at, e.seq, e.payload.clone()))
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
@@ -192,7 +227,9 @@ impl<E> EventQueue<E> {
     /// queue.
     pub fn restore(snapshot: QueueSnapshot<E>) -> Self {
         let mut heap = BinaryHeap::with_capacity(snapshot.entries.len());
+        let mut pending = HashSet::with_capacity(snapshot.entries.len());
         for (at, seq, payload) in snapshot.entries {
+            pending.insert(EventId(seq));
             heap.push(Entry {
                 at,
                 seq,
@@ -202,7 +239,7 @@ impl<E> EventQueue<E> {
         }
         EventQueue {
             heap,
-            cancelled: HashSet::new(),
+            pending,
             next_seq: snapshot.next_seq,
             now: snapshot.now,
         }
@@ -260,9 +297,41 @@ mod tests {
         let a = q.schedule(SimTime::from_secs(1), 1u32);
         assert!(q.pop().is_some());
         q.cancel(a); // no effect, id already popped
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
         q.cancel(a);
-        q.schedule(SimTime::from_secs(2), 2u32);
-        assert_eq!(q.pop().map(|(_, e)| e), Some(2));
+        assert_eq!(q.len(), 0);
+        let b = q.schedule(SimTime::from_secs(2), 2u32);
+        q.schedule(SimTime::from_secs(3), 3u32);
+        q.cancel(b);
+        q.cancel(b); // double cancel of a queued id counts once
+        assert_eq!((q.len(), q.raw_len()), (1, 2));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(3));
+        assert!(q.is_empty());
+        assert_eq!(q.raw_len(), 0, "the tombstone went at pop");
+    }
+
+    #[test]
+    fn reserved_seqs_leave_the_ids_of_a_scheduled_batch() {
+        // a batch of four scheduled and cancelled, against four ids
+        // reserved: everything scheduled afterwards gets the same id
+        let t = SimTime::from_secs(1);
+        let mut full = EventQueue::new();
+        full.schedule(t, "before");
+        let batch: Vec<_> = (0..4).map(|_| full.schedule(t, "batch")).collect();
+        batch.iter().for_each(|&id| full.cancel(id));
+        let after_full = full.schedule(t, "after");
+
+        let mut spare = EventQueue::new();
+        spare.schedule(t, "before");
+        assert_eq!(spare.reserve_seqs(4), batch[0]);
+        let after_spare = spare.schedule(t, "after");
+
+        assert_eq!(after_spare, after_full);
+        assert!(batch[3] < after_spare, "ids order by issue");
+        assert_eq!((spare.len(), spare.raw_len()), (2, 2));
+        assert_eq!((full.len(), full.raw_len()), (2, 6));
+        assert_eq!(spare.peek(), full.peek());
     }
 
     #[test]

@@ -127,9 +127,9 @@ pub fn judge_rules() -> JudgeRulesAblation {
     }
     let snap = FileSnapshot {
         id: hdfs_sim::FileId(0),
-        path: "/skewed".into(),
+        path: "/skewed",
         replication: 3,
-        blocks,
+        blocks: &blocks,
         last_access: SimTime::from_secs(30),
         boosted: false,
         encoded: false,

@@ -13,6 +13,12 @@
 //! top level). `--write-baseline` additionally regenerates
 //! `results/slo_baseline.json`, the SLO document `trace-tools regress`
 //! gates candidates against in CI.
+//!
+//! Exits non-zero when the phase scopes of `ErmsManager::tick` account
+//! for under 95 % of the `tick` scope in any scenario (`attr %`,
+//! `tick_attributed_pct` in the wall-clock metrics) — a phase has gone
+//! dark. Scenarios with ticks too short to resolve are exempt, see
+//! [`scorecard::MIN_GATED_TICK_MS`].
 
 use bench::common::{results_dir, write_json};
 use bench::scorecard::{self, Case, Scorecard};
@@ -90,23 +96,40 @@ fn main() -> ExitCode {
     let _ = scorecard::run_case(&Case::by_name("churn-tiny").expect("registry name"), seed);
 
     println!(
-        "{:<18} {:>8} {:>10} {:>10} {:>10} {:>8} {:>12} {:>12}",
-        "scenario", "reads", "p50 ms", "p99 ms", "ovhd x", "oracle", "tick ms", "CEP ev/s"
+        "{:<18} {:>8} {:>10} {:>10} {:>10} {:>8} {:>12} {:>8} {:>12}",
+        "scenario",
+        "reads",
+        "p50 ms",
+        "p99 ms",
+        "ovhd x",
+        "oracle",
+        "tick ms",
+        "attr %",
+        "CEP ev/s"
     );
+    let mut dark: Vec<String> = Vec::new();
     let mut card = Scorecard::default();
     for case in &cases {
         let s = scorecard::run_case(case, seed);
         let det = |k: &str| s.deterministic.get(k).copied().unwrap_or(0.0);
+        let wall = |k: &str| s.wallclock.get(k).copied().unwrap_or(0.0);
+        let attributed = wall("tick_attributed_pct");
+        if wall("mean_tick_ms") >= scorecard::MIN_GATED_TICK_MS
+            && attributed < scorecard::MIN_TICK_ATTRIBUTED_PCT
+        {
+            dark.push(s.name.clone());
+        }
         println!(
-            "{:<18} {:>8} {:>10.2} {:>10.2} {:>10.3} {:>8} {:>12.3} {:>12.0}",
+            "{:<18} {:>8} {:>10.2} {:>10.2} {:>10.3} {:>8} {:>12.3} {:>8.1} {:>12.0}",
             s.name,
             det("read_count") as u64,
             det("read_p50_s") * 1e3,
             det("read_p99_s") * 1e3,
             det("storage_overhead_x"),
             det("oracle_violations") as u64,
-            s.wallclock.get("mean_tick_ms").copied().unwrap_or(0.0),
-            s.wallclock.get("cep_parse_per_sec").copied().unwrap_or(0.0),
+            wall("mean_tick_ms"),
+            attributed,
+            wall("cep_parse_per_sec"),
         );
         card.scenarios.push(s);
     }
@@ -127,6 +150,14 @@ fn main() -> ExitCode {
             "archived {}",
             results_dir().join("slo_baseline.json").display()
         );
+    }
+    if !dark.is_empty() {
+        eprintln!(
+            "tick phases account for under {}% of the tick in: {}",
+            scorecard::MIN_TICK_ATTRIBUTED_PCT,
+            dark.join(", ")
+        );
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

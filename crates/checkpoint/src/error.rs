@@ -34,7 +34,7 @@ impl fmt::Display for CheckpointError {
         match self {
             CheckpointError::UnknownVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} not supported (this build reads ≤ {supported})"
+                "snapshot format version {found} not supported (this build reads {supported})"
             ),
             CheckpointError::MissingSection(name) => write!(f, "missing section `{name}`"),
             CheckpointError::MissingField(name) => write!(f, "missing field `{name}`"),

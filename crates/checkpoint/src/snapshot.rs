@@ -4,15 +4,18 @@
 //!
 //! ```json
 //! {
-//!   "version": 1,
+//!   "version": 2,
 //!   "meta": { "scenario": "faults-small", "seed": 42, "tick": 10 },
 //!   "sections": { "cluster": { ... }, "manager": { ... }, ... }
 //! }
 //! ```
 //!
-//! `version` is checked *first* on load: a snapshot written by a newer
-//! format fails with [`CheckpointError::UnknownVersion`] before anything
-//! else is touched — never a panic. `meta` names the scenario and seed
+//! `version` is checked *first* on load: a snapshot written by any
+//! other format — newer, or the retired version 1, whose `manager`,
+//! `policy` and cluster sections keyed per-file state by path where
+//! version 2 writes `FileId`s — fails with
+//! [`CheckpointError::UnknownVersion`] before anything else is touched —
+//! never a panic. `meta` names the scenario and seed
 //! the snapshot belongs to; the runner rebuilds the static configuration
 //! from that identity (configs are code, not snapshot payload).
 //! `sections` maps component names to the opaque [`Value`] each
@@ -24,8 +27,8 @@ use serde::Value;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// The snapshot format this build writes and the newest it reads.
-pub const FORMAT_VERSION: u32 = 1;
+/// The snapshot format this build writes, and the only one it reads.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Identity of the run a snapshot belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +103,7 @@ impl Snapshot {
     pub fn from_json(s: &str) -> Result<Self, CheckpointError> {
         let doc = serde_json::parse_value(s).map_err(|e| CheckpointError::Parse(e.to_string()))?;
         let version = codec::get_u32(&doc, "version")?;
-        if version > FORMAT_VERSION || version == 0 {
+        if version != FORMAT_VERSION {
             return Err(CheckpointError::UnknownVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -178,20 +181,21 @@ mod tests {
     fn unknown_version_is_a_typed_error_not_a_panic() {
         let mut s = Snapshot::new(meta());
         s.insert_section("a", MapBuilder::new().build());
-        let json = s.to_json().replace("\"version\":1", "\"version\":99");
-        match Snapshot::from_json(&json) {
-            Err(CheckpointError::UnknownVersion { found, supported }) => {
-                assert_eq!(found, 99);
-                assert_eq!(supported, FORMAT_VERSION);
+        let current = format!("\"version\":{FORMAT_VERSION}");
+        // a newer format, the retired path-keyed version 1, and the
+        // reserved version 0
+        for other in [99, 1, 0] {
+            let json = s
+                .to_json()
+                .replace(&current, &format!("\"version\":{other}"));
+            match Snapshot::from_json(&json) {
+                Err(CheckpointError::UnknownVersion { found, supported }) => {
+                    assert_eq!(found, other);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                got => panic!("expected UnknownVersion for {other}, got {got:?}"),
             }
-            other => panic!("expected UnknownVersion, got {other:?}"),
         }
-        // version 0 is reserved / invalid
-        let json0 = s.to_json().replace("\"version\":1", "\"version\":0");
-        assert!(matches!(
-            Snapshot::from_json(&json0),
-            Err(CheckpointError::UnknownVersion { .. })
-        ));
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl DataJudge {
     }
 
     /// Classify one file per Formulas (1)–(3), (5), (6).
-    pub fn classify(&mut self, now: SimTime, file: &FileSnapshot) -> Judgment {
+    pub fn classify(&mut self, now: SimTime, file: &FileSnapshot<'_>) -> Judgment {
         let thresholds = self.thresholds.clone();
         classify_with_rules(&thresholds, now, file, self)
     }
@@ -196,16 +196,55 @@ impl DataJudge {
     /// Formula (4): datanodes whose windowed session count exceeds τ_DN,
     /// with the file contributing the most accesses on each ("ERMS could
     /// choose the data D that contributes the largest access to DN").
+    ///
+    /// One pass over the `(dn|file)` rows folds every overloaded node's
+    /// maximum — largest count, ties to the smallest key — and the result
+    /// comes out in `q_node` row order (sorted by node name).
     pub fn overloaded_nodes(&mut self, now: SimTime) -> Vec<(String, String, f64)> {
-        let hot_nodes: Vec<(String, f64)> = self
-            .engine
+        let hot_nodes = self.hot_nodes(now);
+        if hot_nodes.is_empty() {
+            return Vec::new();
+        }
+        let mut top: Vec<Option<cep::query::GroupRow>> = vec![None; hot_nodes.len()];
+        for row in self.engine.rows(self.q_node_file, now) {
+            // node names never contain '|', so the first one ends the node
+            let Some((dn, _)) = row.key.split_once('|') else {
+                continue;
+            };
+            let Ok(i) = hot_nodes.binary_search_by(|(name, _)| (**name).cmp(dn)) else {
+                continue;
+            };
+            if top[i].as_ref().is_none_or(|best| outranks(&row, best)) {
+                top[i] = Some(row);
+            }
+        }
+        hot_nodes
+            .into_iter()
+            .zip(top)
+            .filter_map(|((dn, load), row)| {
+                let file = row?.key[dn.len() + 1..].to_string();
+                Some((dn.to_string(), file, load))
+            })
+            .collect()
+    }
+
+    /// `q_node` rows above τ_DN, sorted by node name (the row order).
+    fn hot_nodes(&mut self, now: SimTime) -> Vec<(std::sync::Arc<str>, f64)> {
+        self.engine
             .rows(self.q_node, now)
             .into_iter()
             .filter(|row| row.value > self.thresholds.tau_datanode)
-            .map(|row| (row.key.to_string(), row.value))
-            .collect();
+            .map(|row| (row.key, row.value))
+            .collect()
+    }
+
+    /// The scan [`overloaded_nodes`](Self::overloaded_nodes) replaced:
+    /// take and prefix-filter the `(dn|file)` rows once per overloaded
+    /// node. Kept as the reference the one-pass fold is tested against.
+    #[cfg(test)]
+    fn overloaded_nodes_reference(&mut self, now: SimTime) -> Vec<(String, String, f64)> {
         let mut out = Vec::new();
-        for (dn, load) in hot_nodes {
+        for (dn, load) in self.hot_nodes(now) {
             let prefix = format!("{dn}|");
             let top = self
                 .engine
@@ -219,12 +258,17 @@ impl DataJudge {
                         .then_with(|| b.key.cmp(&a.key))
                 });
             if let Some(row) = top {
-                let file = row.key[prefix.len()..].to_string();
-                out.push((dn, file, load));
+                out.push((dn.to_string(), row.key[prefix.len()..].to_string(), load));
             }
         }
         out
     }
+}
+
+/// Formula (4)'s "largest access": the larger count wins, equal counts
+/// go to the smaller key.
+fn outranks(row: &cep::query::GroupRow, best: &cep::query::GroupRow) -> bool {
+    row.value > best.value || (row.value == best.value && row.key < best.key)
 }
 
 impl checkpoint::Checkpointable for DataJudge {
@@ -275,7 +319,7 @@ impl CepProbe for DataJudge {
 pub fn classify_with_rules(
     t: &Thresholds,
     now: SimTime,
-    file: &FileSnapshot,
+    file: &FileSnapshot<'_>,
     probe: &mut dyn CepProbe,
 ) -> Judgment {
     let r = file.replication.max(1) as f64;
@@ -294,41 +338,41 @@ pub fn classify_with_rules(
     // counts *whole-file accesses* (jobs/clients) in the window, which
     // is the concurrency Formula (1) compares against per-replica
     // session capacity.
-    let raw_opens = probe.file_accesses(now, &file.path);
+    let raw_opens = probe.file_accesses(now, file.path);
     let n_d = raw_opens / file.blocks.len().max(1) as f64;
 
     // Formula (1): per-replica file pressure
     if n_d / r > tau_hot {
-        return judgment(file, DataClass::Hot, n_d, 0.0, JudgeRule::FilePressure);
+        return judgment(DataClass::Hot, n_d, 0.0, JudgeRule::FilePressure);
     }
     // Formulas (2) and (3): per-block pressure
     let n_blocks = file.blocks.len();
     let mut n_b_max = 0.0f64;
     if n_blocks > 0 {
         let mut warm_blocks = 0usize;
-        for &b in &file.blocks {
+        for &b in file.blocks {
             let n_b = probe.block_accesses(now, b);
             n_b_max = n_b_max.max(n_b);
             if n_b / r > block_burst {
-                return judgment(file, DataClass::Hot, n_d, n_b_max, JudgeRule::BlockBurst);
+                return judgment(DataClass::Hot, n_d, n_b_max, JudgeRule::BlockBurst);
             }
             if n_b / r > block_warm {
                 warm_blocks += 1;
             }
         }
         if warm_blocks as f64 / n_blocks as f64 > epsilon {
-            return judgment(file, DataClass::Hot, n_d, n_b_max, JudgeRule::WarmFraction);
+            return judgment(DataClass::Hot, n_d, n_b_max, JudgeRule::WarmFraction);
         }
     }
     // Formula (5): boosted file whose demand fell away
     if file.boosted && n_d / r < tau_cooled {
-        return judgment(file, DataClass::Cooled, n_d, n_b_max, JudgeRule::Cooled);
+        return judgment(DataClass::Cooled, n_d, n_b_max, JudgeRule::Cooled);
     }
     // Formula (6): quiet and old → cold
     if !file.encoded && n_d / r < tau_cold && now.since(file.last_access) > cold_age {
-        return judgment(file, DataClass::Cold, n_d, n_b_max, JudgeRule::ColdAge);
+        return judgment(DataClass::Cold, n_d, n_b_max, JudgeRule::ColdAge);
     }
-    judgment(file, DataClass::Normal, n_d, n_b_max, JudgeRule::Normal)
+    judgment(DataClass::Normal, n_d, n_b_max, JudgeRule::Normal)
 }
 
 /// The paper's threshold machine as a [`JudgePolicy`] backend: a
@@ -355,7 +399,7 @@ impl JudgePolicy for RulesPolicy {
     fn classify(
         &mut self,
         now: SimTime,
-        file: &FileSnapshot,
+        file: &FileSnapshot<'_>,
         _fresh: bool,
         probe: &mut dyn CepProbe,
     ) -> Judgment {
@@ -381,15 +425,8 @@ fn count_query(event_type: &str, field: &str, window: SimDuration) -> QuerySpec 
     QuerySpec::count_per_group(event_type, field, window)
 }
 
-fn judgment(
-    file: &FileSnapshot,
-    class: DataClass,
-    n_d: f64,
-    n_b_max: f64,
-    rule: JudgeRule,
-) -> Judgment {
+fn judgment(class: DataClass, n_d: f64, n_b_max: f64, rule: JudgeRule) -> Judgment {
     Judgment {
-        path: file.path.clone(),
         class,
         n_d,
         n_b_max,
@@ -403,12 +440,12 @@ mod tests {
     use cep::audit::{format_audit_line, format_block_line};
     use hdfs_sim::{BlockId, NodeId};
 
-    fn snapshot(path: &str, r: usize, blocks: &[u64]) -> FileSnapshot {
+    fn snapshot<'a>(path: &'a str, r: usize, blocks: &'a [BlockId]) -> FileSnapshot<'a> {
         FileSnapshot {
             id: hdfs_sim::FileId(0),
-            path: path.into(),
+            path,
             replication: r,
-            blocks: blocks.iter().map(|&b| BlockId(b)).collect(),
+            blocks,
             last_access: SimTime::ZERO,
             boosted: false,
             encoded: false,
@@ -436,7 +473,7 @@ mod tests {
     #[test]
     fn rule1_file_pressure_makes_hot() {
         let mut j = judge();
-        let file = snapshot("/hot", 3, &[1]);
+        let file = snapshot("/hot", 3, &[BlockId(1)]);
         // 13 whole-file opens / r=3 ≈ 4.3 > τ_M=4 → hot via (1)
         let lines: Vec<String> = (0..13).map(|i| open_line(10 + i, "/hot")).collect();
         j.observe_lines(lines.iter().map(String::as_str));
@@ -449,7 +486,7 @@ mod tests {
     #[test]
     fn rule2_block_burst_makes_hot() {
         let mut j = judge();
-        let file = snapshot("/f", 1, &[7, 8]);
+        let file = snapshot("/f", 1, &[BlockId(7), BlockId(8)]);
         // 2 opens (N_d/r = 2, not hot by (1)); block 7 bursts: 7 reads > M_M=6
         let mut lines = vec![open_line(1, "/f"), open_line(2, "/f")];
         for i in 0..7 {
@@ -464,7 +501,7 @@ mod tests {
     #[test]
     fn rule3_many_warm_blocks_make_hot() {
         let mut j = judge();
-        let file = snapshot("/f", 1, &[1, 2, 3]);
+        let file = snapshot("/f", 1, &[BlockId(1), BlockId(2), BlockId(3)]);
         // two of three blocks get 4 reads each (> M_m=3, ≤ M_M=6);
         // 2/3 > ε=0.3 → hot via (3)
         let mut lines = Vec::new();
@@ -482,7 +519,7 @@ mod tests {
     #[test]
     fn rule5_boosted_quiet_file_cools() {
         let mut j = judge();
-        let mut file = snapshot("/f", 6, &[1]);
+        let mut file = snapshot("/f", 6, &[BlockId(1)]);
         file.boosted = true;
         // 2 accesses / r=6 = 0.33 < τ_d=2 → cooled
         j.observe_lines(
@@ -494,7 +531,7 @@ mod tests {
         assert_eq!(v.class, DataClass::Cooled);
         assert_eq!(v.rule, JudgeRule::Cooled);
         // the same traffic on an unboosted file is just normal
-        let plain = snapshot("/f", 6, &[1]);
+        let plain = snapshot("/f", 6, &[BlockId(1)]);
         let v = j.classify(SimTime::from_secs(10), &plain);
         assert_eq!(v.class, DataClass::Normal);
     }
@@ -502,7 +539,7 @@ mod tests {
     #[test]
     fn rule6_old_quiet_file_is_cold() {
         let mut j = judge();
-        let mut file = snapshot("/f", 3, &[1]);
+        let mut file = snapshot("/f", 3, &[BlockId(1)]);
         file.last_access = SimTime::from_secs(0);
         // no accesses in window, last touch 2h ago (> cold_age 1h)
         let v = j.classify(SimTime::from_secs(7200), &file);
@@ -522,7 +559,7 @@ mod tests {
     #[test]
     fn window_decay_returns_file_to_normal() {
         let mut j = judge();
-        let file = snapshot("/f", 1, &[1]);
+        let file = snapshot("/f", 1, &[BlockId(1)]);
         let lines: Vec<String> = (0..10).map(|i| open_line(i, "/f")).collect();
         j.observe_lines(lines.iter().map(String::as_str));
         assert_eq!(
@@ -557,6 +594,44 @@ mod tests {
         assert_eq!(over[0].0, "dn0");
         assert_eq!(over[0].1, "/a");
         assert_eq!(over[0].2, 10.0);
+    }
+
+    /// The one-pass fold against the per-node scan it replaced, over
+    /// random windows: few files per node so counts tie, `dn1` beside
+    /// `dn12` and `dn120` so a node name prefixes another, a path that
+    /// itself contains the `|` separator, and node loads on both sides
+    /// of τ_DN.
+    #[test]
+    fn overloaded_nodes_match_the_per_node_scan() {
+        let nodes = [1u32, 12, 120, 2, 7];
+        let paths = ["/a", "/a|b", "/b", "/dn1", "/z"];
+        let mut rng = simcore::rng::DetRng::new(0xF04);
+        let mut overloaded_seen = 0usize;
+        for case in 0..200 {
+            let mut j = judge();
+            let mut times: Vec<u64> = (0..rng.gen_range(0, 120))
+                .map(|_| rng.gen_range(0, 500) as u64)
+                .collect();
+            times.sort_unstable();
+            let busy = rng.gen_range(1, nodes.len() + 1);
+            let lines: Vec<String> = times
+                .iter()
+                .map(|&t| {
+                    let dn = nodes[rng.gen_range(0, busy)];
+                    let path = paths[rng.gen_range(0, paths.len())];
+                    block_line(t, rng.gen_range(0, 9) as u64, dn, path)
+                })
+                .collect();
+            j.observe_lines(lines.iter().map(String::as_str));
+            // inside the 300 s window, and while it drains
+            for now in [250, 500, 650, 790] {
+                let now = SimTime::from_secs(now);
+                let got = j.overloaded_nodes(now);
+                assert_eq!(got, j.overloaded_nodes_reference(now), "case {case}");
+                overloaded_seen += got.len();
+            }
+        }
+        assert!(overloaded_seen > 100, "the cases must overload nodes");
     }
 
     #[test]
@@ -609,7 +684,7 @@ mod tests {
         fresh.load_state(&back).unwrap();
 
         // identical classification and parse accounting after restore
-        let file = snapshot("/hot", 1, &[7]);
+        let file = snapshot("/hot", 1, &[BlockId(7)]);
         let now = SimTime::from_secs(20);
         let a = j.classify(now, &file);
         let b = fresh.classify(now, &file);

@@ -17,6 +17,13 @@
 //! journal honestly reflects cluster state, rollbacks included. Node
 //! ads are refreshed in the ClassAds matchmaker every tick, which is
 //! also how commissioning picks its standby node.
+//!
+//! What the loop remembers lives in two record maps: one `FileCtl` per
+//! file under management, keyed by `FileId` (ids are never reused, so a
+//! record cannot outlive its file and alias a later one at the same
+//! path), and one `JobCtl` per job waiting on replica copies. Paths
+//! appear only at the edge: in [`ErmsTask`] (the Condor journal and its
+//! rollback plan) and in telemetry events.
 
 use crate::config::{ConfigError, ErmsConfig};
 use crate::judge::{
@@ -27,10 +34,11 @@ use crate::model::ActiveStandbyModel;
 use crate::replication::optimal_replication;
 use condor::matchmaker::Matchmaker;
 use condor::parser::parse_expr;
-use condor::scheduler::{JobId, Outcome, Priority, Scheduler};
+use condor::scheduler::{JobId, JobState, Outcome, Priority, Scheduler};
 use condor::{ClassAd, Expr};
 use hdfs_sim::cluster::CopyId;
-use hdfs_sim::{ClusterSim, FileId, NodeId};
+use hdfs_sim::namespace::{FileMeta, StorageMode};
+use hdfs_sim::{BlockId, ClusterSim, FileId, NodeId};
 use simcore::telemetry::{Event as Tel, TelemetrySink};
 use simcore::{prof_scope, trace, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
@@ -53,8 +61,12 @@ pub enum ErmsTask {
     Repair { path: String },
 }
 
+/// Number of [`ErmsTask`] variants: the in-flight slots of a [`FileCtl`].
+const TASK_KINDS: usize = 5;
+
 impl ErmsTask {
-    fn kind(&self) -> u8 {
+    /// Index of the task's in-flight slot.
+    fn kind(&self) -> usize {
         match self {
             ErmsTask::Increase { .. } => 0,
             ErmsTask::Decrease { .. } => 1,
@@ -124,6 +136,53 @@ pub struct TickReport {
     pub corruptions_found: usize,
 }
 
+/// What the control loop remembers about one file. A record exists only
+/// while it says something: one equal to `FileCtl::default()` is dropped
+/// (see [`ErmsManager::prune`]), and a deleted file's record goes with it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct FileCtl {
+    /// ERMS holds the file above the default factor.
+    boosted: bool,
+    /// Consecutive Cooled verdicts (hysteresis); any other verdict
+    /// resets it.
+    cooled_streak: u32,
+    /// Must be re-judged every tick: the last verdict was not "Normal
+    /// with zero windowed demand and no task in flight". A stable file
+    /// is revisited only when the cluster marks it dirty (see
+    /// [`ClusterSim::drain_dirty_files`]) or `cold_due` arrives.
+    active: bool,
+    /// Stable unencoded file: the `last_access` recorded when it went
+    /// stable. Once `now - last_access` exceeds the judge's `cold_age`
+    /// it must be revisited so Formula (6) can fire.
+    cold_due: Option<SimTime>,
+    /// The queued or running job of each task kind (indexed by
+    /// [`ErmsTask::kind`]), deduplicating resubmission.
+    inflight: [Option<JobId>; TASK_KINDS],
+}
+
+/// A dispatched job waiting on the replica copies it started.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct JobCtl {
+    /// Copies still in flight: the job's entries in `pending_copies`.
+    waiting: usize,
+    /// Whether a copy that already landed failed.
+    failed_copy: bool,
+    /// When the copies started (timeout watchdog).
+    started: SimTime,
+}
+
+/// What one judge pass covers, resolved to ids once per tick.
+struct Pass {
+    /// Files to judge, ascending — the order a namespace walk visits
+    /// them, so task submission (and thus Condor `JobId` assignment) is
+    /// the same whichever way the set was built.
+    visit: Vec<FileId>,
+    /// Formula (4): each overloaded datanode's top file.
+    promoted: BTreeSet<FileId>,
+    /// Freshness pre-warm candidates (create → open correlation).
+    fresh: BTreeSet<FileId>,
+}
+
 /// The elastic replication manager.
 pub struct ErmsManager {
     cfg: ErmsConfig,
@@ -138,32 +197,16 @@ pub struct ErmsManager {
     matchmaker: Matchmaker,
     commission_req: Expr,
     commission_rank: Expr,
-    /// Files currently boosted above the default factor.
-    boosted: BTreeSet<String>,
-    /// Consecutive Cooled verdicts per boosted file (hysteresis).
-    cooled_streak: BTreeMap<String, u32>,
-    /// Tasks in flight, deduplicating resubmission: (path, kind) → job.
-    inflight: BTreeMap<(String, u8), JobId>,
-    /// Copies each running job is waiting on.
+    /// Per-file control state, for files that have any.
+    files: BTreeMap<FileId, FileCtl>,
+    /// Jobs waiting on copies.
+    jobs: BTreeMap<JobId, JobCtl>,
+    /// The job each in-flight task copy belongs to.
     pending_copies: BTreeMap<CopyId, JobId>,
-    job_wait: BTreeMap<JobId, usize>,
-    job_failed_copy: BTreeSet<JobId>,
-    /// When each copy-awaiting job started (timeout watchdog).
-    job_started: BTreeMap<JobId, SimTime>,
     /// In-flight shard reconstructions (self-healing), by copy.
-    reconstruct_copies: BTreeMap<CopyId, hdfs_sim::BlockId>,
+    reconstruct_copies: BTreeMap<CopyId, BlockId>,
     /// Blocks with a reconstruction already in flight.
-    reconstructing: BTreeSet<hdfs_sim::BlockId>,
-    /// Files that must be re-judged every tick: anything whose last
-    /// verdict was not "Normal with zero windowed demand and no task in
-    /// flight". Stable files leave this set and are revisited only when
-    /// the cluster marks them dirty (see [`ClusterSim::drain_dirty_files`])
-    /// or their cold-age deadline in `cold_due` arrives.
-    active: BTreeSet<String>,
-    /// Stable unencoded files, by the `last_access` recorded when they
-    /// went stable: once `now - last_access` exceeds the judge's
-    /// `cold_age` they must be revisited so Formula (6) can fire.
-    cold_due: BTreeMap<String, SimTime>,
+    reconstructing: BTreeSet<BlockId>,
     /// Whether the first full classification pass has happened. The
     /// manager may be built over a cluster that already has files, so
     /// tick 1 always rescans everything.
@@ -239,17 +282,11 @@ impl ErmsManager {
             commission_req: parse_expr("target.Standby == true && target.PoweredOn == false")
                 .expect("static expression parses"),
             commission_rank: parse_expr("target.FreeDisk").expect("static expression parses"),
-            boosted: BTreeSet::new(),
-            cooled_streak: BTreeMap::new(),
-            inflight: BTreeMap::new(),
+            files: BTreeMap::new(),
+            jobs: BTreeMap::new(),
             pending_copies: BTreeMap::new(),
-            job_wait: BTreeMap::new(),
-            job_failed_copy: BTreeSet::new(),
-            job_started: BTreeMap::new(),
             reconstruct_copies: BTreeMap::new(),
             reconstructing: BTreeSet::new(),
-            active: BTreeSet::new(),
-            cold_due: BTreeMap::new(),
             primed: false,
             tick_count: 0,
             telemetry: TelemetrySink::disabled(),
@@ -281,411 +318,53 @@ impl ErmsManager {
     pub fn condor(&self) -> &Scheduler<ErmsTask> {
         &self.condor
     }
-    pub fn is_boosted(&self, path: &str) -> bool {
-        self.boosted.contains(path)
+    pub fn is_boosted(&self, file: FileId) -> bool {
+        self.files.get(&file).is_some_and(|ctl| ctl.boosted)
     }
 
-    /// One control-loop pass at `now`.
+    /// One control-loop pass at `now`: the phases below, in order, each
+    /// a profiler scope under `tick`.
     pub fn tick(&mut self, cluster: &mut ClusterSim, now: SimTime) -> TickReport {
+        prof_scope!("tick");
         let mut report = TickReport::default();
         self.tick_count += 1;
-        prof_scope!("tick");
-
-        // 1. audit logs → CEP
-        let lines = {
-            prof_scope!("audit");
-            cluster.drain_audit()
-        };
-        {
-            prof_scope!("cep_drain");
-            self.judge.observe_lines(lines.iter().map(String::as_str));
-        }
-
-        // 1b. deleted files: drop every piece of per-path bookkeeping so
-        // the manager never leaks state for (or acts on a streak/boost
-        // belonging to) a path that no longer exists.
-        for path in cluster.drain_deleted_paths() {
-            self.forget_path(&path);
-        }
-
-        // 2. refresh ClassAds (node state detection)
-        self.advertise_nodes(cluster);
-        self.absorb_boot_completions(cluster);
-
-        // 3. settle async copy completions from previous ticks
+        self.observe(cluster);
+        self.advertise(cluster);
         self.settle_copies(cluster, now, &mut report);
-
-        // 3b. self-healing: watchdog, standby eviction, repair scan and
-        // dark-shard reconstruction
-        {
-            prof_scope!("repair_scan");
-            if self.cfg.enable_self_healing {
-                self.heal(cluster, now, &mut report);
-            } else if self.cfg.enable_scrubber {
-                // the scrubber's repair tasks get the timeout watchdog even
-                // without the full self-healing pass
-                self.watchdog_stuck_tasks(cluster, now, &mut report);
-            }
-        }
-
-        // 3c. background scrubber: budgeted checksum sweep, then
-        // verified repair scheduling for quarantined blocks
-        if self.cfg.enable_scrubber {
-            prof_scope!("scrub");
-            self.scrub_pass(cluster, now, &mut report);
-        }
-
-        // 4. classify files and derive tasks. The default visit set is
-        // incremental: files touched by audit/replica traffic since the
-        // last tick (the cluster's dirty set), files still under
-        // management (`active`), Formula (4) promotions, freshness-
-        // pattern hits, and files whose cold-age deadline has arrived.
-        // Files skipped are exactly those a full rescan would judge
-        // Normal with zero windowed demand and no task in flight, which
-        // produce no verdict counts and no tasks — so the two modes
-        // yield identical actions (see DESIGN.md, "Scaling the control
-        // loop"; `full_rescan` forces the old exhaustive behaviour).
-        let default_r = cluster.config().default_replication;
-        // Formula (4): overloaded datanodes promote their top file
-        let promoted: BTreeSet<String> = self
-            .judge
-            .overloaded_nodes(now)
-            .into_iter()
-            .map(|(_, path, _)| path)
-            .collect();
-        // experimental freshness pre-warm (create → open correlation)
-        let fresh: BTreeSet<String> = if self.cfg.enable_freshness_boost {
-            self.judge.freshly_popular().into_iter().collect()
-        } else {
-            self.judge.freshly_popular();
-            BTreeSet::new()
-        };
-        let dirty = cluster.drain_dirty_files();
-        let full = self.cfg.full_rescan || !self.primed;
-        self.primed = true;
-        let snapshots = if full {
-            self.snapshot_files(cluster)
-        } else {
-            let ns = cluster.namespace();
-            let mut visit: BTreeSet<FileId> = dirty
-                .into_iter()
-                .filter(|&f| ns.file(f).is_some())
-                .collect();
-            for path in self.active.iter().chain(&promoted).chain(&fresh) {
-                if let Some(f) = ns.resolve(path) {
-                    visit.insert(f);
-                }
-            }
-            let cold_age = self.judge.thresholds().cold_age;
-            let due: Vec<String> = self
-                .cold_due
-                .iter()
-                .filter(|&(_, &last)| now.since(last) > cold_age)
-                .map(|(p, _)| p.clone())
-                .collect();
-            for path in due {
-                self.cold_due.remove(&path);
-                if let Some(f) = ns.resolve(&path) {
-                    visit.insert(f);
-                }
-            }
-            self.snapshot_subset(cluster, &visit)
-        };
-        report.files_judged = snapshots.len();
-
-        // Reward meters for learning backends — the storage/energy
-        // accounting the system already keeps, sampled once per tick.
-        // Skipped entirely for backends that don't want a reward (the
-        // rules), so the default path does no extra namespace walks.
-        let meters = if self.policy.wants_reward() {
-            let logical: u64 = cluster.namespace().files().map(|f| f.size).sum();
-            let ideal = logical as f64 * default_r as f64;
-            let storage_overhead = if ideal > 0.0 {
-                cluster.storage_used() as f64 / ideal
-            } else {
-                1.0
-            };
-            let standby_total = self.model.standby_nodes().count();
-            let standby_on_frac = if standby_total > 0 {
-                self.model.powered_on().len() as f64 / standby_total as f64
-            } else {
-                0.0
-            };
-            RewardMeters {
-                storage_overhead,
-                standby_on_frac,
-            }
-        } else {
-            RewardMeters::default()
-        };
-
-        // Judge and act, file by file in FileId order (the snapshot
-        // walk order). The policy decides from the snapshot, the judge's
-        // CEP windows and the table it froze at `begin_pass`; acting on
-        // one file touches none of those, so it cannot change the next
-        // file's verdict.
-        self.policy.begin_pass(now, &meters);
-        {
-            prof_scope!("judge");
-            for snap in &snapshots {
-                let is_fresh = fresh.contains(&snap.path);
-                let is_promoted = promoted.contains(&snap.path);
-                let verdict = self.policy.classify(now, snap, is_fresh, &mut self.judge);
-                let class = if verdict.class == DataClass::Normal && is_promoted {
-                    DataClass::Hot
-                } else {
-                    verdict.class
-                };
-                trace!(
-                    self.telemetry,
-                    now,
-                    Tel::Verdict {
-                        path: snap.path.clone(),
-                        verdict: class_name(class).into(),
-                        file_sessions: verdict.n_d,
-                        max_block_sessions: verdict.n_b_max,
-                        replicas: snap.replication as u32,
-                    }
-                );
-                if class != DataClass::Cooled {
-                    self.cooled_streak.remove(&snap.path);
-                }
-                match class {
-                    DataClass::Hot => {
-                        report.hot += 1;
-                        // the pre-boost bump for predicted files must not
-                        // escape the cap Formula (1)'s target respects
-                        let target = optimal_replication(
-                            verdict.n_d,
-                            self.cfg.thresholds.tau_hot,
-                            default_r,
-                            self.cfg.max_replication,
-                        )
-                        .max(if is_promoted { snap.replication + 1 } else { 0 })
-                        .min(self.cfg.max_replication.max(default_r));
-                        if snap.encoded {
-                            // `DecodeCold` is traced when the rewrite lands
-                            // in `exec_decode`, not at submission.
-                            self.submit(
-                                now,
-                                ErmsTask::Decode {
-                                    path: snap.path.clone(),
-                                    target: target.max(default_r),
-                                },
-                                Priority::Immediate,
-                                &mut report,
-                            );
-                        } else if target > snap.replication
-                            && self.submit(
-                                now,
-                                ErmsTask::Increase {
-                                    path: snap.path.clone(),
-                                    target,
-                                },
-                                Priority::Immediate,
-                                &mut report,
-                            )
-                        {
-                            trace!(
-                                self.telemetry,
-                                now,
-                                Tel::ReplicationBoost {
-                                    path: snap.path.clone(),
-                                    from: snap.replication as u32,
-                                    to: target as u32,
-                                    sessions: verdict.n_d,
-                                }
-                            );
-                        }
-                    }
-                    DataClass::Cooled => {
-                        report.cooled += 1;
-                        let streak = self.cooled_streak.entry(snap.path.clone()).or_insert(0);
-                        *streak += 1;
-                        let patient = *streak >= self.cfg.cooled_patience;
-                        if patient
-                            && snap.replication > default_r
-                            && self.submit(
-                                now,
-                                ErmsTask::Decrease {
-                                    path: snap.path.clone(),
-                                    target: default_r,
-                                },
-                                Priority::WhenIdle,
-                                &mut report,
-                            )
-                        {
-                            trace!(
-                                self.telemetry,
-                                now,
-                                Tel::ReplicationShed {
-                                    path: snap.path.clone(),
-                                    from: snap.replication as u32,
-                                    to: default_r as u32,
-                                }
-                            );
-                        }
-                    }
-                    DataClass::Cold => {
-                        report.cold += 1;
-                        if self.cfg.enable_encode && !snap.encoded {
-                            // `EncodeCold` is traced when the stripes land
-                            // in `exec_encode`, not at submission.
-                            self.submit(
-                                now,
-                                ErmsTask::Encode {
-                                    path: snap.path.clone(),
-                                },
-                                Priority::WhenIdle,
-                                &mut report,
-                            );
-                        }
-                    }
-                    DataClass::Normal => {
-                        if is_fresh
-                            && !snap.encoded
-                            && snap.replication == default_r
-                            && self.submit(
-                                now,
-                                ErmsTask::Increase {
-                                    path: snap.path.clone(),
-                                    target: default_r + 1,
-                                },
-                                Priority::Immediate,
-                                &mut report,
-                            )
-                        {
-                            trace!(
-                                self.telemetry,
-                                now,
-                                Tel::ReplicationBoost {
-                                    path: snap.path.clone(),
-                                    from: snap.replication as u32,
-                                    to: (default_r + 1) as u32,
-                                    sessions: verdict.n_d,
-                                }
-                            );
-                        }
-                    }
-                }
-                self.note_visit(snap, class, &verdict);
-            }
-        }
-        self.policy.end_pass();
-
-        // 5. dispatch + execute Condor tasks
-        let idle = cluster.is_idle();
-        let dispatched = self.condor.dispatch(now, idle);
-        for (job, task) in dispatched {
-            self.execute(cluster, now, job, task, &mut report);
-        }
-
-        // 6. compensate permanently-failed tasks
-        for (_job, task) in self.condor.take_rollbacks(now) {
-            let inv = task.inverse(default_r);
-            self.apply_compensation(cluster, inv);
-        }
-
-        // 7. shut drained standby nodes down
-        if self.cfg.enable_standby_shutdown {
-            self.shutdown_drained_standby(cluster, now, &mut report);
-        }
-
-        if self.telemetry.enabled() {
-            prof_scope!("telemetry_flush");
-            self.telemetry
-                .counter_add("erms.hot_verdicts", report.hot as u64);
-            self.telemetry
-                .counter_add("erms.cooled_verdicts", report.cooled as u64);
-            self.telemetry
-                .counter_add("erms.cold_verdicts", report.cold as u64);
-            self.telemetry
-                .gauge_set("erms.boosted_files", self.boosted.len() as f64);
-            self.telemetry
-                .gauge_set("erms.tasks_pending", self.condor.pending() as f64);
-        }
-
+        self.heal(cluster, now, &mut report);
+        self.scrub_pass(cluster, now, &mut report);
+        let pass = self.select(cluster, now);
+        self.judge_pass(cluster, now, &pass, &mut report);
+        self.dispatch(cluster, now, &mut report);
+        self.power(cluster, now, &mut report);
+        self.flush(&report);
         report
     }
 
     // ------------------------------------------------------------------
 
-    fn snapshot_of(&self, meta: &hdfs_sim::namespace::FileMeta) -> FileSnapshot {
-        FileSnapshot {
-            id: meta.id,
-            path: meta.path.clone(),
-            replication: meta.replication(),
-            blocks: meta.blocks.clone(),
-            last_access: meta.last_access,
-            boosted: self.boosted.contains(&meta.path),
-            encoded: meta.is_encoded(),
-        }
+    /// Phase 1: what the cluster logged since the last tick — audit
+    /// lines into the CEP windows, and deletions out of the record maps,
+    /// so the manager never leaks state for (or acts on a streak or
+    /// boost belonging to) a file that no longer exists. A task already
+    /// queued for a deleted file is left to fail at dispatch.
+    fn observe(&mut self, cluster: &mut ClusterSim) {
+        let lines = {
+            prof_scope!("audit");
+            for file in cluster.drain_deleted_files() {
+                self.files.remove(&file);
+                self.policy.forget_file(file);
+            }
+            cluster.drain_audit()
+        };
+        prof_scope!("cep_drain");
+        self.judge.observe_lines(lines.iter().map(String::as_str));
     }
 
-    fn snapshot_files(&self, cluster: &ClusterSim) -> Vec<FileSnapshot> {
-        cluster
-            .namespace()
-            .files()
-            .map(|meta| self.snapshot_of(meta))
-            .collect()
-    }
-
-    /// Snapshot only `ids`, in id order — the same relative order a full
-    /// namespace walk would visit them, so task submission (and thus
-    /// Condor `JobId` assignment) is identical in both modes.
-    fn snapshot_subset(&self, cluster: &ClusterSim, ids: &BTreeSet<FileId>) -> Vec<FileSnapshot> {
-        let ns = cluster.namespace();
-        ids.iter()
-            .filter_map(|&id| ns.file(id))
-            .map(|meta| self.snapshot_of(meta))
-            .collect()
-    }
-
-    /// Drop all per-path bookkeeping for a deleted file. A task already
-    /// queued for the path is left to fail at dispatch ("file deleted");
-    /// its dedup entry goes now so a later file reusing the path starts
-    /// with a clean slate.
-    fn forget_path(&mut self, path: &str) {
-        self.boosted.remove(path);
-        self.cooled_streak.remove(path);
-        self.active.remove(path);
-        self.cold_due.remove(path);
-        self.inflight.retain(|(p, _), _| p != path);
-        self.policy.forget_path(path);
-    }
-
-    /// Maintain the incremental visit sets after judging one file.
-    ///
-    /// A file is *stable* when it was judged Normal with zero windowed
-    /// demand while unboosted and with no task in flight. Nothing about
-    /// such a file can change except through events that mark it dirty
-    /// in the cluster — or the silent passage of time carrying it past
-    /// Formula (6)'s cold age, which `cold_due` schedules explicitly.
-    fn note_visit(&mut self, snap: &FileSnapshot, class: DataClass, verdict: &Judgment) {
-        let has_inflight = self.inflight.keys().any(|(p, _)| p == &snap.path);
-        let stable = class == DataClass::Normal
-            && !snap.boosted
-            && !has_inflight
-            && verdict.n_d == 0.0
-            && verdict.n_b_max == 0.0;
-        if !stable {
-            self.cold_due.remove(&snap.path);
-            self.active.insert(snap.path.clone());
-            return;
-        }
-        self.active.remove(&snap.path);
-        if snap.encoded {
-            // encoded files never re-enter Cold; only traffic (which
-            // dirties them) can change their class
-            self.cold_due.remove(&snap.path);
-        } else {
-            // τ_m > 0 (validated), so zero demand always satisfies
-            // Formula (6)'s rate clause once the file is old enough
-            self.cold_due.insert(snap.path.clone(), snap.last_access);
-        }
-    }
-
-    fn advertise_nodes(&mut self, cluster: &ClusterSim) {
+    /// Phase 2: refresh the ClassAds (node state detection) and note
+    /// which commissioned standby nodes have finished booting.
+    fn advertise(&mut self, cluster: &ClusterSim) {
+        prof_scope!("advertise");
         for view in cluster.node_views(None, None) {
             let name = view.id.to_string();
             let dead = matches!(
@@ -709,9 +388,6 @@ impl ErmsManager {
                 .with("Blocks", cluster.node_block_count(view.id) as i64);
             self.matchmaker.advertise(name, ad, None);
         }
-    }
-
-    fn absorb_boot_completions(&mut self, cluster: &ClusterSim) {
         for n in self.model.powered_on() {
             if matches!(cluster.node_state(n), hdfs_sim::datanode::NodeState::Active) {
                 self.model.mark_booted(n);
@@ -719,23 +395,318 @@ impl ErmsManager {
         }
     }
 
-    /// Returns whether the task was actually enqueued (false when an
-    /// identical task is already in flight).
+    /// Phase 6: the judge pass's visit set. By default it is
+    /// incremental: files touched by audit/replica traffic since the
+    /// last tick (the cluster's dirty set), files still under management
+    /// (`active` records), Formula (4) promotions, freshness-pattern
+    /// hits, and files whose cold-age deadline has arrived. Files
+    /// skipped are exactly those a full rescan would judge Normal with
+    /// zero windowed demand and no task in flight, which produce no
+    /// verdict counts and no tasks — so the two modes yield identical
+    /// actions (see DESIGN.md, "Scaling the control loop"; `full_rescan`
+    /// forces the exhaustive walk, as does the first tick).
+    fn select(&mut self, cluster: &mut ClusterSim, now: SimTime) -> Pass {
+        prof_scope!("select");
+        let overloaded = self.judge.overloaded_nodes(now);
+        // the pattern's matches are drained whether or not they are used
+        let popular = self.judge.freshly_popular();
+        let dirty = cluster.drain_dirty_files();
+        let ns = cluster.namespace();
+        let promoted: BTreeSet<FileId> = overloaded
+            .iter()
+            .filter_map(|(_, path, _)| ns.resolve(path))
+            .collect();
+        let fresh: BTreeSet<FileId> = if self.cfg.enable_freshness_boost {
+            popular.iter().filter_map(|path| ns.resolve(path)).collect()
+        } else {
+            BTreeSet::new()
+        };
+        let full = self.cfg.full_rescan || !self.primed;
+        self.primed = true;
+        let visit: Vec<FileId> = if full {
+            ns.files().map(|meta| meta.id).collect()
+        } else {
+            let mut visit: BTreeSet<FileId> = dirty
+                .into_iter()
+                .filter(|&f| ns.file(f).is_some())
+                .collect();
+            visit.extend(promoted.iter().chain(&fresh));
+            let cold_age = self.judge.thresholds().cold_age;
+            for (&file, ctl) in &mut self.files {
+                let due = ctl.cold_due.is_some_and(|last| now.since(last) > cold_age);
+                if due {
+                    ctl.cold_due = None;
+                }
+                if ctl.active || due {
+                    visit.insert(file);
+                }
+            }
+            visit.into_iter().collect()
+        };
+        Pass {
+            visit,
+            promoted,
+            fresh,
+        }
+    }
+
+    /// Phase 7: judge and act, file by file in `FileId` order. The
+    /// policy decides from a view of the namespace's own record, the
+    /// judge's CEP windows and the table it froze at `begin_pass`;
+    /// acting on one file touches none of those, so it cannot change the
+    /// next file's verdict.
+    fn judge_pass(
+        &mut self,
+        cluster: &ClusterSim,
+        now: SimTime,
+        pass: &Pass,
+        report: &mut TickReport,
+    ) {
+        prof_scope!("judge");
+        let default_r = cluster.config().default_replication;
+        report.files_judged = pass.visit.len();
+        let meters = self.reward_meters(cluster, default_r);
+        self.policy.begin_pass(now, &meters);
+        let ns = cluster.namespace();
+        for meta in pass.visit.iter().filter_map(|&id| ns.file(id)) {
+            self.judge_file(now, meta, pass, default_r, report);
+        }
+        self.policy.end_pass();
+    }
+
+    /// Reward meters for learning backends — the storage/energy
+    /// accounting the system already keeps, sampled once per tick.
+    /// Skipped entirely for backends that don't want a reward (the
+    /// rules), so the default path does no extra namespace walks.
+    fn reward_meters(&self, cluster: &ClusterSim, default_r: usize) -> RewardMeters {
+        if !self.policy.wants_reward() {
+            return RewardMeters::default();
+        }
+        let logical: u64 = cluster.namespace().files().map(|f| f.size).sum();
+        let ideal = logical as f64 * default_r as f64;
+        let storage_overhead = if ideal > 0.0 {
+            cluster.storage_used() as f64 / ideal
+        } else {
+            1.0
+        };
+        let standby_total = self.model.standby_nodes().count();
+        let standby_on_frac = if standby_total > 0 {
+            self.model.powered_on().len() as f64 / standby_total as f64
+        } else {
+            0.0
+        };
+        RewardMeters {
+            storage_overhead,
+            standby_on_frac,
+        }
+    }
+
+    /// Classify one file and turn the verdict into a task.
+    fn judge_file(
+        &mut self,
+        now: SimTime,
+        meta: &FileMeta,
+        pass: &Pass,
+        default_r: usize,
+        report: &mut TickReport,
+    ) {
+        let (boosted, cooled_before) = self
+            .files
+            .get(&meta.id)
+            .map_or((false, 0), |ctl| (ctl.boosted, ctl.cooled_streak));
+        let snap = FileSnapshot {
+            id: meta.id,
+            path: &meta.path,
+            replication: meta.replication(),
+            blocks: &meta.blocks,
+            last_access: meta.last_access,
+            boosted,
+            encoded: meta.is_encoded(),
+        };
+        let is_fresh = pass.fresh.contains(&snap.id);
+        let is_promoted = pass.promoted.contains(&snap.id);
+        let verdict = self.policy.classify(now, &snap, is_fresh, &mut self.judge);
+        let class = if verdict.class == DataClass::Normal && is_promoted {
+            DataClass::Hot
+        } else {
+            verdict.class
+        };
+        trace!(
+            self.telemetry,
+            now,
+            Tel::Verdict {
+                path: snap.path.to_string(),
+                verdict: class_name(class).into(),
+                file_sessions: verdict.n_d,
+                max_block_sessions: verdict.n_b_max,
+                replicas: snap.replication as u32,
+            }
+        );
+        // consecutive Cooled verdicts, this one included (hysteresis)
+        let streak = match class {
+            DataClass::Cooled => cooled_before + 1,
+            _ => 0,
+        };
+        match class {
+            DataClass::Hot => {
+                report.hot += 1;
+                // the pre-boost bump for predicted files must not
+                // escape the cap Formula (1)'s target respects
+                let target = optimal_replication(
+                    verdict.n_d,
+                    self.cfg.thresholds.tau_hot,
+                    default_r,
+                    self.cfg.max_replication,
+                )
+                .max(if is_promoted { snap.replication + 1 } else { 0 })
+                .min(self.cfg.max_replication.max(default_r));
+                if snap.encoded {
+                    // `DecodeCold` is traced when the rewrite lands
+                    // in `exec_decode`, not at submission.
+                    let task = ErmsTask::Decode {
+                        path: snap.path.to_string(),
+                        target: target.max(default_r),
+                    };
+                    self.submit(now, snap.id, task, Priority::Immediate, report);
+                } else if target > snap.replication {
+                    self.boost(now, &snap, target, verdict.n_d, report);
+                }
+            }
+            DataClass::Cooled => {
+                report.cooled += 1;
+                if streak >= self.cfg.cooled_patience && snap.replication > default_r {
+                    let task = ErmsTask::Decrease {
+                        path: snap.path.to_string(),
+                        target: default_r,
+                    };
+                    if self.submit(now, snap.id, task, Priority::WhenIdle, report) {
+                        trace!(
+                            self.telemetry,
+                            now,
+                            Tel::ReplicationShed {
+                                path: snap.path.to_string(),
+                                from: snap.replication as u32,
+                                to: default_r as u32,
+                            }
+                        );
+                    }
+                }
+            }
+            DataClass::Cold => {
+                report.cold += 1;
+                if self.cfg.enable_encode && !snap.encoded {
+                    // `EncodeCold` is traced when the stripes land
+                    // in `exec_encode`, not at submission.
+                    let task = ErmsTask::Encode {
+                        path: snap.path.to_string(),
+                    };
+                    self.submit(now, snap.id, task, Priority::WhenIdle, report);
+                }
+            }
+            DataClass::Normal => {
+                if is_fresh && !snap.encoded && snap.replication == default_r {
+                    self.boost(now, &snap, default_r + 1, verdict.n_d, report);
+                }
+            }
+        }
+        self.note_visit(&snap, class, &verdict, streak);
+    }
+
+    /// Submit an `Increase` to `target` and trace the boost if it was
+    /// not already queued.
+    fn boost(
+        &mut self,
+        now: SimTime,
+        snap: &FileSnapshot<'_>,
+        target: usize,
+        sessions: f64,
+        report: &mut TickReport,
+    ) {
+        let task = ErmsTask::Increase {
+            path: snap.path.to_string(),
+            target,
+        };
+        if self.submit(now, snap.id, task, Priority::Immediate, report) {
+            trace!(
+                self.telemetry,
+                now,
+                Tel::ReplicationBoost {
+                    path: snap.path.to_string(),
+                    from: snap.replication as u32,
+                    to: target as u32,
+                    sessions,
+                }
+            );
+        }
+    }
+
+    /// Drop `file`'s record once it says nothing.
+    fn prune(&mut self, file: FileId) {
+        if self.files.get(&file) == Some(&FileCtl::default()) {
+            self.files.remove(&file);
+        }
+    }
+
+    /// Maintain the file's record after judging it: the Cooled streak
+    /// and the incremental visit state.
+    ///
+    /// A file is *stable* when it was judged Normal with zero windowed
+    /// demand while unboosted and with no task in flight. Nothing about
+    /// such a file can change except through events that mark it dirty
+    /// in the cluster — or the silent passage of time carrying it past
+    /// Formula (6)'s cold age, which `cold_due` schedules explicitly.
+    fn note_visit(
+        &mut self,
+        snap: &FileSnapshot<'_>,
+        class: DataClass,
+        verdict: &Judgment,
+        cooled_streak: u32,
+    ) {
+        let ctl = self.files.entry(snap.id).or_default();
+        ctl.cooled_streak = cooled_streak;
+        let stable = class == DataClass::Normal
+            && !snap.boosted
+            && ctl.inflight.iter().all(Option::is_none)
+            && verdict.n_d == 0.0
+            && verdict.n_b_max == 0.0;
+        ctl.active = !stable;
+        // Encoded files never re-enter Cold; only traffic (which dirties
+        // them) can change their class. For the rest τ_m > 0
+        // (validated), so zero demand always satisfies Formula (6)'s
+        // rate clause once the file is old enough.
+        ctl.cold_due = (stable && !snap.encoded).then_some(snap.last_access);
+        self.prune(snap.id);
+    }
+
+    /// Enqueue `task` for `file` (the file at the task's path). Returns
+    /// whether it was actually enqueued: false when a task of the same
+    /// kind is already queued or running for the file.
     fn submit(
         &mut self,
         now: SimTime,
+        file: FileId,
         task: ErmsTask,
         priority: Priority,
         report: &mut TickReport,
     ) -> bool {
-        let key = (task.path().to_string(), task.kind());
-        if self.inflight.contains_key(&key) {
-            return false; // identical task already queued/running
+        let slot = &mut self.files.entry(file).or_default().inflight[task.kind()];
+        if slot.is_some() {
+            return false;
         }
-        let job = self.condor.submit(now, task, priority);
-        self.inflight.insert(key, job);
+        *slot = Some(self.condor.submit(now, task, priority));
         report.tasks_submitted += 1;
         true
+    }
+
+    /// Phase 8: dispatch and execute Condor tasks, then compensate the
+    /// ones that failed for good.
+    fn dispatch(&mut self, cluster: &mut ClusterSim, now: SimTime, report: &mut TickReport) {
+        prof_scope!("dispatch");
+        let idle = cluster.is_idle();
+        for (job, task) in self.condor.dispatch(now, idle) {
+            self.execute(cluster, now, job, task, report);
+        }
+        self.compensate_rollbacks(cluster, now);
     }
 
     fn execute(
@@ -746,14 +717,21 @@ impl ErmsManager {
         task: ErmsTask,
         report: &mut TickReport,
     ) {
-        let outcome = match &task {
-            ErmsTask::Increase { path, target } => {
-                self.exec_increase(cluster, now, job, path, *target, report)
+        // a task acts on whatever file is at its path when it runs
+        let outcome = match (cluster.namespace().resolve(task.path()), &task) {
+            (None, _) => PendingOrDone::Done(Outcome::Failure("file deleted".into())),
+            (Some(file), ErmsTask::Increase { target, .. }) => {
+                self.exec_increase(cluster, now, job, file, *target, report)
             }
-            ErmsTask::Decrease { path, target } => self.exec_decrease(cluster, path, *target),
-            ErmsTask::Encode { path } => self.exec_encode(cluster, path),
-            ErmsTask::Decode { path, target } => self.exec_decode(cluster, now, job, path, *target),
-            ErmsTask::Repair { path } => self.exec_repair(cluster, now, job, path),
+            (Some(file), ErmsTask::Decrease { target, .. }) => {
+                cluster.set_file_replication(file, *target);
+                PendingOrDone::Done(Outcome::Success)
+            }
+            (Some(file), ErmsTask::Encode { path }) => self.exec_encode(cluster, file, path),
+            (Some(file), ErmsTask::Decode { path, target }) => {
+                self.exec_decode(cluster, now, job, file, path, *target)
+            }
+            (Some(file), ErmsTask::Repair { .. }) => self.exec_repair(cluster, now, job, file),
         };
         match outcome {
             PendingOrDone::Done(outcome) => {
@@ -765,9 +743,11 @@ impl ErmsManager {
         }
     }
 
+    /// Report `job`'s outcome to Condor and update the record of the
+    /// file now at the task's path (none if it was deleted meanwhile).
     fn finish(
         &mut self,
-        _cluster: &mut ClusterSim,
+        cluster: &ClusterSim,
         now: SimTime,
         job: JobId,
         task: &ErmsTask,
@@ -775,31 +755,33 @@ impl ErmsManager {
         report: &mut TickReport,
     ) {
         let ok = outcome == Outcome::Success;
-        self.job_started.remove(&job);
         self.condor.report(now, job, outcome);
-        // drop the dedup key only when the job is no longer queued/running
-        if self.condor.state(job) != Some(condor::scheduler::JobState::Queued) {
-            self.inflight.retain(|_, &mut j| j != job);
-        }
         if ok {
             report.tasks_completed += 1;
             self.total_completed += 1;
-            match task {
-                ErmsTask::Increase { path, .. } | ErmsTask::Decode { path, .. } => {
-                    self.boosted.insert(path.clone());
-                }
-                ErmsTask::Decrease { path, .. } => {
-                    self.boosted.remove(path);
-                }
-                ErmsTask::Encode { path } => {
-                    self.boosted.remove(path);
-                }
-                ErmsTask::Repair { .. } => {} // no replication-state change
-            }
         } else {
             report.tasks_failed += 1;
             self.total_failed += 1;
         }
+        let Some(file) = cluster.namespace().resolve(task.path()) else {
+            return;
+        };
+        let ctl = self.files.entry(file).or_default();
+        // free the dedup slot only when the job is no longer
+        // queued/running (a path reused by a newer file may hold that
+        // file's own job there)
+        let slot = &mut ctl.inflight[task.kind()];
+        if *slot == Some(job) && self.condor.state(job) != Some(JobState::Queued) {
+            *slot = None;
+        }
+        if ok {
+            match task {
+                ErmsTask::Increase { .. } | ErmsTask::Decode { .. } => ctl.boosted = true,
+                ErmsTask::Decrease { .. } | ErmsTask::Encode { .. } => ctl.boosted = false,
+                ErmsTask::Repair { .. } => {} // no replication-state change
+            }
+        }
+        self.prune(file);
     }
 
     fn exec_increase(
@@ -807,13 +789,10 @@ impl ErmsManager {
         cluster: &mut ClusterSim,
         now: SimTime,
         job: JobId,
-        path: &str,
+        file: FileId,
         target: usize,
         report: &mut TickReport,
     ) -> PendingOrDone {
-        let Some(file) = cluster.namespace().resolve(path) else {
-            return PendingOrDone::Done(Outcome::Failure("file deleted".into()));
-        };
         let current = cluster
             .namespace()
             .file(file)
@@ -836,23 +815,7 @@ impl ErmsManager {
         PendingOrDone::AwaitingCopies
     }
 
-    fn exec_decrease(
-        &mut self,
-        cluster: &mut ClusterSim,
-        path: &str,
-        target: usize,
-    ) -> PendingOrDone {
-        let Some(file) = cluster.namespace().resolve(path) else {
-            return PendingOrDone::Done(Outcome::Failure("file deleted".into()));
-        };
-        cluster.set_file_replication(file, target);
-        PendingOrDone::Done(Outcome::Success)
-    }
-
-    fn exec_encode(&mut self, cluster: &mut ClusterSim, path: &str) -> PendingOrDone {
-        let Some(file) = cluster.namespace().resolve(path) else {
-            return PendingOrDone::Done(Outcome::Failure("file deleted".into()));
-        };
+    fn exec_encode(&mut self, cluster: &mut ClusterSim, file: FileId, path: &str) -> PendingOrDone {
         let (num_blocks, already) = match cluster.namespace().file(file) {
             Some(m) => (m.blocks.len(), m.is_encoded()),
             None => return PendingOrDone::Done(Outcome::Failure("file vanished".into())),
@@ -899,12 +862,10 @@ impl ErmsManager {
         cluster: &mut ClusterSim,
         now: SimTime,
         job: JobId,
+        file: FileId,
         path: &str,
         target: usize,
     ) -> PendingOrDone {
-        let Some(file) = cluster.namespace().resolve(path) else {
-            return PendingOrDone::Done(Outcome::Failure("file deleted".into()));
-        };
         cluster.mark_decoded(file, target);
         trace!(
             self.telemetry,
@@ -932,19 +893,10 @@ impl ErmsManager {
         cluster: &mut ClusterSim,
         now: SimTime,
         job: JobId,
-        path: &str,
+        file: FileId,
     ) -> PendingOrDone {
-        let Some(file) = cluster.namespace().resolve(path) else {
-            return PendingOrDone::Done(Outcome::Failure("file deleted".into()));
-        };
-        let blocks: Vec<hdfs_sim::BlockId> = match cluster.namespace().file(file) {
-            Some(meta) => {
-                let mut all = meta.blocks.clone();
-                if let hdfs_sim::namespace::StorageMode::Encoded { parity_blocks } = &meta.mode {
-                    all.extend_from_slice(parity_blocks);
-                }
-                all
-            }
+        let blocks: Vec<BlockId> = match cluster.namespace().file(file) {
+            Some(meta) => all_blocks(meta).collect(),
             None => return PendingOrDone::Done(Outcome::Failure("file vanished".into())),
         };
         let mut copies = Vec::new();
@@ -971,14 +923,27 @@ impl ErmsManager {
     }
 
     fn track_copies(&mut self, now: SimTime, job: JobId, copies: Vec<CopyId>) {
-        self.job_wait.insert(job, copies.len());
-        self.job_started.insert(job, now);
+        let ctl = JobCtl {
+            waiting: copies.len(),
+            failed_copy: false,
+            started: now,
+        };
+        self.jobs.insert(job, ctl);
         for c in copies {
             self.pending_copies.insert(c, job);
         }
     }
 
+    /// Stop waiting on `job`'s copies (its executor timed out or died).
+    fn abandon_copies(&mut self, job: JobId) {
+        self.pending_copies.retain(|_, &mut j| j != job);
+        self.jobs.remove(&job);
+    }
+
+    /// Phase 3: settle the copy completions of earlier ticks, finishing
+    /// each job whose last copy has landed.
     fn settle_copies(&mut self, cluster: &mut ClusterSim, now: SimTime, report: &mut TickReport) {
+        prof_scope!("settle");
         let mut finished: Vec<(JobId, bool)> = Vec::new();
         for stat in cluster.drain_completed_copies() {
             let Some(job) = self.pending_copies.remove(&stat.id) else {
@@ -990,17 +955,15 @@ impl ErmsManager {
                 }
                 continue; // otherwise repair traffic, not ours
             };
-            if !stat.succeeded {
-                self.job_failed_copy.insert(job);
-            }
-            let left = self
-                .job_wait
-                .get_mut(&job)
-                .expect("job with pending copies");
-            *left -= 1;
-            if *left == 0 {
-                self.job_wait.remove(&job);
-                finished.push((job, !self.job_failed_copy.remove(&job)));
+            // `load_state` refuses a pending copy without its job record
+            let Some(ctl) = self.jobs.get_mut(&job) else {
+                continue;
+            };
+            ctl.failed_copy |= !stat.succeeded;
+            ctl.waiting -= 1;
+            if ctl.waiting == 0 {
+                finished.push((job, !ctl.failed_copy));
+                self.jobs.remove(&job);
             }
         }
         for (job, ok) in finished {
@@ -1077,16 +1040,24 @@ impl ErmsManager {
         !commissionable && report.commissioned.is_empty()
     }
 
-    /// The self-healing pass: (1) time out tasks stuck behind dead
+    /// Phase 4, the self-healing pass: (1) time out tasks stuck behind dead
     /// endpoints or downed uplinks, (2) evict crashed standby nodes from
     /// the model so commissioning re-selects, (3) run the namenode
     /// repair scan (under-replication re-copies honour the replication
     /// monitor's staging and `max_replication_streams` pacing inside the
     /// cluster; block-reported excess gets trimmed), (4) reconstruct
     /// dark shards of encoded files from their surviving stripe mates.
+    /// Without self-healing only the watchdog runs, and only for the
+    /// scrubber's repair tasks.
     fn heal(&mut self, cluster: &mut ClusterSim, now: SimTime, report: &mut TickReport) {
+        prof_scope!("repair_scan");
         // (1) task-timeout watchdog
-        self.watchdog_stuck_tasks(cluster, now, report);
+        if self.cfg.enable_self_healing || self.cfg.enable_scrubber {
+            self.watchdog_stuck_tasks(cluster, now, report);
+        }
+        if !self.cfg.enable_self_healing {
+            return;
+        }
 
         // (2) crashed commissioned standby nodes: bank their energy,
         // return them to Off, and let the next capacity request pick a
@@ -1149,15 +1120,13 @@ impl ErmsManager {
         report: &mut TickReport,
     ) {
         let stuck: Vec<JobId> = self
-            .job_started
+            .jobs
             .iter()
-            .filter(|&(_, &started)| now.since(started) > self.cfg.task_timeout)
+            .filter(|(_, ctl)| now.since(ctl.started) > self.cfg.task_timeout)
             .map(|(&job, _)| job)
             .collect();
         for job in stuck {
-            self.pending_copies.retain(|_, &mut j| j != job);
-            self.job_wait.remove(&job);
-            self.job_failed_copy.remove(&job);
+            self.abandon_copies(job);
             let Some(task) = self.condor.journal().payload_of(job) else {
                 continue;
             };
@@ -1181,13 +1150,20 @@ impl ErmsManager {
         }
     }
 
-    /// The budgeted background scrub pass: walk a slice of the block
+    /// Phase 5, the budgeted background scrub pass: walk a slice of the block
     /// space verifying stored checksums (hot, boosted files first), then
     /// schedule a verified repair task for every block left quarantined.
     /// The scan budget sheds under queue pressure — half budget once the
     /// Condor queue exceeds the concurrency cap, zero at twice the cap —
     /// so scrubbing degrades before it can stall the control loop.
+    ///
+    /// Both orders here are by *path* — the hot list and the repair
+    /// submissions (hence their `JobId`s) — and traces pin them.
     fn scrub_pass(&mut self, cluster: &mut ClusterSim, now: SimTime, report: &mut TickReport) {
+        if !self.cfg.enable_scrubber {
+            return;
+        }
+        prof_scope!("scrub");
         let full = self.cfg.scrub_blocks_per_tick as usize;
         let queued = self.condor.pending();
         let cap = self.cfg.max_concurrent_tasks;
@@ -1200,35 +1176,34 @@ impl ErmsManager {
         };
 
         // hot data first: blocks of currently boosted files
-        let mut hot: Vec<hdfs_sim::BlockId> = Vec::new();
-        for path in &self.boosted {
-            let Some(file) = cluster.namespace().resolve(path) else {
-                continue;
-            };
-            if let Some(meta) = cluster.namespace().file(file) {
-                hot.extend(meta.blocks.iter().copied());
-                if let hdfs_sim::namespace::StorageMode::Encoded { parity_blocks } = &meta.mode {
-                    hot.extend(parity_blocks.iter().copied());
-                }
-            }
-        }
+        let ns = cluster.namespace();
+        let boosted: BTreeMap<&str, &FileMeta> = self
+            .files
+            .iter()
+            .filter(|(_, ctl)| ctl.boosted)
+            .filter_map(|(&file, _)| ns.file(file))
+            .map(|meta| (meta.path.as_str(), meta))
+            .collect();
+        let hot: Vec<BlockId> = boosted.values().flat_map(|meta| all_blocks(meta)).collect();
         let (scanned, found) = cluster.scrub(budget, &hot);
         report.scrub_scanned += scanned;
         report.corruptions_found += found;
 
         // verified repair for everything quarantined (by this pass, the
-        // read path, or a failed copy) — dedup through `inflight`
-        let mut paths: BTreeSet<String> = BTreeSet::new();
-        for block in cluster.corrupt_blocks_pending_repair() {
-            let Some(info) = cluster.namespace().block(block) else {
-                continue; // file deleted since quarantine
+        // read path, or a failed copy) — dedup through the in-flight slot;
+        // a block whose file was deleted since quarantine resolves to none
+        let ns = cluster.namespace();
+        let quarantined: BTreeMap<&str, FileId> = cluster
+            .corrupt_blocks_pending_repair()
+            .into_iter()
+            .filter_map(|block| ns.file(ns.block(block)?.file))
+            .map(|meta| (meta.path.as_str(), meta.id))
+            .collect();
+        for (path, file) in quarantined {
+            let task = ErmsTask::Repair {
+                path: path.to_string(),
             };
-            if let Some(meta) = cluster.namespace().file(info.file) {
-                paths.insert(meta.path.clone());
-            }
-        }
-        for path in paths {
-            self.submit(now, ErmsTask::Repair { path }, Priority::Immediate, report);
+            self.submit(now, file, task, Priority::Immediate, report);
         }
     }
 
@@ -1248,7 +1223,7 @@ impl ErmsManager {
         use erasure::StripePlan;
 
         struct DarkShard {
-            block: hdfs_sim::BlockId,
+            block: BlockId,
             sources: Vec<NodeId>,
         }
         let mut work: Vec<DarkShard> = Vec::new();
@@ -1262,7 +1237,7 @@ impl ErmsManager {
             .iter()
             .filter_map(|&id| cluster.namespace().file(id))
         {
-            let hdfs_sim::namespace::StorageMode::Encoded { parity_blocks } = &meta.mode else {
+            let StorageMode::Encoded { parity_blocks } = &meta.mode else {
                 continue;
             };
             let plan = StripePlan::for_file(meta.blocks.len(), block_size, self.cfg.cold_stripe);
@@ -1270,7 +1245,7 @@ impl ErmsManager {
                 // shard order: the stripe's data blocks, then its parities
                 let m = stripe.parity_count;
                 let parities = &parity_blocks[stripe.index * m..(stripe.index + 1) * m];
-                let shards: Vec<hdfs_sim::BlockId> = stripe
+                let shards: Vec<BlockId> = stripe
                     .blocks
                     .iter()
                     .map(|&i| meta.blocks[i])
@@ -1334,13 +1309,10 @@ impl ErmsManager {
         }
     }
 
-    fn shutdown_drained_standby(
-        &mut self,
-        cluster: &mut ClusterSim,
-        now: SimTime,
-        report: &mut TickReport,
-    ) {
-        if self.condor.pending() > 0 || !self.job_wait.is_empty() {
+    /// Phase 9: shut drained standby nodes down.
+    fn power(&mut self, cluster: &mut ClusterSim, now: SimTime, report: &mut TickReport) {
+        prof_scope!("power");
+        if !self.cfg.enable_standby_shutdown || self.condor.pending() > 0 || !self.jobs.is_empty() {
             return; // replica traffic may still target standby nodes
         }
         for n in self.model.powered_on() {
@@ -1355,6 +1327,34 @@ impl ErmsManager {
             }
         }
     }
+
+    /// Phase 10: the tick's counters and gauges.
+    fn flush(&mut self, report: &TickReport) {
+        if !self.telemetry.enabled() {
+            return;
+        }
+        prof_scope!("telemetry_flush");
+        self.telemetry
+            .counter_add("erms.hot_verdicts", report.hot as u64);
+        self.telemetry
+            .counter_add("erms.cooled_verdicts", report.cooled as u64);
+        self.telemetry
+            .counter_add("erms.cold_verdicts", report.cold as u64);
+        let boosted = self.files.values().filter(|ctl| ctl.boosted).count();
+        self.telemetry
+            .gauge_set("erms.boosted_files", boosted as f64);
+        self.telemetry
+            .gauge_set("erms.tasks_pending", self.condor.pending() as f64);
+    }
+}
+
+/// A file's data blocks, then its parity blocks if it is encoded.
+fn all_blocks(meta: &FileMeta) -> impl Iterator<Item = BlockId> + '_ {
+    let parity: &[BlockId] = match &meta.mode {
+        StorageMode::Encoded { parity_blocks } => parity_blocks,
+        StorageMode::Replicated { .. } => &[],
+    };
+    meta.blocks.iter().chain(parity).copied()
 }
 
 enum PendingOrDone {
@@ -1397,12 +1397,15 @@ fn class_name(class: DataClass) -> &'static str {
     }
 }
 
-/// Checkpoint codec for [`ErmsTask`] — the payload handed to Condor's
-/// generic `save_state_with`/`load_state_with`.
+/// Checkpoint codecs for [`ErmsTask`] — the payload handed to Condor's
+/// generic `save_state_with`/`load_state_with` — and the two record
+/// kinds.
 mod ck {
-    use super::ErmsTask;
+    use super::{ErmsTask, FileCtl, JobCtl, TASK_KINDS};
     use checkpoint::codec as c;
     use checkpoint::{CheckpointError, Value};
+    use condor::scheduler::JobId;
+    use simcore::SimTime;
 
     pub(super) fn task(t: &ErmsTask) -> Value {
         let (kind, path, target) = match t {
@@ -1443,6 +1446,76 @@ mod ck {
             }
         })
     }
+
+    /// The fields of a fixed-arity record.
+    pub(super) fn parts<'a>(
+        v: &'a Value,
+        n: usize,
+        what: &str,
+    ) -> Result<&'a [Value], CheckpointError> {
+        let p = c::as_seq(v, what)?;
+        if p.len() != n {
+            return Err(CheckpointError::Corrupt(format!("{what} arity")));
+        }
+        Ok(p)
+    }
+
+    /// `[boosted, cooled_streak, active, cold_due | null, [[kind, job]..]]`
+    /// — the in-flight slots that hold a job, by task kind.
+    pub(super) fn file_ctl(ctl: &FileCtl) -> Vec<Value> {
+        let inflight = ctl.inflight.iter().enumerate();
+        vec![
+            Value::Bool(ctl.boosted),
+            Value::U64(ctl.cooled_streak.into()),
+            Value::Bool(ctl.active),
+            ctl.cold_due
+                .map_or(Value::Null, |t| Value::U64(t.as_nanos())),
+            c::seq_of(
+                inflight.filter_map(|(kind, job)| Some((kind, (*job)?))),
+                |(kind, job)| Value::Seq(vec![Value::U64(kind as u64), Value::U64(job.0)]),
+            ),
+        ]
+    }
+
+    pub(super) fn file_ctl_back(p: &[Value]) -> Result<FileCtl, CheckpointError> {
+        let mut inflight = [None; TASK_KINDS];
+        for v in c::as_seq(&p[4], "in-flight slots")? {
+            let pair = parts(v, 2, "in-flight slot")?;
+            let slot = inflight
+                .get_mut(c::as_u64(&pair[0], "task kind")? as usize)
+                .ok_or_else(|| CheckpointError::Corrupt("unknown task kind".into()))?;
+            *slot = Some(JobId(c::as_u64(&pair[1], "in-flight job")?));
+        }
+        let cold_due = match &p[3] {
+            Value::Null => None,
+            at => Some(SimTime::from_nanos(c::as_u64(at, "cold due at")?)),
+        };
+        Ok(FileCtl {
+            boosted: c::as_bool(&p[0], "boosted")?,
+            cooled_streak: u32::try_from(c::as_u64(&p[1], "cooled streak")?)
+                .map_err(|_| CheckpointError::Corrupt("streak exceeds u32".into()))?,
+            active: c::as_bool(&p[2], "active")?,
+            cold_due,
+            inflight,
+        })
+    }
+
+    /// `[waiting, failed_copy, started]`
+    pub(super) fn job_ctl(ctl: &JobCtl) -> Vec<Value> {
+        vec![
+            Value::U64(ctl.waiting as u64),
+            Value::Bool(ctl.failed_copy),
+            Value::U64(ctl.started.as_nanos()),
+        ]
+    }
+
+    pub(super) fn job_ctl_back(p: &[Value]) -> Result<JobCtl, CheckpointError> {
+        Ok(JobCtl {
+            waiting: c::as_u64(&p[0], "copies waited on")? as usize,
+            failed_copy: c::as_bool(&p[1], "failed copy")?,
+            started: SimTime::from_nanos(c::as_u64(&p[2], "started at")?),
+        })
+    }
 }
 
 impl checkpoint::Checkpointable for ErmsManager {
@@ -1452,69 +1525,42 @@ impl checkpoint::Checkpointable for ErmsManager {
     // and the matchmaker (whose ads are re-advertised wholesale from
     // cluster state at the top of every tick) are construction/derived
     // state; everything the control loop itself mutates is captured.
+    // Records are written as their key followed by their fields.
     fn save_state(&self) -> checkpoint::Value {
         use checkpoint::codec::{seq_of, MapBuilder};
         use checkpoint::Value;
+        fn keyed(key: u64, mut fields: Vec<Value>) -> Value {
+            fields.insert(0, Value::U64(key));
+            Value::Seq(fields)
+        }
         MapBuilder::new()
             .put("judge", self.judge.save_state())
             .put("policy", self.policy.save_state())
             .put("condor", self.condor.save_state_with(ck::task))
             .put("model", self.model.save_state())
-            .put("boosted", seq_of(&self.boosted, |p| Value::Str(p.clone())))
             .put(
-                "cooled_streak",
-                seq_of(&self.cooled_streak, |(p, &n)| {
-                    Value::Seq(vec![Value::Str(p.clone()), Value::U64(n.into())])
-                }),
+                "files",
+                seq_of(&self.files, |(f, ctl)| keyed(f.0, ck::file_ctl(ctl))),
             )
             .put(
-                "inflight",
-                seq_of(&self.inflight, |(key, j)| {
-                    Value::Seq(vec![
-                        Value::Str(key.0.clone()),
-                        Value::U64(key.1.into()),
-                        Value::U64(j.0),
-                    ])
-                }),
+                "jobs",
+                seq_of(&self.jobs, |(j, ctl)| keyed(j.0, ck::job_ctl(ctl))),
             )
             .put(
                 "pending_copies",
                 seq_of(&self.pending_copies, |(cp, j)| {
-                    Value::Seq(vec![Value::U64(cp.0), Value::U64(j.0)])
-                }),
-            )
-            .put(
-                "job_wait",
-                seq_of(&self.job_wait, |(j, &n)| {
-                    Value::Seq(vec![Value::U64(j.0), Value::U64(n as u64)])
-                }),
-            )
-            .put(
-                "job_failed_copy",
-                seq_of(&self.job_failed_copy, |j| Value::U64(j.0)),
-            )
-            .put(
-                "job_started",
-                seq_of(&self.job_started, |(j, t)| {
-                    Value::Seq(vec![Value::U64(j.0), Value::U64(t.as_nanos())])
+                    keyed(cp.0, vec![Value::U64(j.0)])
                 }),
             )
             .put(
                 "reconstruct_copies",
                 seq_of(&self.reconstruct_copies, |(cp, b)| {
-                    Value::Seq(vec![Value::U64(cp.0), Value::U64(b.0)])
+                    keyed(cp.0, vec![Value::U64(b.0)])
                 }),
             )
             .put(
                 "reconstructing",
                 seq_of(&self.reconstructing, |b| Value::U64(b.0)),
-            )
-            .put("active", seq_of(&self.active, |p| Value::Str(p.clone())))
-            .put(
-                "cold_due",
-                seq_of(&self.cold_due, |(p, t)| {
-                    Value::Seq(vec![Value::Str(p.clone()), Value::U64(t.as_nanos())])
-                }),
             )
             .bool("primed", self.primed)
             .u64("tick_count", self.tick_count)
@@ -1525,108 +1571,72 @@ impl checkpoint::Checkpointable for ErmsManager {
 
     fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
         use checkpoint::codec as c;
-        use checkpoint::{CheckpointError, Value};
-        fn parts<'a>(v: &'a Value, n: usize, what: &str) -> Result<&'a [Value], CheckpointError> {
-            let p = c::as_seq(v, what)?;
-            if p.len() != n {
-                return Err(CheckpointError::Corrupt(format!("{what} arity")));
-            }
-            Ok(p)
-        }
-        fn string(v: &Value, what: &str) -> Result<String, CheckpointError> {
-            Ok(c::as_str(v, what)?.to_string())
-        }
+        use checkpoint::CheckpointError;
         self.judge.load_state(c::get(state, "judge")?)?;
         self.policy.load_state(c::get(state, "policy")?)?;
         self.condor
             .load_state_with(c::get(state, "condor")?, ck::task_back)?;
         self.model.load_state(c::get(state, "model")?)?;
-        self.boosted = c::get_seq(state, "boosted")?
-            .iter()
-            .map(|v| string(v, "boosted path"))
-            .collect::<Result<_, _>>()?;
-        self.cooled_streak = c::get_seq(state, "cooled_streak")?
+        self.files = c::get_seq(state, "files")?
             .iter()
             .map(|v| {
-                let p = parts(v, 2, "cooled_streak entry")?;
-                let n = u32::try_from(c::as_u64(&p[1], "streak")?)
-                    .map_err(|_| CheckpointError::Corrupt("streak exceeds u32".into()))?;
-                Ok((string(&p[0], "path")?, n))
-            })
-            .collect::<Result<_, CheckpointError>>()?;
-        self.inflight = c::get_seq(state, "inflight")?
-            .iter()
-            .map(|v| {
-                let p = parts(v, 3, "inflight entry")?;
-                let kind = u8::try_from(c::as_u64(&p[1], "task kind")?)
-                    .map_err(|_| CheckpointError::Corrupt("task kind exceeds u8".into()))?;
+                let p = ck::parts(v, 6, "file record")?;
                 Ok((
-                    (string(&p[0], "path")?, kind),
-                    JobId(c::as_u64(&p[2], "job id")?),
+                    FileId(c::as_u64(&p[0], "file id")?),
+                    ck::file_ctl_back(&p[1..])?,
                 ))
             })
             .collect::<Result<_, CheckpointError>>()?;
-        self.pending_copies = c::get_seq(state, "pending_copies")?
+        let jobs: BTreeMap<JobId, JobCtl> = c::get_seq(state, "jobs")?
             .iter()
             .map(|v| {
-                let p = parts(v, 2, "pending_copies entry")?;
+                let p = ck::parts(v, 4, "job record")?;
+                Ok((
+                    JobId(c::as_u64(&p[0], "job id")?),
+                    ck::job_ctl_back(&p[1..])?,
+                ))
+            })
+            .collect::<Result<_, CheckpointError>>()?;
+        let pending_copies: BTreeMap<CopyId, JobId> = c::get_seq(state, "pending_copies")?
+            .iter()
+            .map(|v| {
+                let p = ck::parts(v, 2, "pending_copies entry")?;
                 Ok((
                     CopyId(c::as_u64(&p[0], "copy id")?),
                     JobId(c::as_u64(&p[1], "job id")?),
                 ))
             })
             .collect::<Result<_, CheckpointError>>()?;
-        self.job_wait = c::get_seq(state, "job_wait")?
+        // `settle_copies` counts a job's record down once per pending
+        // copy: the two must agree, or a completion would find no record
+        // (or a count that never reaches zero)
+        let mut waited: BTreeMap<JobId, usize> = BTreeMap::new();
+        for job in pending_copies.values() {
+            *waited.entry(*job).or_default() += 1;
+        }
+        if !waited
             .iter()
-            .map(|v| {
-                let p = parts(v, 2, "job_wait entry")?;
-                Ok((
-                    JobId(c::as_u64(&p[0], "job id")?),
-                    c::as_u64(&p[1], "copies waited on")? as usize,
-                ))
-            })
-            .collect::<Result<_, CheckpointError>>()?;
-        self.job_failed_copy = c::get_seq(state, "job_failed_copy")?
-            .iter()
-            .map(|v| Ok(JobId(c::as_u64(v, "job id")?)))
-            .collect::<Result<_, CheckpointError>>()?;
-        self.job_started = c::get_seq(state, "job_started")?
-            .iter()
-            .map(|v| {
-                let p = parts(v, 2, "job_started entry")?;
-                Ok((
-                    JobId(c::as_u64(&p[0], "job id")?),
-                    SimTime::from_nanos(c::as_u64(&p[1], "started at")?),
-                ))
-            })
-            .collect::<Result<_, CheckpointError>>()?;
+            .eq(jobs.iter().map(|(job, ctl)| (job, &ctl.waiting)))
+        {
+            return Err(CheckpointError::Corrupt(
+                "pending copies do not match the jobs awaiting them".into(),
+            ));
+        }
+        self.jobs = jobs;
+        self.pending_copies = pending_copies;
         self.reconstruct_copies = c::get_seq(state, "reconstruct_copies")?
             .iter()
             .map(|v| {
-                let p = parts(v, 2, "reconstruct_copies entry")?;
+                let p = ck::parts(v, 2, "reconstruct_copies entry")?;
                 Ok((
                     CopyId(c::as_u64(&p[0], "copy id")?),
-                    hdfs_sim::BlockId(c::as_u64(&p[1], "block id")?),
+                    BlockId(c::as_u64(&p[1], "block id")?),
                 ))
             })
             .collect::<Result<_, CheckpointError>>()?;
         self.reconstructing = c::get_seq(state, "reconstructing")?
             .iter()
-            .map(|v| Ok(hdfs_sim::BlockId(c::as_u64(v, "block id")?)))
-            .collect::<Result<_, CheckpointError>>()?;
-        self.active = c::get_seq(state, "active")?
-            .iter()
-            .map(|v| string(v, "active path"))
-            .collect::<Result<_, _>>()?;
-        self.cold_due = c::get_seq(state, "cold_due")?
-            .iter()
-            .map(|v| {
-                let p = parts(v, 2, "cold_due entry")?;
-                Ok((
-                    string(&p[0], "path")?,
-                    SimTime::from_nanos(c::as_u64(&p[1], "cold due at")?),
-                ))
-            })
+            .map(|v| Ok(BlockId(c::as_u64(v, "block id")?)))
             .collect::<Result<_, CheckpointError>>()?;
         self.primed = c::get_bool(state, "primed")?;
         self.tick_count = c::get_u64(state, "tick_count")?;
@@ -1656,9 +1666,7 @@ impl ErmsManager {
         let mut report = TickReport::default();
         for (job, task) in plan {
             // volatile copy tracking died with the old executor
-            self.pending_copies.retain(|_, &mut j| j != job);
-            self.job_wait.remove(&job);
-            self.job_failed_copy.remove(&job);
+            self.abandon_copies(job);
             trace!(
                 self.telemetry,
                 now,
@@ -1676,12 +1684,17 @@ impl ErmsManager {
                 &mut report,
             );
         }
+        self.compensate_rollbacks(cluster, now);
+        recovered
+    }
+
+    /// Compensate the tasks Condor has given up on.
+    fn compensate_rollbacks(&mut self, cluster: &mut ClusterSim, now: SimTime) {
         let default_r = cluster.config().default_replication;
         for (_job, task) in self.condor.take_rollbacks(now) {
             let inv = task.inverse(default_r);
             self.apply_compensation(cluster, inv);
         }
-        recovered
     }
 
     fn apply_compensation(&mut self, cluster: &mut ClusterSim, task: ErmsTask) {
@@ -1774,7 +1787,7 @@ mod tests {
         let b = c.namespace().file(f).unwrap().blocks[0];
         let r = c.blockmap().replica_count(b);
         assert!(r > 3, "replication should rise above default, got {r}");
-        assert!(m.is_boosted("/hot"));
+        assert!(m.is_boosted(f));
         // extras landed on standby-pool nodes
         let on_standby = (10..18).map(NodeId).filter(|&n| c.node_holds(n, b)).count();
         assert!(on_standby > 0, "extras parked on standby nodes");
@@ -1809,7 +1822,7 @@ mod tests {
             c.run_until(c.now() + SimDuration::from_secs(10));
         }
         assert_eq!(c.blockmap().replica_count(b), 3, "back to default");
-        assert!(!m.is_boosted("/fading"));
+        assert!(!m.is_boosted(f));
         // drained standby nodes were shut down again
         let serving_standby = (10..18)
             .map(NodeId)
@@ -2170,16 +2183,22 @@ mod tests {
             .build()
             .unwrap();
         let mut m = ErmsManager::new(cfg, &mut c).unwrap();
-        c.create_file("/idle", 64 * MB, 3, None).unwrap();
+        let f = c.create_file("/idle", 64 * MB, 3, None).unwrap();
         c.run_until_quiescent();
         let now = c.now();
         let r1 = m.tick(&mut c, now);
         assert_eq!(r1.files_judged, 1, "first tick is a full scan");
+        assert!(m.files[&f].active, "creation traffic is still windowed");
         // past the CEP window (creation line expired), well short of cold
         c.run_until(c.now() + SimDuration::from_secs(700));
         let now = c.now();
         let r2 = m.tick(&mut c, now);
         assert_eq!(r2.files_judged, 1, "active until observed stable");
+        let stable = FileCtl {
+            cold_due: Some(c.namespace().file(f).unwrap().last_access),
+            ..FileCtl::default()
+        };
+        assert_eq!(m.files[&f], stable, "only the cold deadline remains");
         let now = c.now();
         let r3 = m.tick(&mut c, now);
         assert_eq!(r3.files_judged, 0, "stable file skipped");
@@ -2201,35 +2220,38 @@ mod tests {
             .build()
             .unwrap();
         let mut m = ErmsManager::new(cfg, &mut c).unwrap();
-        c.create_file("/doomed", 64 * MB, 3, None).unwrap();
+        let f = c.create_file("/doomed", 64 * MB, 3, None).unwrap();
         hammer(&mut c, "/doomed", 40);
         for _ in 0..5 {
             let now = c.now();
             m.tick(&mut c, now);
             c.run_until_quiescent();
         }
-        assert!(m.is_boosted("/doomed"), "precondition: file got boosted");
+        assert!(m.is_boosted(f), "precondition: file got boosted");
         // silence starts a cooled streak (patience 3, so no demote yet)
         c.run_until(c.now() + SimDuration::from_secs(1200));
         let now = c.now();
         m.tick(&mut c, now);
         assert!(
-            m.cooled_streak.contains_key("/doomed"),
+            m.files[&f].cooled_streak > 0,
             "precondition: streak accruing"
         );
-        assert!(m.active.contains("/doomed"));
+        assert!(m.files[&f].active);
 
         assert!(c.delete_file("/doomed"));
         let now = c.now();
         m.tick(&mut c, now);
-        assert!(!m.boosted.contains("/doomed"), "boost pruned");
-        assert!(!m.cooled_streak.contains_key("/doomed"), "streak pruned");
-        assert!(!m.active.contains("/doomed"), "visit set pruned");
-        assert!(!m.cold_due.contains_key("/doomed"), "cold schedule pruned");
         assert!(
-            m.inflight.keys().all(|(p, _)| p != "/doomed"),
-            "task dedup keys pruned"
+            !m.files.contains_key(&f),
+            "boost, streak, visit flag, cold deadline and dedup slots pruned"
         );
+        // a new file at the same path starts with a clean slate
+        let f2 = c.create_file("/doomed", 64 * MB, 3, None).unwrap();
+        let now = c.now();
+        m.tick(&mut c, now);
+        assert_ne!(f2, f);
+        assert!(!m.is_boosted(f2));
+        assert_eq!(m.files[&f2].cooled_streak, 0);
     }
 
     #[test]
@@ -2288,13 +2310,19 @@ mod tests {
         let mut c = cluster();
         let mut m = manager(&mut c, standby.clone());
         c.create_file("/hot", 64 * MB, 3, None).unwrap();
-        c.create_file("/quiet", 64 * MB, 3, None).unwrap();
+        let quiet = c.create_file("/quiet", 64 * MB, 3, None).unwrap();
         hammer(&mut c, "/hot", 40);
         for _ in 0..6 {
             let now = c.now();
             m.tick(&mut c, now);
             c.run_until(c.now() + SimDuration::from_secs(30));
         }
+        // the record fields this short scenario does not reach
+        let ctl = m.files.get_mut(&quiet).unwrap();
+        ctl.cooled_streak = 2;
+        ctl.cold_due = Some(SimTime::from_secs(7));
+        let job = m.jobs.values_mut().next().expect("an increase in flight");
+        job.failed_copy = true;
 
         let json = serde_json::to_string(&m.save_state()).unwrap();
         let back = serde_json::parse_value(&json).unwrap();
@@ -2302,17 +2330,12 @@ mod tests {
         let mut fresh = manager(&mut scratch, standby);
         fresh.load_state(&back).unwrap();
 
-        assert_eq!(fresh.boosted, m.boosted);
-        assert_eq!(fresh.cooled_streak, m.cooled_streak);
-        assert_eq!(fresh.inflight, m.inflight);
+        assert!(m.files.values().any(|ctl| ctl.boosted), "rich state");
+        assert_eq!(fresh.files, m.files);
+        assert_eq!(fresh.jobs, m.jobs);
         assert_eq!(fresh.pending_copies, m.pending_copies);
-        assert_eq!(fresh.job_wait, m.job_wait);
-        assert_eq!(fresh.job_failed_copy, m.job_failed_copy);
-        assert_eq!(fresh.job_started, m.job_started);
         assert_eq!(fresh.reconstruct_copies, m.reconstruct_copies);
         assert_eq!(fresh.reconstructing, m.reconstructing);
-        assert_eq!(fresh.active, m.active);
-        assert_eq!(fresh.cold_due, m.cold_due);
         assert_eq!(fresh.primed, m.primed);
         assert_eq!(fresh.tick_count, m.tick_count);
         assert_eq!(fresh.total_completed, m.total_completed);
@@ -2343,7 +2366,7 @@ mod tests {
         for _ in 0..12 {
             let now = c.now();
             m.tick(&mut c, now);
-            if !m.job_wait.is_empty() {
+            if !m.jobs.is_empty() {
                 saved = Some(m.save_state());
                 break;
             }
@@ -2368,7 +2391,7 @@ mod tests {
         let recovered = m2.restore(&mut c, now);
         assert!(recovered >= 1, "at least the increase was recovered");
         assert!(m2.condor.journal().rollback_plan().is_empty());
-        assert!(m2.pending_copies.is_empty() && m2.job_wait.is_empty());
+        assert!(m2.pending_copies.is_empty() && m2.jobs.is_empty());
 
         // the restarted manager converges: the failed task retries (or
         // the old copies land on their own) and the boost materialises.
@@ -2549,6 +2572,84 @@ mod tests {
         let mut report = TickReport::default();
         m.scrub_pass(&mut c, now, &mut report);
         assert_eq!(report.scrub_scanned, 0, "budget fully shed under pressure");
+    }
+
+    /// A saved manager section, hand-edited: a pending copy whose job
+    /// has no record (or the wrong count) is refused as `Corrupt` — it
+    /// used to load and panic in the next `settle_copies` — and a
+    /// version-1 envelope is refused before any section is looked at.
+    #[test]
+    fn corrupt_snapshots_are_typed_errors_not_panics() {
+        use checkpoint::{CheckpointError, Checkpointable, Snapshot, SnapshotMeta, Value};
+        let mut c = cluster();
+        let mut m = manager(&mut c, Vec::new());
+        c.create_file("/hot", 64 * MB, 3, None).unwrap();
+        hammer(&mut c, "/hot", 40);
+        for _ in 0..12 {
+            let now = c.now();
+            m.tick(&mut c, now);
+            if !m.jobs.is_empty() {
+                break;
+            }
+            c.run_until(c.now() + SimDuration::from_secs(30));
+        }
+        assert!(!m.pending_copies.is_empty(), "an increase awaits copies");
+        let good = m.save_state();
+        let edited = |key: &str, v: Value| {
+            let Value::Map(mut entries) = good.clone() else {
+                panic!("manager section is a map");
+            };
+            entries.iter_mut().find(|(k, _)| k == key).unwrap().1 = v;
+            Value::Map(entries)
+        };
+        let load = |section: &Value| {
+            let mut scratch = cluster();
+            manager(&mut scratch, Vec::new()).load_state(section)
+        };
+        load(&good).expect("the unedited section loads");
+
+        // the copy's job record is gone
+        let dangling = load(&edited("jobs", Value::Seq(Vec::new())));
+        assert!(
+            matches!(dangling, Err(CheckpointError::Corrupt(_))),
+            "{dangling:?}"
+        );
+        // the record is there but counts a copy that is not pending
+        let (&job, ctl) = m.jobs.iter().next().unwrap();
+        let miscounted = Value::Seq(vec![
+            Value::U64(job.0),
+            Value::U64(ctl.waiting as u64 + 1),
+            Value::Bool(false),
+            Value::U64(ctl.started.as_nanos()),
+        ]);
+        let miscounted = load(&edited("jobs", Value::Seq(vec![miscounted])));
+        assert!(
+            matches!(miscounted, Err(CheckpointError::Corrupt(_))),
+            "{miscounted:?}"
+        );
+
+        // a version-1 envelope: refused on the version alone, even with
+        // sections that would not parse
+        let mut snap = Snapshot::new(SnapshotMeta {
+            scenario: "unit".into(),
+            seed: 1,
+            tick: 0,
+        });
+        snap.insert_section("manager", good.clone());
+        let v2 = snap.to_json();
+        let v1 = v2.replacen("{\"version\":2,", "{\"version\":1,", 1);
+        assert_ne!(v1, v2);
+        Snapshot::from_json(&v2).expect("the current version loads");
+        let no_sections =
+            r#"{"version":1,"meta":{"scenario":"unit","seed":1,"tick":0},"sections":7}"#;
+        for json in [v1.as_str(), no_sections] {
+            match Snapshot::from_json(json) {
+                Err(CheckpointError::UnknownVersion { found, supported }) => {
+                    assert_eq!((found, supported), (1, checkpoint::FORMAT_VERSION));
+                }
+                other => panic!("expected UnknownVersion, got {other:?}"),
+            }
+        }
     }
 
     #[test]

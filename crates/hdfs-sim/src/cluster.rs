@@ -308,11 +308,11 @@ pub struct ClusterSim {
     /// fault-affected replicas all mark the owning file. A control loop
     /// can re-examine only these instead of walking the namespace.
     dirty_files: BTreeSet<FileId>,
-    /// Paths removed by [`ClusterSim::delete_file`] since the last
-    /// [`ClusterSim::drain_deleted_paths`], so per-path bookkeeping
+    /// Files removed by [`ClusterSim::delete_file`] since the last
+    /// [`ClusterSim::drain_deleted_files`], so per-file bookkeeping
     /// outside the cluster (ERMS streaks, boost flags, in-flight dedup)
     /// can be pruned instead of leaking.
-    deleted_paths: Vec<String>,
+    deleted_files: Vec<FileId>,
     /// Replicas/shards whose on-disk bytes are silently corrupt but not
     /// yet detected, keyed by (block, holder) with the injection time so
     /// detection latency can be measured. A corrupt copy still *serves*
@@ -396,7 +396,7 @@ impl ClusterSim {
             repair_copies: BTreeSet::new(),
             durability: DurabilityLog::new(),
             dirty_files: BTreeSet::new(),
-            deleted_paths: Vec::new(),
+            deleted_files: Vec::new(),
             latent_corrupt: BTreeMap::new(),
             corrupt_pending_repair: BTreeSet::new(),
             scrub_cursor: 0,
@@ -464,9 +464,11 @@ impl ClusterSim {
         set.into_iter().collect()
     }
 
-    /// Take the paths deleted since the last drain, in deletion order.
-    pub fn drain_deleted_paths(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.deleted_paths)
+    /// Take the ids of the files deleted since the last drain, in
+    /// deletion order. Ids are never reused, so they stay unambiguous
+    /// even when a new file has since been created at the same path.
+    pub fn drain_deleted_files(&mut self) -> Vec<FileId> {
+        std::mem::take(&mut self.deleted_files)
     }
 
     fn mark_dirty(&mut self, file: FileId) {
@@ -844,7 +846,7 @@ impl ClusterSim {
         self.audit
             .file_op(now, Endpoint::Client(ClientId(0)), "delete", path);
         self.dirty_files.remove(&id);
-        self.deleted_paths.push(path.to_string());
+        self.deleted_files.push(id);
         true
     }
 
@@ -3140,13 +3142,8 @@ impl checkpoint::Checkpointable for ClusterSim {
                 Value::Seq(self.dirty_files.iter().map(|f| Value::U64(f.0)).collect()),
             )
             .put(
-                "deleted_paths",
-                Value::Seq(
-                    self.deleted_paths
-                        .iter()
-                        .map(|p| Value::Str(p.clone()))
-                        .collect(),
-                ),
+                "deleted_files",
+                Value::Seq(self.deleted_files.iter().map(|f| Value::U64(f.0)).collect()),
             )
             .put(
                 "latent_corrupt",
@@ -3394,9 +3391,9 @@ impl checkpoint::Checkpointable for ClusterSim {
             .iter()
             .map(|v| c::as_u64(v, "dirty_files[]").map(FileId))
             .collect::<Result<_, _>>()?;
-        self.deleted_paths = c::get_seq(state, "deleted_paths")?
+        self.deleted_files = c::get_seq(state, "deleted_files")?
             .iter()
-            .map(|v| c::as_str(v, "deleted_paths[]").map(str::to_string))
+            .map(|v| c::as_u64(v, "deleted_files[]").map(FileId))
             .collect::<Result<_, _>>()?;
         self.latent_corrupt = c::get_seq(state, "latent_corrupt")?
             .iter()

@@ -38,16 +38,16 @@ impl Features {
     pub fn observe(
         probe: &mut dyn CepProbe,
         now: SimTime,
-        file: &FileSnapshot,
+        file: &FileSnapshot<'_>,
         fresh: bool,
         tau_hot: f64,
         block_burst: f64,
     ) -> Features {
         let r = file.replication.max(1) as f64;
-        let raw_opens = probe.file_accesses(now, &file.path);
+        let raw_opens = probe.file_accesses(now, file.path);
         let n_d = raw_opens / file.blocks.len().max(1) as f64;
         let mut n_b_max = 0.0f64;
-        for &b in &file.blocks {
+        for &b in file.blocks {
             n_b_max = n_b_max.max(probe.block_accesses(now, b));
         }
         let pressure = (n_d / (r * tau_hot)).max(n_b_max / (r * block_burst));

@@ -33,6 +33,7 @@ use crate::{
 };
 use checkpoint::codec as c;
 use checkpoint::{CheckpointError, Checkpointable, Value};
+use hdfs_sim::FileId;
 use simcore::SimTime;
 use std::collections::BTreeMap;
 
@@ -82,7 +83,7 @@ impl HmmConfig {
 pub struct HmmJudge {
     cfg: HmmConfig,
     /// Per-file posterior over {Cold, Warm, Hot}.
-    beliefs: BTreeMap<String, [f64; NUM_HIDDEN]>,
+    beliefs: BTreeMap<FileId, [f64; NUM_HIDDEN]>,
 }
 
 impl HmmJudge {
@@ -143,8 +144,8 @@ impl HmmJudge {
     }
 
     #[cfg(test)]
-    fn belief(&self, path: &str) -> Option<[f64; NUM_HIDDEN]> {
-        self.beliefs.get(path).copied()
+    fn belief(&self, file: FileId) -> Option<[f64; NUM_HIDDEN]> {
+        self.beliefs.get(&file).copied()
     }
 }
 
@@ -156,7 +157,7 @@ impl JudgePolicy for HmmJudge {
     fn classify(
         &mut self,
         now: SimTime,
-        file: &FileSnapshot,
+        file: &FileSnapshot<'_>,
         fresh: bool,
         probe: &mut dyn CepProbe,
     ) -> Judgment {
@@ -169,9 +170,9 @@ impl JudgePolicy for HmmJudge {
             .observation(feats.pressure)
             .max(if feats.fresh { 2 } else { 0 });
 
-        let prev = self.beliefs.get(&file.path).copied().unwrap_or(PRIOR);
+        let prev = self.beliefs.get(&file.id).copied().unwrap_or(PRIOR);
         let belief = Self::advance(&prev, obs);
-        self.beliefs.insert(file.path.clone(), belief);
+        self.beliefs.insert(file.id, belief);
 
         let r = file.replication.max(1) as f64;
         let per_replica = feats.n_d / r;
@@ -191,7 +192,6 @@ impl JudgePolicy for HmmJudge {
         };
 
         Judgment {
-            path: file.path.clone(),
             class,
             n_d: feats.n_d,
             n_b_max: feats.n_b_max,
@@ -201,8 +201,8 @@ impl JudgePolicy for HmmJudge {
 
     fn begin_pass(&mut self, _now: SimTime, _meters: &RewardMeters) {}
 
-    fn forget_path(&mut self, path: &str) {
-        self.beliefs.remove(path);
+    fn forget_file(&mut self, file: FileId) {
+        self.beliefs.remove(&file);
     }
 }
 
@@ -211,9 +211,9 @@ impl Checkpointable for HmmJudge {
         let beliefs = self
             .beliefs
             .iter()
-            .map(|(path, b)| {
+            .map(|(file, b)| {
                 c::MapBuilder::new()
-                    .str("path", path)
+                    .u64("file", file.0)
                     .f64b("cold", b[COLD])
                     .f64b("warm", b[WARM])
                     .f64b("hot", b[HOT])
@@ -227,7 +227,7 @@ impl Checkpointable for HmmJudge {
         let mut beliefs = BTreeMap::new();
         for entry in c::get_seq(state, "beliefs")? {
             beliefs.insert(
-                c::get_str(entry, "path")?.to_string(),
+                FileId(c::get_u64(entry, "file")?),
                 [
                     c::get_f64b(entry, "cold")?,
                     c::get_f64b(entry, "warm")?,
@@ -243,7 +243,7 @@ impl Checkpointable for HmmJudge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdfs_sim::{BlockId, FileId};
+    use hdfs_sim::BlockId;
     use simcore::SimDuration;
 
     struct FakeProbe {
@@ -277,12 +277,16 @@ mod tests {
         HmmJudge::new(HmmConfig::new(disc()))
     }
 
-    fn snap(id: u64, path: &str, repl: usize, last: SimTime) -> FileSnapshot {
+    /// Every test file has one block; its id is irrelevant to the
+    /// fake probe.
+    const BLOCKS: [BlockId; 1] = [BlockId(0)];
+
+    fn snap(id: u64, path: &str, repl: usize, last: SimTime) -> FileSnapshot<'_> {
         FileSnapshot {
             id: FileId(id),
-            path: path.to_string(),
+            path,
             replication: repl,
-            blocks: vec![BlockId(id * 10)],
+            blocks: &BLOCKS,
             last_access: last,
             boosted: repl > 3,
             encoded: false,
@@ -418,8 +422,8 @@ mod tests {
         };
         a.classify(now, &f, true, &mut p1);
         b.classify(now, &f, false, &mut p2);
-        let ba = a.belief("/new").unwrap();
-        let bb = b.belief("/new").unwrap();
+        let ba = a.belief(FileId(1)).unwrap();
+        let bb = b.belief(FileId(1)).unwrap();
         assert!(ba[HOT] > bb[HOT], "freshness must raise the hot belief");
     }
 
@@ -429,7 +433,8 @@ mod tests {
         let mut t = SimTime::from_secs(600);
         for i in 0..20u64 {
             t += SimDuration::from_secs(60);
-            let f = snap(i % 4, &format!("/f{}", i % 4), 3, t);
+            let path = format!("/f{}", i % 4);
+            let f = snap(i % 4, &path, 3, t);
             let mut p = FakeProbe {
                 opens: (i % 7) as f64 * 15.0,
                 per_block: 1.0,
@@ -440,16 +445,16 @@ mod tests {
         let mut fresh = judge();
         fresh.load_state(&saved).unwrap();
         assert_eq!(j.beliefs.len(), fresh.beliefs.len());
-        for (path, b) in &j.beliefs {
-            let fb = fresh.beliefs.get(path).unwrap();
+        for (file, b) in &j.beliefs {
+            let fb = fresh.beliefs.get(file).unwrap();
             for s in 0..NUM_HIDDEN {
-                assert_eq!(b[s].to_bits(), fb[s].to_bits(), "{path}[{s}]");
+                assert_eq!(b[s].to_bits(), fb[s].to_bits(), "{file:?}[{s}]");
             }
         }
     }
 
     #[test]
-    fn forgetting_a_path_resets_its_belief() {
+    fn forgetting_a_file_resets_its_belief() {
         let mut j = judge();
         let now = SimTime::from_secs(600);
         let f = snap(1, "/gone", 3, now);
@@ -458,8 +463,8 @@ mod tests {
             per_block: 0.0,
         };
         j.classify(now, &f, false, &mut p);
-        assert!(j.belief("/gone").is_some());
-        j.forget_path("/gone");
-        assert!(j.belief("/gone").is_none());
+        assert!(j.belief(FileId(1)).is_some());
+        j.forget_file(FileId(1));
+        assert!(j.belief(FileId(1)).is_none());
     }
 }

@@ -5,7 +5,10 @@
 //! plumbing into a [`JudgePolicy`] trait so alternative judges — learned
 //! ones — can be dropped into the manager's judge pass without
 //! touching the audit→CEP pipeline, the `FileId` visit order, or the
-//! checkpoint discipline:
+//! checkpoint discipline. A backend sees each file as a
+//! [`FileSnapshot`] that borrows its path and block list from the
+//! namespace for the length of the call, and keys whatever it remembers
+//! about the file by `FileId`:
 //!
 //! * the rule-based judge (in `erms`) implements the trait by running
 //!   Formulas (1)–(6) against the windowed counts it reads through a
@@ -149,19 +152,25 @@ impl JudgeRule {
     }
 }
 
-/// What the judge needs to know about a file to classify it.
-#[derive(Debug, Clone)]
-pub struct FileSnapshot {
+/// What the judge needs to know about a file to classify it: a view
+/// borrowed from the namespace's own record for the length of one
+/// `classify` call, so judging a file copies neither its path nor its
+/// block list.
+#[derive(Debug, Clone, Copy)]
+pub struct FileSnapshot<'a> {
     /// Dense namespace id — the sort key that keeps the judge pass in
-    /// namespace-walk order, and the order learned backends apply their
-    /// batched updates in.
+    /// namespace-walk order, the order learned backends apply their
+    /// batched updates in, and the key of any per-file learner state
+    /// (ids are never reused, so a deleted file's state cannot alias a
+    /// later file at the same path).
     pub id: hdfs_sim::FileId,
-    pub path: String,
+    /// The CEP group key of the file's `open` records.
+    pub path: &'a str,
     /// Current replication factor `r` of the file's data blocks.
     pub replication: usize,
     /// Data block ids; rendered to their client-trace names (`blk_N`)
-    /// only at query time, so snapshotting a file allocates no strings.
-    pub blocks: Vec<hdfs_sim::BlockId>,
+    /// only at query time.
+    pub blocks: &'a [hdfs_sim::BlockId],
     pub last_access: SimTime,
     /// Whether ERMS has boosted this file above the default factor.
     pub boosted: bool,
@@ -169,10 +178,9 @@ pub struct FileSnapshot {
     pub encoded: bool,
 }
 
-/// A classification result.
-#[derive(Debug, Clone)]
+/// A classification result (of the file the caller passed in).
+#[derive(Debug, Clone, Copy)]
 pub struct Judgment {
-    pub path: String,
     pub class: DataClass,
     /// Windowed access count `N_d`.
     pub n_d: f64,
@@ -232,7 +240,7 @@ pub trait JudgePolicy: checkpoint::Checkpointable {
     fn classify(
         &mut self,
         now: SimTime,
-        file: &FileSnapshot,
+        file: &FileSnapshot<'_>,
         fresh: bool,
         probe: &mut dyn CepProbe,
     ) -> Judgment;
@@ -256,9 +264,9 @@ pub trait JudgePolicy: checkpoint::Checkpointable {
     /// independent.
     fn end_pass(&mut self) {}
 
-    /// Drop per-path learner state for a deleted file.
-    fn forget_path(&mut self, path: &str) {
-        let _ = path;
+    /// Drop per-file learner state for a deleted file.
+    fn forget_file(&mut self, file: hdfs_sim::FileId) {
+        let _ = file;
     }
 }
 

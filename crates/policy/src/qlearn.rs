@@ -33,6 +33,7 @@ use crate::{
 };
 use checkpoint::codec as c;
 use checkpoint::{CheckpointError, Checkpointable, Value};
+use hdfs_sim::FileId;
 use simcore::rng::DetRng;
 use simcore::SimTime;
 use std::collections::BTreeMap;
@@ -114,7 +115,6 @@ impl QConfig {
 /// A `(state, action)` awaiting its reward at the file's next visit.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
-    file: u64,
     state: usize,
     action: Action,
 }
@@ -138,8 +138,8 @@ pub struct QLearningJudge {
     q: Vec<f64>,
     /// Per-state visit counts driving the ε decay.
     visits: Vec<u64>,
-    /// Last `(state, action)` per path, settled at the next visit.
-    pending: BTreeMap<String, Pending>,
+    /// Last `(state, action)` per file, settled at the next visit.
+    pending: BTreeMap<FileId, Pending>,
     /// Judge passes seen (increments in `begin_pass`).
     passes: u64,
     /// Salt of the exploration stream, drawn from a forked `DetRng`.
@@ -259,7 +259,7 @@ impl JudgePolicy for QLearningJudge {
     fn classify(
         &mut self,
         now: SimTime,
-        file: &FileSnapshot,
+        file: &FileSnapshot<'_>,
         fresh: bool,
         probe: &mut dyn CepProbe,
     ) -> Judgment {
@@ -268,7 +268,7 @@ impl JudgePolicy for QLearningJudge {
         let state = d.state(&feats);
 
         // Settle the previous visit's action with what we can see now.
-        if let Some(prev) = self.pending.get(&file.path).copied() {
+        if let Some(prev) = self.pending.get(&file.id).copied() {
             self.queue.push(Update {
                 file: file.id.0,
                 state: prev.state,
@@ -288,18 +288,10 @@ impl JudgePolicy for QLearningJudge {
             self.greedy(state)
         };
 
-        self.pending.insert(
-            file.path.clone(),
-            Pending {
-                file: file.id.0,
-                state,
-                action,
-            },
-        );
+        self.pending.insert(file.id, Pending { state, action });
         self.visit_queue.push(state);
 
         Judgment {
-            path: file.path.clone(),
             class: action.class(),
             n_d: feats.n_d,
             n_b_max: feats.n_b_max,
@@ -324,8 +316,8 @@ impl JudgePolicy for QLearningJudge {
         }
     }
 
-    fn forget_path(&mut self, path: &str) {
-        self.pending.remove(path);
+    fn forget_file(&mut self, file: FileId) {
+        self.pending.remove(&file);
     }
 }
 
@@ -356,10 +348,9 @@ impl Checkpointable for QLearningJudge {
         let pending = self
             .pending
             .iter()
-            .map(|(path, p)| {
+            .map(|(file, p)| {
                 c::MapBuilder::new()
-                    .str("path", path)
-                    .u64("file", p.file)
+                    .u64("file", file.0)
                     .u64("state", p.state as u64)
                     .u64("action", p.action as u64)
                     .build()
@@ -437,9 +428,8 @@ impl Checkpointable for QLearningJudge {
                 });
             }
             pending.insert(
-                c::get_str(entry, "path")?.to_string(),
+                FileId(c::get_u64(entry, "file")?),
                 Pending {
-                    file: c::get_u64(entry, "file")?,
                     state: st,
                     action: Action::from_index(action),
                 },
@@ -463,7 +453,7 @@ impl Checkpointable for QLearningJudge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdfs_sim::{BlockId, FileId};
+    use hdfs_sim::BlockId;
     use simcore::SimDuration;
 
     struct FakeProbe {
@@ -493,12 +483,16 @@ mod tests {
         }
     }
 
-    fn snap(id: u64, path: &str, repl: usize, last: SimTime) -> FileSnapshot {
+    /// Every test file has one block; its id is irrelevant to the
+    /// fake probe.
+    const BLOCKS: [BlockId; 1] = [BlockId(0)];
+
+    fn snap(id: u64, path: &str, repl: usize, last: SimTime) -> FileSnapshot<'_> {
         FileSnapshot {
             id: FileId(id),
-            path: path.to_string(),
+            path,
             replication: repl,
-            blocks: vec![BlockId(id * 10)],
+            blocks: &BLOCKS,
             last_access: last,
             boosted: repl > 3,
             encoded: false,
@@ -552,13 +546,14 @@ mod tests {
                     },
                 );
                 for id in 0..8u64 {
-                    let f = snap(id, &format!("/f{id}"), 3, t);
+                    let path = format!("/f{id}");
+                    let f = snap(id, &path, 3, t);
                     let mut p = FakeProbe {
                         opens: ((id + pass) % 5) as f64 * 10.0,
                         per_block: 0.0,
                     };
                     let v = j.classify(t, &f, id % 3 == 0, &mut p);
-                    out.push(format!("{}:{:?}", v.path, v.class));
+                    out.push(format!("{path}:{:?}", v.class));
                 }
                 j.end_pass();
             }
@@ -582,7 +577,8 @@ mod tests {
                 }
                 let mut vs = Vec::new();
                 for id in ids {
-                    let f = snap(id, &format!("/f{id}"), 3, t);
+                    let path = format!("/f{id}");
+                    let f = snap(id, &path, 3, t);
                     let mut p = FakeProbe {
                         opens: ((id * 7 + pass) % 6) as f64 * 8.0,
                         per_block: 0.0,
@@ -647,7 +643,8 @@ mod tests {
                 },
             );
             for id in 0..5u64 {
-                let f = snap(id, &format!("/f{id}"), 3, t);
+                let path = format!("/f{id}");
+                let f = snap(id, &path, 3, t);
                 let mut p = FakeProbe {
                     opens: ((id + pass) % 4) as f64 * 12.0,
                     per_block: 2.0,
@@ -671,7 +668,8 @@ mod tests {
         j.begin_pass(t, &RewardMeters::default());
         fresh.begin_pass(t, &RewardMeters::default());
         for id in 0..5u64 {
-            let f = snap(id, &format!("/f{id}"), 3, t);
+            let path = format!("/f{id}");
+            let f = snap(id, &path, 3, t);
             let mut p1 = FakeProbe {
                 opens: 30.0,
                 per_block: 0.0,
@@ -687,7 +685,7 @@ mod tests {
     }
 
     #[test]
-    fn forgetting_a_path_drops_its_pending_attribution() {
+    fn forgetting_a_file_drops_its_pending_attribution() {
         let mut j = judge();
         let t = SimTime::from_secs(60);
         j.begin_pass(t, &RewardMeters::default());
@@ -697,9 +695,9 @@ mod tests {
             per_block: 0.0,
         };
         j.classify(t, &f, false, &mut p);
-        assert!(j.pending.contains_key("/gone"));
-        j.forget_path("/gone");
-        assert!(!j.pending.contains_key("/gone"));
+        assert!(j.pending.contains_key(&FileId(1)));
+        j.forget_file(FileId(1));
+        assert!(!j.pending.contains_key(&FileId(1)));
     }
 
     #[test]

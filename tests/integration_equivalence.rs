@@ -34,10 +34,25 @@ struct Run {
     trace: String,
 }
 
+/// Silently corrupt the first replica of `path`'s only block.
+fn rot(c: &mut ClusterSim, path: &str) {
+    let f = c.namespace().resolve(path).unwrap();
+    let b = c.namespace().file(f).unwrap().blocks[0];
+    let node = c.blockmap().replica_nodes(b)[0];
+    let pick = c.node_blocks(node).position(|x| x == b).unwrap();
+    assert!(c.corrupt_replica(node, pick as u64, false), "{path} rotted");
+}
+
 /// One scripted workload — flash crowd, background traffic, a delete, a
 /// node kill, then a long cool-down — driven tick-for-tick identically
 /// regardless of the manager's visit-set mode or judge backend.
-fn run(full_rescan: bool, backend: JudgeBackend) -> Run {
+///
+/// With `scrub` the scrubber runs too, `/f3` and `/f10` draw crowds of
+/// their own and five replicas rot once the boosts have landed. The
+/// manager orders the scrubber's hot list and its `Repair` submissions
+/// by path, and `/f10` < `/f3` by path but not by id, so a change that
+/// swaps either order moves this trace.
+fn run(full_rescan: bool, backend: JudgeBackend, scrub: bool) -> Run {
     let mut c = ClusterSim::new(
         ClusterConfig::paper_testbed(),
         Box::new(ErmsPlacement::new()),
@@ -46,6 +61,8 @@ fn run(full_rescan: bool, backend: JudgeBackend) -> Run {
         .thresholds(thresholds())
         .standby((10..18).map(NodeId))
         .self_healing(true)
+        .scrubber(scrub)
+        .scrub_blocks_per_tick(64)
         .full_rescan(full_rescan)
         .judge_backend(backend)
         .judge_seed(42)
@@ -79,8 +96,21 @@ fn run(full_rescan: bool, backend: JudgeBackend) -> Run {
     for i in 0..40u32 {
         c.open_read(Endpoint::Client(ClientId(i)), "/f0").unwrap();
     }
+    if scrub {
+        for (base, path) in [(1000u32, "/f3"), (2000, "/f10")] {
+            for i in 0..40u32 {
+                c.open_read(Endpoint::Client(ClientId(base + i)), path)
+                    .unwrap();
+            }
+        }
+    }
     c.run_until_quiescent();
     settle(&mut c, &mut m, &mut reports, 6, 45);
+    if scrub {
+        for path in ["/f3", "/f10", "/f4", "/f9", "/f11"] {
+            rot(&mut c, path);
+        }
+    }
 
     // mild traffic on /f1, a deletion, and a replica-holder kill
     for i in 0..3u32 {
@@ -150,8 +180,8 @@ fn actions(r: &TickReport) -> Actions {
 
 #[test]
 fn incremental_and_full_rescan_take_identical_actions() {
-    let inc = run(false, JudgeBackend::Rules);
-    let full = run(true, JudgeBackend::Rules);
+    let inc = run(false, JudgeBackend::Rules, false);
+    let full = run(true, JudgeBackend::Rules, false);
 
     assert_eq!(inc.reports.len(), full.reports.len());
     for (i, (a, b)) in inc.reports.iter().zip(&full.reports).enumerate() {
@@ -183,8 +213,8 @@ fn incremental_and_full_rescan_take_identical_actions() {
 
 #[test]
 fn incremental_runs_are_deterministic() {
-    let a = run(false, JudgeBackend::Rules);
-    let b = run(false, JudgeBackend::Rules);
+    let a = run(false, JudgeBackend::Rules, false);
+    let b = run(false, JudgeBackend::Rules, false);
     assert_eq!(a.trace, b.trace, "same-seed traces must be byte-identical");
     assert_eq!(a.files, b.files);
 }
@@ -195,16 +225,26 @@ fn incremental_runs_are_deterministic() {
 #[test]
 fn trace_digest_is_pinned() {
     let pinned = [
-        (JudgeBackend::Rules, 0xf6af_fbcb_066b_fd39_u64, 1013_usize),
-        (JudgeBackend::QLearning, 0x3a6c_9320_fe6d_2451, 1315),
-        (JudgeBackend::Hmm, 0x6fbd_2805_540c_1505, 1046),
+        (
+            JudgeBackend::Rules,
+            false,
+            0xf6af_fbcb_066b_fd39_u64,
+            1013_usize,
+        ),
+        (JudgeBackend::QLearning, false, 0x3a6c_9320_fe6d_2451, 1315),
+        (JudgeBackend::Hmm, false, 0x6fbd_2805_540c_1505, 1046),
+        (JudgeBackend::Rules, true, 0x1f00_4695_bd09_cf8b, 1422),
     ];
-    for (backend, digest, events) in pinned {
-        let trace = run(false, backend).trace;
+    for (backend, scrub, digest, events) in pinned {
+        let trace = run(false, backend, scrub).trace;
         let mut h = FnvHasher::default();
         h.write(trace.as_bytes());
         let got = (h.finish(), trace.lines().count());
-        println!("{backend}: {:#018x} {}", got.0, got.1);
-        assert_eq!(got, (digest, events), "{backend} trace changed");
+        println!("{backend} scrub={scrub}: {:#018x} {}", got.0, got.1);
+        assert_eq!(
+            got,
+            (digest, events),
+            "{backend} scrub={scrub} trace changed"
+        );
     }
 }

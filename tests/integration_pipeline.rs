@@ -69,9 +69,9 @@ fn audit_text_is_the_only_channel_between_cluster_and_judge() {
     let now = cluster.now();
     let snap = erms::FileSnapshot {
         id: hdfs_sim::FileId(0),
-        path: "/hot".into(),
+        path: "/hot",
         replication: 3,
-        blocks: vec![hdfs_sim::BlockId(0)],
+        blocks: &[hdfs_sim::BlockId(0)],
         last_access: now,
         boosted: false,
         encoded: false,

@@ -489,11 +489,11 @@ impl ResumableRun {
         snap.insert_section(
             "runner",
             c::MapBuilder::new()
-                .u64("tick_idx", self.tick_idx)
-                .time("deadline", self.deadline)
-                .u64("fault_cursor", self.injector.cursor() as u64)
-                .u64("telemetry_seq", self.sink.seq())
-                .bool("finished", self.finished)
+                .put("tick_idx", &self.tick_idx)
+                .put("deadline", &self.deadline)
+                .put("fault_cursor", &self.injector.cursor())
+                .put("telemetry_seq", &self.sink.seq())
+                .put("finished", &self.finished)
                 .build(),
         );
         snap
@@ -523,14 +523,14 @@ impl ResumableRun {
         manager.load_state(snap.section("manager")?)?;
 
         let runner = snap.section("runner")?;
-        let tick_idx = c::get_u64(runner, "tick_idx")?;
-        let deadline = c::get_time(runner, "deadline")?;
-        let finished = c::get_bool(runner, "finished")?;
+        let tick_idx = c::get(runner, "tick_idx")?;
+        let deadline = c::get(runner, "deadline")?;
+        let finished = c::get(runner, "finished")?;
         let mut injector = FaultInjector::from_config(&scenario.fault, nodes, racks, seed);
-        injector.set_cursor(c::get_usize(runner, "fault_cursor")?);
+        injector.set_cursor(c::get(runner, "fault_cursor")?);
 
         let sink = TelemetrySink::recording();
-        sink.set_seq(c::get_u64(runner, "telemetry_seq")?);
+        sink.set_seq(c::get(runner, "telemetry_seq")?);
         // Restore the metric registry so counters/gauges/histograms
         // continue accumulating from their saved values and the final
         // metric snapshot matches the straight-through run's. Lenient

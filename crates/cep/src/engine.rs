@@ -8,6 +8,8 @@
 use crate::event::Event;
 use crate::pattern::{FollowedBy, PatternMatch, PatternState};
 use crate::query::{GroupRow, QuerySpec, QueryState};
+use checkpoint::codec::{put_row, Ck};
+use checkpoint::Checkpointable;
 use simcore::telemetry::{Event as TelemetryEvent, TelemetrySink};
 use simcore::{trace, SimTime};
 use std::collections::BTreeMap;
@@ -194,109 +196,75 @@ impl CepEngine {
     }
 }
 
+checkpoint::ck_id!(QueryId, PatternId);
+
 impl checkpoint::Checkpointable for CepEngine {
     // Rebuild-then-hydrate: ids are assigned sequentially at registration,
     // so a restored engine must re-register the same queries and patterns
     // in the same order before loading. Subscriptions (closures) and the
     // telemetry sink are re-attached by the caller, never serialized.
-    fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::MapBuilder;
-        use checkpoint::Value;
-        MapBuilder::new()
-            .u64("next_id", self.next_id)
-            .u64("events_seen", self.events_seen)
-            .seq(
-                "queries",
-                self.queries
-                    .iter()
-                    .map(|(id, q)| Value::Seq(vec![Value::U64(id.0), q.save_state()]))
-                    .collect(),
-            )
-            .seq(
-                "patterns",
-                self.patterns
-                    .iter()
-                    .map(|(id, (p, buf))| {
-                        Value::Seq(vec![
-                            Value::U64(id.0),
-                            p.save_state(),
-                            Value::Seq(
-                                buf.iter()
-                                    .map(|m| {
-                                        Value::Seq(vec![
-                                            crate::event::ck::event(&m.first),
-                                            crate::event::ck::event(&m.second),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            )
-            .build()
+    checkpoint::ck_fields! {
+        next_id,
+        events_seen,
+        queries(save_queries, load_queries),
+        patterns(save_patterns, load_patterns),
+    }
+}
+
+/// A snapshot row must name a component this engine registered.
+fn registered<'a, K: Ord + std::fmt::Debug, T>(
+    components: &'a mut BTreeMap<K, T>,
+    id: K,
+    rows: usize,
+    what: &str,
+) -> Result<&'a mut T, checkpoint::CheckpointError> {
+    if rows != components.len() {
+        return Err(checkpoint::CheckpointError::Corrupt(format!(
+            "snapshot has {rows} {what}, engine has {} registered",
+            components.len()
+        )));
+    }
+    components.get_mut(&id).ok_or_else(|| {
+        checkpoint::CheckpointError::Corrupt(format!("snapshot {what} {id:?} is not registered"))
+    })
+}
+
+/// The registered queries and patterns hydrate in place, by id:
+/// `[id, state]` and `[id, state, [[first, second]…]]` rows.
+impl CepEngine {
+    fn save_queries(&self) -> checkpoint::Value {
+        let row = |(id, q): (&QueryId, &QueryState)| {
+            put_row(2, |row| row.extend([id.put(), q.save_state()]))
+        };
+        checkpoint::Value::Seq(self.queries.iter().map(row).collect())
     }
 
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        use checkpoint::CheckpointError;
-        let queries = c::get_seq(state, "queries")?;
-        if queries.len() != self.queries.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "snapshot has {} queries, engine has {} registered",
-                queries.len(),
-                self.queries.len()
-            )));
+    fn load_queries(&mut self, v: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
+        let rows = Vec::<(QueryId, checkpoint::Value)>::take(v, "queries")?;
+        let n = rows.len();
+        for (id, state) in rows {
+            registered(&mut self.queries, id, n, "queries")?.load_state(&state)?;
         }
-        for entry in queries {
-            let pair = c::as_seq(entry, "queries[]")?;
-            if pair.len() != 2 {
-                return Err(CheckpointError::Corrupt(
-                    "query entry is not [id, state]".into(),
-                ));
-            }
-            let id = QueryId(c::as_u64(&pair[0], "query id")?);
-            let q = self.queries.get_mut(&id).ok_or_else(|| {
-                CheckpointError::Corrupt(format!("snapshot query {} is not registered", id.0))
-            })?;
-            q.load_state(&pair[1])?;
+        Ok(())
+    }
+
+    fn save_patterns(&self) -> checkpoint::Value {
+        let row = |(id, (p, matches)): (&PatternId, &(PatternState, Vec<PatternMatch>))| {
+            put_row(3, |row| {
+                row.extend([id.put(), p.save_state(), matches.put()])
+            })
+        };
+        checkpoint::Value::Seq(self.patterns.iter().map(row).collect())
+    }
+
+    fn load_patterns(&mut self, v: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
+        let rows = Vec::<(PatternId, checkpoint::Value, Vec<PatternMatch>)>::take(v, "patterns")?;
+        let n = rows.len();
+        for (id, state, matches) in rows {
+            let (p, buf) = registered(&mut self.patterns, id, n, "patterns")?;
+            p.load_state(&state)?;
+            *buf = matches;
         }
-        let patterns = c::get_seq(state, "patterns")?;
-        if patterns.len() != self.patterns.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "snapshot has {} patterns, engine has {} registered",
-                patterns.len(),
-                self.patterns.len()
-            )));
-        }
-        for entry in patterns {
-            let parts = c::as_seq(entry, "patterns[]")?;
-            if parts.len() != 3 {
-                return Err(CheckpointError::Corrupt(
-                    "pattern entry is not [id, state, matches]".into(),
-                ));
-            }
-            let id = PatternId(c::as_u64(&parts[0], "pattern id")?);
-            let (p, buf) = self.patterns.get_mut(&id).ok_or_else(|| {
-                CheckpointError::Corrupt(format!("snapshot pattern {} is not registered", id.0))
-            })?;
-            p.load_state(&parts[1])?;
-            buf.clear();
-            for m in c::as_seq(&parts[2], "pattern matches")? {
-                let pair = c::as_seq(m, "match")?;
-                if pair.len() != 2 {
-                    return Err(CheckpointError::Corrupt(
-                        "pattern match is not [first, second]".into(),
-                    ));
-                }
-                buf.push(PatternMatch {
-                    first: crate::event::ck::event_back(&pair[0])?,
-                    second: crate::event::ck::event_back(&pair[1])?,
-                });
-            }
-        }
-        self.next_id = c::get_u64(state, "next_id")?;
-        self.events_seen = c::get_u64(state, "events_seen")?;
         Ok(())
     }
 }

@@ -4,6 +4,8 @@
 //! Audit-log streams have few distinct keys, so a sorted `Vec` beats a
 //! hash map for both memory and lookup at these sizes.
 
+use checkpoint::codec::{get, unknown, Ck, MapBuilder};
+use checkpoint::{CheckpointError, Value as Wire};
 use simcore::SimTime;
 use std::fmt;
 use std::sync::Arc;
@@ -188,87 +190,46 @@ impl Event {
     }
 }
 
-/// Checkpoint codec for events. Fields are private to this module, so
-/// the window/pattern/engine snapshot code funnels through here.
-pub(crate) mod ck {
-    use super::{Event, Value};
-    use checkpoint::codec as c;
-    use checkpoint::{CheckpointError, Value as Ck};
-
-    /// Encode one field value as a `[tag, payload]` pair. Floats go
-    /// through raw bits so round trips are bit-exact.
-    fn field_value(v: &Value) -> Ck {
-        match v {
-            Value::Int(i) => Ck::Seq(vec![Ck::Str("i".into()), Ck::I64(*i)]),
-            Value::Float(f) => Ck::Seq(vec![Ck::Str("f".into()), Ck::U64(f.to_bits())]),
-            Value::Str(s) => Ck::Seq(vec![Ck::Str("s".into()), Ck::Str(s.to_string())]),
-            Value::Bool(b) => Ck::Seq(vec![Ck::Str("b".into()), Ck::Bool(*b)]),
+/// `[tag, payload]`: `"i"` int, `"f"` float (raw bits), `"s"` string,
+/// `"b"` bool.
+impl Ck for Value {
+    fn put(&self) -> Wire {
+        match self {
+            Value::Int(i) => ("i".to_string(), i.put()),
+            Value::Float(f) => ("f".to_string(), f.put()),
+            Value::Str(s) => ("s".to_string(), s.put()),
+            Value::Bool(b) => ("b".to_string(), b.put()),
         }
+        .put()
     }
 
-    /// JSON keeps no signedness: a non-negative `I64` parses back as
-    /// `U64`, so the decoder accepts both.
-    fn as_i64(v: &Ck, field: &str) -> Result<i64, CheckpointError> {
-        match v {
-            Ck::I64(n) => Ok(*n),
-            Ck::U64(n) => i64::try_from(*n).map_err(|_| CheckpointError::TypeMismatch {
-                field: field.to_string(),
-                expected: "i64",
-            }),
-            _ => Err(CheckpointError::TypeMismatch {
-                field: field.to_string(),
-                expected: "i64",
-            }),
-        }
-    }
-
-    fn field_value_back(v: &Ck) -> Result<Value, CheckpointError> {
-        let pair = c::as_seq(v, "field value")?;
-        if pair.len() != 2 {
-            return Err(CheckpointError::Corrupt(
-                "event field value is not a [tag, payload] pair".into(),
-            ));
-        }
-        Ok(match c::as_str(&pair[0], "field tag")? {
-            "i" => Value::Int(as_i64(&pair[1], "int field")?),
-            "f" => Value::Float(f64::from_bits(c::as_u64(&pair[1], "float field")?)),
-            "s" => Value::str(c::as_str(&pair[1], "str field")?),
-            "b" => Value::Bool(c::as_bool(&pair[1], "bool field")?),
-            other => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "unknown event field tag `{other}`"
-                )))
-            }
+    fn take(v: &Wire, at: &str) -> Result<Self, CheckpointError> {
+        let (tag, payload) = <(String, Wire)>::take(v, at)?;
+        Ok(match tag.as_str() {
+            "i" => Value::Int(Ck::take(&payload, at)?),
+            "f" => Value::Float(Ck::take(&payload, at)?),
+            "s" => Value::Str(Ck::take(&payload, at)?),
+            "b" => Value::Bool(Ck::take(&payload, at)?),
+            other => return Err(unknown(at, "event field tag", other)),
         })
     }
+}
 
-    pub(crate) fn event(e: &Event) -> Ck {
-        c::MapBuilder::new()
-            .time("time", e.time)
-            .str("type", &e.event_type)
-            .seq(
-                "fields",
-                e.fields
-                    .iter()
-                    .map(|(k, v)| Ck::Seq(vec![Ck::Str(k.to_string()), field_value(v)]))
-                    .collect(),
-            )
+/// `{time, type, fields: [[key, value]…]}`; the fields go back in through
+/// the setter, which keeps them sorted whatever order they arrive in.
+impl Ck for Event {
+    fn put(&self) -> Wire {
+        MapBuilder::new()
+            .put("time", &self.time)
+            .put("type", &self.event_type)
+            .put("fields", &self.fields)
             .build()
     }
 
-    pub(crate) fn event_back(v: &Ck) -> Result<Event, CheckpointError> {
-        let mut e = Event::new(c::get_time(v, "time")?, c::get_str(v, "type")?);
-        for fv in c::get_seq(v, "fields")? {
-            let pair = c::as_seq(fv, "fields[]")?;
-            if pair.len() != 2 {
-                return Err(CheckpointError::Corrupt(
-                    "event field is not a [key, value] pair".into(),
-                ));
-            }
-            e.set(
-                c::as_str(&pair[0], "field key")?,
-                field_value_back(&pair[1])?,
-            );
+    fn take(v: &Wire, _at: &str) -> Result<Self, CheckpointError> {
+        let mut e = Event::new_interned(get(v, "time")?, get(v, "type")?, 0);
+        for (key, value) in get::<Vec<(Arc<str>, Value)>>(v, "fields")? {
+            e.set_interned(key, value);
         }
         Ok(e)
     }
@@ -340,8 +301,8 @@ mod tests {
             .with("f", -0.1f64)
             .with("i", -3i64)
             .with("s", "/data/a");
-        let json = serde_json::to_string(&ck::event(&e)).unwrap();
-        let back = ck::event_back(&serde_json::parse_value(&json).unwrap()).unwrap();
+        let json = serde_json::to_string(&e.put()).unwrap();
+        let back = Event::take(&serde_json::parse_value(&json).unwrap(), "e").unwrap();
         assert_eq!(back, e);
         assert_eq!(
             back.get("f").unwrap().as_f64().unwrap().to_bits(),

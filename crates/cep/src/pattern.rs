@@ -148,29 +148,12 @@ impl PatternState {
     }
 }
 
+checkpoint::ck_record!(PatternMatch [first, second]);
+
 impl checkpoint::Checkpointable for PatternState {
     // The spec is rebuilt by re-registration on restore; only the pending
     // `A` queue and the emitted-match counter are runtime state.
-    fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::MapBuilder;
-        MapBuilder::new()
-            .seq(
-                "pending",
-                self.pending.iter().map(crate::event::ck::event).collect(),
-            )
-            .u64("matches_emitted", self.matches_emitted)
-            .build()
-    }
-
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        self.pending = c::get_seq(state, "pending")?
-            .iter()
-            .map(crate::event::ck::event_back)
-            .collect::<Result<_, _>>()?;
-        self.matches_emitted = c::get_u64(state, "matches_emitted")?;
-        Ok(())
-    }
+    checkpoint::ck_fields!(pending, matches_emitted);
 }
 
 #[cfg(test)]

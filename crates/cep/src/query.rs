@@ -689,6 +689,13 @@ impl QueryState {
     }
 }
 
+checkpoint::ck_record!(GroupAgg [events, numeric, sum]);
+
+/// A slim window entry on the wire, a fixed five cells: `[time,
+/// has_key, key, has_num, num]`. Group slot indices are a runtime
+/// detail; the wire carries the key string.
+type SlimRow = (SimTime, bool, Arc<str>, bool, f64);
+
 impl checkpoint::Checkpointable for QueryState {
     // The spec is NOT serialized: restore rebuilds the engine through the
     // same registration calls and only hydrates runtime state. The
@@ -696,134 +703,63 @@ impl checkpoint::Checkpointable for QueryState {
     // because incremental float sums can drift from a rescan — a restored
     // run must continue from the drifted values the live run holds.
     fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::MapBuilder;
-        use checkpoint::Value;
-        let agg = |g: &GroupAgg| {
-            vec![
-                Value::U64(g.events),
-                Value::U64(g.numeric),
-                Value::U64(g.sum.to_bits()),
-            ]
-        };
+        use checkpoint::codec::{Ck, MapBuilder};
         let window = match &self.store {
-            Store::Events(w) => w.save_state(),
-            Store::Slim { buf, .. } => MapBuilder::new()
-                .str("kind", "slim")
-                .seq(
-                    "buf",
-                    buf.iter()
-                        .map(|e| {
-                            // Fixed 5-slot shape: [time, has_key, key,
-                            // has_num, num_bits] — floats as raw bits so
-                            // round trips are bit-exact. Group indices
-                            // are a runtime detail; the wire format
-                            // carries the key string.
-                            let key = e
-                                .group
-                                .map(|gi| self.groups.key_of(gi).as_ref())
-                                .unwrap_or("");
-                            Value::Seq(vec![
-                                Value::U64(e.time.as_nanos()),
-                                Value::Bool(e.group.is_some()),
-                                Value::Str(key.to_string()),
-                                Value::Bool(e.num.is_some()),
-                                Value::U64(e.num.unwrap_or(0.0).to_bits()),
-                            ])
-                        })
-                        .collect(),
-                )
-                .build(),
+            Store::Events(w) => w.put(),
+            Store::Slim { buf, .. } => {
+                let no_key: Arc<str> = Arc::from("");
+                let rows: Vec<SlimRow> = buf
+                    .iter()
+                    .map(|e| {
+                        let key = e.group.map_or(&no_key, |gi| self.groups.key_of(gi));
+                        let num = e.num.unwrap_or(0.0);
+                        (e.time, e.group.is_some(), key.clone(), e.num.is_some(), num)
+                    })
+                    .collect();
+                MapBuilder::tagged("kind", "slim").put("buf", &rows).build()
+            }
         };
         // The group map iterates in hash order; serialize sorted so a
         // snapshot re-saves to identical bytes.
-        let mut groups: Vec<(&Arc<str>, &GroupAgg)> = self.groups.iter().collect();
-        groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut groups: Vec<(Arc<str>, GroupAgg)> =
+            self.groups.iter().map(|(k, g)| (k.clone(), *g)).collect();
+        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         MapBuilder::new()
-            .put("window", window)
-            .seq(
-                "groups",
-                groups
-                    .into_iter()
-                    .map(|(k, g)| {
-                        let mut row = vec![Value::Str(k.to_string())];
-                        row.extend(agg(g));
-                        Value::Seq(row)
-                    })
-                    .collect(),
-            )
-            .seq("total", agg(&self.total))
+            .raw("window", window)
+            .put("groups", &groups)
+            .put("total", &self.total)
             .build()
     }
 
     fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        fn agg_back(
-            parts: &[serde::Value],
-            at: usize,
-        ) -> Result<GroupAgg, checkpoint::CheckpointError> {
-            Ok(GroupAgg {
-                events: c::as_u64(&parts[at], "agg events")?,
-                numeric: c::as_u64(&parts[at + 1], "agg numeric")?,
-                sum: f64::from_bits(c::as_u64(&parts[at + 2], "agg sum")?),
-            })
-        }
+        use checkpoint::codec::{field, get, Ck};
         // Groups load first: slim window entries resolve their group
         // slot index against the rebuilt table.
         self.groups.clear();
-        for row in c::get_seq(state, "groups")? {
-            let parts = c::as_seq(row, "groups[]")?;
-            if parts.len() != 4 {
-                return Err(checkpoint::CheckpointError::Corrupt(
-                    "group row is not [key, events, numeric, sum]".into(),
-                ));
-            }
-            let key: Arc<str> = Arc::from(c::as_str(&parts[0], "group key")?);
+        for (key, agg) in get::<Vec<(Arc<str>, GroupAgg)>>(state, "groups")? {
             let idx = self.groups.index_of_key(&key);
-            self.groups.slots[idx as usize].agg = agg_back(parts, 1)?;
+            self.groups.slots[idx as usize].agg = agg;
         }
+        let window = field(state, "window")?;
         match &mut self.store {
-            Store::Events(w) => w.load_state(c::get(state, "window")?)?,
+            Store::Events(w) => *w = Window::take(window, "window")?,
             Store::Slim { buf, .. } => {
-                let window = c::get(state, "window")?;
-                if c::get_str(window, "kind")? != "slim" {
+                if get::<String>(window, "kind")? != "slim" {
                     return Err(checkpoint::CheckpointError::Corrupt(
                         "incremental query expects a slim window section".into(),
                     ));
                 }
                 buf.clear();
-                for row in c::get_seq(window, "buf")? {
-                    let parts = c::as_seq(row, "slim buf[]")?;
-                    if parts.len() != 5 {
-                        return Err(checkpoint::CheckpointError::Corrupt(
-                            "slim entry is not [time, has_key, key, has_num, num]".into(),
-                        ));
-                    }
-                    let group = if c::as_bool(&parts[1], "slim has_key")? {
-                        let key: Arc<str> = Arc::from(c::as_str(&parts[2], "slim key")?);
-                        Some(self.groups.index_of_key(&key))
-                    } else {
-                        None
-                    };
-                    let num = if c::as_bool(&parts[3], "slim has_num")? {
-                        Some(f64::from_bits(c::as_u64(&parts[4], "slim num")?))
-                    } else {
-                        None
-                    };
+                for (time, has_key, key, has_num, num) in get::<Vec<SlimRow>>(window, "buf")? {
                     buf.push_back(SlimEntry {
-                        time: SimTime::from_nanos(c::as_u64(&parts[0], "slim time")?),
-                        group,
-                        num,
+                        time,
+                        group: has_key.then(|| self.groups.index_of_key(&key)),
+                        num: has_num.then_some(num),
                     });
                 }
             }
         }
-        let total = c::get_seq(state, "total")?;
-        if total.len() != 3 {
-            return Err(checkpoint::CheckpointError::Corrupt(
-                "total is not [events, numeric, sum]".into(),
-            ));
-        }
-        self.total = agg_back(total, 0)?;
+        self.total = get(state, "total")?;
         Ok(())
     }
 }

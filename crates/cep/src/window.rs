@@ -114,48 +114,10 @@ impl Window {
     }
 }
 
-impl checkpoint::Checkpointable for Window {
-    fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::MapBuilder;
-        let events = |buf: &VecDeque<Event>| buf.iter().map(crate::event::ck::event).collect();
-        match self {
-            Window::Time { span, buf } => MapBuilder::new()
-                .str("kind", "time")
-                .u64("span", span.as_nanos())
-                .seq("buf", events(buf))
-                .build(),
-            Window::Length { capacity, buf } => MapBuilder::new()
-                .str("kind", "length")
-                .u64("capacity", *capacity as u64)
-                .seq("buf", events(buf))
-                .build(),
-        }
-    }
-
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        let buf: VecDeque<Event> = c::get_seq(state, "buf")?
-            .iter()
-            .map(crate::event::ck::event_back)
-            .collect::<Result<_, _>>()?;
-        *self = match c::get_str(state, "kind")? {
-            "time" => Window::Time {
-                span: SimDuration::from_nanos(c::get_u64(state, "span")?),
-                buf,
-            },
-            "length" => Window::Length {
-                capacity: c::get_usize(state, "capacity")?,
-                buf,
-            },
-            other => {
-                return Err(checkpoint::CheckpointError::Corrupt(format!(
-                    "unknown window kind `{other}`"
-                )))
-            }
-        };
-        Ok(())
-    }
-}
+checkpoint::ck_tagged!(Window, "kind" {
+    "time" => Time { span, buf },
+    "length" => Length { capacity, buf },
+});
 
 #[cfg(test)]
 mod tests {

@@ -13,14 +13,31 @@
 //! # Architecture
 //!
 //! Serialisation goes through the workspace serde stand-in's [`Value`]
-//! tree. The vendored derive only handles simple shapes, so every
-//! stateful type writes a hand-rolled codec via the [`Checkpointable`]
-//! trait, implemented *in the owning crate* (the codecs need private
-//! fields). `simcore` sits below this crate in the dependency DAG, so
-//! its types expose state accessors
-//! ([`DetRng::state`](simcore::rng::DetRng::state),
-//! [`EventQueue::snapshot`](simcore::EventQueue::snapshot), …) and the
-//! codecs live with their callers instead.
+//! tree, and every type that appears in a snapshot has **one** wire
+//! form, given by the [`codec::Ck`] value trait. [`codec`] implements it
+//! once for the integers (range-checked on the way back), `bool`,
+//! `String`, `f64` (raw bits), times, `Option`, the sequence
+//! collections, tuples and maps, and four declarations implement it
+//! for a crate's own types: [`ck_id!`] (an id newtype is its integer),
+//! [`ck_record!`] (a struct is a `Map` of its named fields, or a
+//! positional row), [`ck_enum!`] (a unit enum is its declared wire
+//! name) and [`ck_tagged!`] (an enum with fields is a `Map` opening
+//! with its variant's tag). A component that hydrates in place lists
+//! its fields once in [`ck_fields!`], which writes both
+//! [`Checkpointable`] methods. The impls live *in the owning crate*
+//! (they need private fields); `simcore` sits below this crate in the
+//! dependency DAG, so its snapshot structs
+//! ([`QueueSnapshot`](simcore::queue::QueueSnapshot),
+//! [`DurabilityState`](simcore::stats::DurabilityState), the durability
+//! ledger and the metric registry) are declared here instead.
+//!
+//! A handful of shapes stay hand-written, one `Ck` (or section) each,
+//! next to the type, because the format-2 bytes they write are not a
+//! plain record: `JournalEntry` (one flat map shared with its event),
+//! `FileMeta`'s flattened storage mode, `FileCtl`'s in-flight slot
+//! list, `BlockMap`'s parallel columns, the flow completion the cluster
+//! lifts out of its event queue, the Q-table's sparse diff, a CEP
+//! event's tagged field values and the slim CEP window.
 //!
 //! Restore is **rebuild-then-hydrate**: the caller reconstructs each
 //! component through its normal constructor (closures, trait objects and
@@ -33,8 +50,9 @@
 //!
 //! # Bit-exactness
 //!
-//! Every `f64` in a snapshot is encoded as its raw IEEE-754 bits
-//! ([`codec::f64_bits`]) so a save/load round trip through JSON never
+//! Every `f64` in a snapshot is encoded as its raw IEEE-754 bits (the
+//! only [`codec::Ck`] an `f64` has, so a JSON float cannot be written
+//! by construction) and a save/load round trip through JSON never
 //! re-parses a float. That is what makes the resume-equivalence guard
 //! possible: a run resumed from a snapshot emits a telemetry suffix that
 //! concatenates with the pre-snapshot prefix into the byte-identical
@@ -66,4 +84,13 @@ pub trait Checkpointable {
     /// path (same config, same seed-independent wiring) that produced
     /// the saved one; static wiring is not part of the state.
     fn load_state(&mut self, state: &Value) -> Result<(), CheckpointError>;
+}
+
+impl<T: Checkpointable + ?Sized> Checkpointable for Box<T> {
+    fn save_state(&self) -> Value {
+        (**self).save_state()
+    }
+    fn load_state(&mut self, state: &Value) -> Result<(), CheckpointError> {
+        (**self).load_state(state)
+    }
 }

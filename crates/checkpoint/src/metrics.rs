@@ -1,77 +1,88 @@
-//! Codec for [`simcore::MetricsRegistry`].
+//! Codecs for [`simcore::MetricsRegistry`] and
+//! [`simcore::stats::DurabilityLog`].
 //!
 //! `simcore` sits below this crate in the dependency DAG, so — unlike
 //! the substrate codecs that live with their owning crates — the
-//! registry's [`Checkpointable`] impl lives here, built entirely on the
-//! registry's public accessors. Counters, gauges and histograms all
-//! round-trip; floats go through [`crate::codec::f64_bits`] so a restored
+//! [`Checkpointable`] impls of its two stateful components live here,
+//! built entirely on their public accessors. Counters, gauges and histograms all
+//! round-trip; floats go through as raw bits so a restored
 //! registry's `snapshot_json` is byte-identical to the saved one's,
 //! which is what lets the resume-equivalence guard extend from traces
 //! to metric dumps.
 
-use crate::codec as c;
+use crate::codec::{self as c, Ck};
 use crate::{CheckpointError, Checkpointable, Value};
+use simcore::stats::{DurabilityLog, DurabilityState};
 use simcore::telemetry::MetricHistogram;
 use simcore::MetricsRegistry;
+use std::collections::BTreeMap;
+
+/// The durability ledger is its [`DurabilityState`].
+impl Checkpointable for DurabilityLog {
+    fn save_state(&self) -> Value {
+        self.state().put()
+    }
+
+    fn load_state(&mut self, state: &Value) -> Result<(), CheckpointError> {
+        self.set_state(DurabilityState::take(state, "durability")?);
+        Ok(())
+    }
+}
+
+/// A histogram's parts, as the wire names them.
+struct Histogram {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    buckets: Vec<u64>,
+}
+crate::ck_record!(Histogram {
+    count,
+    sum,
+    min,
+    max,
+    buckets
+});
+
+/// A name-sorted iterator as a `Map`.
+fn by_name<'a, T, V: Ck>(
+    items: impl Iterator<Item = (&'a str, T)>,
+    wire: impl Fn(T) -> V,
+) -> Value {
+    Value::Map(items.map(|(k, x)| (k.to_string(), wire(x).put())).collect())
+}
 
 impl Checkpointable for MetricsRegistry {
     fn save_state(&self) -> Value {
-        let counters = Value::Map(
-            self.counters()
-                .map(|(k, v)| (k.to_string(), Value::U64(v)))
-                .collect(),
-        );
-        let gauges = Value::Map(
-            self.gauges()
-                .map(|(k, v)| (k.to_string(), c::f64_bits(v)))
-                .collect(),
-        );
-        let histograms = Value::Map(
-            self.histograms()
-                .map(|(k, h)| {
-                    let v = c::MapBuilder::new()
-                        .u64("count", h.count)
-                        .f64b("sum", h.sum)
-                        .f64b("min", h.min)
-                        .f64b("max", h.max)
-                        .seq(
-                            "buckets",
-                            h.buckets().iter().map(|&b| Value::U64(b)).collect(),
-                        )
-                        .build();
-                    (k.to_string(), v)
-                })
-                .collect(),
-        );
         c::MapBuilder::new()
-            .put("counters", counters)
-            .put("gauges", gauges)
-            .put("histograms", histograms)
+            .raw("counters", by_name(self.counters(), |n| n))
+            .raw("gauges", by_name(self.gauges(), |x| x))
+            .raw(
+                "histograms",
+                by_name(self.histograms(), |h| Histogram {
+                    count: h.count,
+                    sum: h.sum,
+                    min: h.min,
+                    max: h.max,
+                    buckets: h.buckets().to_vec(),
+                }),
+            )
             .build()
     }
 
     fn load_state(&mut self, state: &Value) -> Result<(), CheckpointError> {
         let mut fresh = MetricsRegistry::default();
-        for (k, v) in c::as_map(c::get(state, "counters")?, "counters")? {
-            fresh.restore_counter(k, c::as_u64(v, k)?);
+        for (k, n) in c::get::<BTreeMap<String, u64>>(state, "counters")? {
+            fresh.restore_counter(&k, n);
         }
-        for (k, v) in c::as_map(c::get(state, "gauges")?, "gauges")? {
-            fresh.restore_gauge(k, c::as_f64_bits(v, k)?);
+        for (k, x) in c::get::<BTreeMap<String, f64>>(state, "gauges")? {
+            fresh.restore_gauge(&k, x);
         }
-        for (k, v) in c::as_map(c::get(state, "histograms")?, "histograms")? {
-            let buckets = c::get_seq(v, "buckets")?
-                .iter()
-                .map(|b| c::as_u64(b, "buckets"))
-                .collect::<Result<Vec<u64>, _>>()?;
+        for (k, h) in c::get::<BTreeMap<String, Histogram>>(state, "histograms")? {
             fresh.restore_histogram(
-                k,
-                MetricHistogram::from_parts(
-                    c::get_u64(v, "count")?,
-                    c::get_f64b(v, "sum")?,
-                    c::get_f64b(v, "min")?,
-                    c::get_f64b(v, "max")?,
-                    buckets,
-                ),
+                &k,
+                MetricHistogram::from_parts(h.count, h.sum, h.min, h.max, h.buckets),
             );
         }
         *self = fresh;
@@ -124,7 +135,7 @@ mod tests {
         let mut reg = MetricsRegistry::default();
         assert!(reg.load_state(&Value::Null).is_err());
         let missing = c::MapBuilder::new()
-            .put("counters", Value::Map(vec![]))
+            .raw("counters", Value::Map(vec![]))
             .build();
         assert!(matches!(
             reg.load_state(&missing),

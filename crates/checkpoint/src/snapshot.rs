@@ -102,24 +102,28 @@ impl Snapshot {
     /// else.
     pub fn from_json(s: &str) -> Result<Self, CheckpointError> {
         let doc = serde_json::parse_value(s).map_err(|e| CheckpointError::Parse(e.to_string()))?;
-        let version = codec::get_u32(&doc, "version")?;
+        let version: u32 = codec::get(&doc, "version")?;
         if version != FORMAT_VERSION {
             return Err(CheckpointError::UnknownVersion {
                 found: version,
                 supported: FORMAT_VERSION,
             });
         }
-        let meta_v = codec::get(&doc, "meta")?;
+        let meta_v = codec::field(&doc, "meta")?;
         let meta = SnapshotMeta {
-            scenario: codec::get_str(meta_v, "scenario")?.to_string(),
-            seed: codec::get_u64(meta_v, "seed")?,
-            tick: codec::get_u64(meta_v, "tick")?,
+            scenario: codec::get(meta_v, "scenario")?,
+            seed: codec::get(meta_v, "seed")?,
+            tick: codec::get(meta_v, "tick")?,
         };
-        let sections_v = codec::get(&doc, "sections")?;
-        let sections = codec::as_map(sections_v, "sections")?
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+        let sections = match codec::field(&doc, "sections")? {
+            Value::Map(m) => m.iter().cloned().collect(),
+            _ => {
+                return Err(CheckpointError::TypeMismatch {
+                    field: "sections".into(),
+                    expected: "map",
+                })
+            }
+        };
         Ok(Snapshot {
             version,
             meta,
@@ -159,18 +163,15 @@ mod tests {
     #[test]
     fn envelope_round_trips() {
         let mut s = Snapshot::new(meta());
-        s.insert_section("a", MapBuilder::new().u64("x", 1).build());
-        s.insert_section("b", MapBuilder::new().f64b("y", -2.5).build());
+        s.insert_section("a", MapBuilder::new().put("x", &1u64).build());
+        s.insert_section("b", MapBuilder::new().put("y", &-2.5f64).build());
         let json = s.to_json();
         let back = Snapshot::from_json(&json).unwrap();
         assert_eq!(back.version, FORMAT_VERSION);
         assert_eq!(back.meta, meta());
         assert_eq!(back.section_names().collect::<Vec<_>>(), vec!["a", "b"]);
-        assert_eq!(codec::get_u64(back.section("a").unwrap(), "x").unwrap(), 1);
-        assert_eq!(
-            codec::get_f64b(back.section("b").unwrap(), "y").unwrap(),
-            -2.5
-        );
+        assert_eq!(codec::get::<u64>(back.section("a").unwrap(), "x"), Ok(1));
+        assert_eq!(codec::get::<f64>(back.section("b").unwrap(), "y"), Ok(-2.5));
         assert!(matches!(
             back.section("missing"),
             Err(CheckpointError::MissingSection(_))
@@ -216,10 +217,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
         let mut s = Snapshot::new(meta());
-        s.insert_section("a", MapBuilder::new().u64("x", 9).build());
+        s.insert_section("a", MapBuilder::new().put("x", &9u64).build());
         s.write_file(&path).unwrap();
         let back = Snapshot::read_file(&path).unwrap();
-        assert_eq!(codec::get_u64(back.section("a").unwrap(), "x").unwrap(), 9);
+        assert_eq!(codec::get::<u64>(back.section("a").unwrap(), "x"), Ok(9));
         assert!(matches!(
             Snapshot::read_file(dir.join("absent.json")),
             Err(CheckpointError::Io(_))

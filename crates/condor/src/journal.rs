@@ -7,6 +7,8 @@
 //! back into per-job final states and is property-tested (in the
 //! scheduler) to agree with live state.
 
+use checkpoint::codec::{get, unknown, Ck, MapBuilder};
+use checkpoint::{CheckpointError, Value};
 use simcore::SimTime;
 use std::fmt;
 
@@ -149,94 +151,65 @@ impl<P: Clone> Journal<P> {
             .filter_map(|(job, _)| self.payload_of(job).map(|p| (job, p)))
             .collect()
     }
+}
 
-    /// Snapshot the log, encoding payloads through `enc`. The journal is
-    /// generic over its payload, so (de)serialization is parameterised
-    /// rather than bound to a trait the payload may not implement.
-    pub fn save_state_with(&self, enc: impl Fn(&P) -> checkpoint::Value) -> checkpoint::Value {
-        use checkpoint::codec::MapBuilder;
-        use checkpoint::Value;
-        Value::Seq(
-            self.entries
-                .iter()
-                .map(|e| {
-                    let b = MapBuilder::new()
-                        .u64("t", e.time.as_nanos())
-                        .u64("job", e.job.0);
-                    match &e.event {
-                        JournalEvent::Submitted { payload, priority } => {
-                            b.str("ev", "submitted").put("payload", enc(payload)).str(
-                                "priority",
-                                match priority {
-                                    crate::scheduler::Priority::Immediate => "immediate",
-                                    crate::scheduler::Priority::WhenIdle => "when_idle",
-                                },
-                            )
-                        }
-                        JournalEvent::Started { attempt } => {
-                            b.str("ev", "started").u64("attempt", u64::from(*attempt))
-                        }
-                        JournalEvent::Completed => b.str("ev", "completed"),
-                        JournalEvent::Failed { reason, attempt } => b
-                            .str("ev", "failed")
-                            .str("reason", reason)
-                            .u64("attempt", u64::from(*attempt)),
-                        JournalEvent::RollbackRequested => b.str("ev", "rollback_requested"),
-                        JournalEvent::RolledBack => b.str("ev", "rolled_back"),
-                    }
-                    .build()
-                })
-                .collect(),
-        )
+checkpoint::ck_id!(JobId);
+
+// `{"t", "job", "ev": kind, ...the event's fields}` — the entry and its
+// event share one flat map.
+impl<P: Ck> Ck for JournalEntry<P> {
+    fn put(&self) -> Value {
+        let b = MapBuilder::new().put("t", &self.time).put("job", &self.job);
+        let ev = |name| b.raw("ev", Value::Str(String::from(name)));
+        match &self.event {
+            JournalEvent::Submitted { payload, priority } => ev("submitted")
+                .put("payload", payload)
+                .put("priority", priority),
+            JournalEvent::Started { attempt } => ev("started").put("attempt", attempt),
+            JournalEvent::Completed => ev("completed"),
+            JournalEvent::Failed { reason, attempt } => {
+                ev("failed").put("reason", reason).put("attempt", attempt)
+            }
+            JournalEvent::RollbackRequested => ev("rollback_requested"),
+            JournalEvent::RolledBack => ev("rolled_back"),
+        }
+        .build()
     }
 
-    /// Replace the log with a snapshot taken by
-    /// [`Self::save_state_with`], decoding payloads through `dec`.
-    pub fn load_state_with(
-        &mut self,
-        state: &checkpoint::Value,
-        dec: impl Fn(&checkpoint::Value) -> Result<P, checkpoint::CheckpointError>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        let entries = c::as_seq(state, "journal")?;
-        let mut out = Vec::with_capacity(entries.len());
-        for e in entries {
-            let event = match c::get_str(e, "ev")? {
-                "submitted" => JournalEvent::Submitted {
-                    payload: dec(c::get(e, "payload")?)?,
-                    priority: match c::get_str(e, "priority")? {
-                        "immediate" => crate::scheduler::Priority::Immediate,
-                        "when_idle" => crate::scheduler::Priority::WhenIdle,
-                        other => {
-                            return Err(checkpoint::CheckpointError::Corrupt(format!(
-                                "unknown priority `{other}`"
-                            )))
-                        }
-                    },
-                },
-                "started" => JournalEvent::Started {
-                    attempt: c::get_u32(e, "attempt")?,
-                },
-                "completed" => JournalEvent::Completed,
-                "failed" => JournalEvent::Failed {
-                    reason: c::get_str(e, "reason")?.to_string(),
-                    attempt: c::get_u32(e, "attempt")?,
-                },
-                "rollback_requested" => JournalEvent::RollbackRequested,
-                "rolled_back" => JournalEvent::RolledBack,
-                other => {
-                    return Err(checkpoint::CheckpointError::Corrupt(format!(
-                        "unknown journal event `{other}`"
-                    )))
-                }
-            };
-            out.push(JournalEntry {
-                time: SimTime::from_nanos(c::get_u64(e, "t")?),
-                job: JobId(c::get_u64(e, "job")?),
-                event,
-            });
-        }
-        self.entries = out;
+    fn take(v: &Value, at: &str) -> Result<Self, CheckpointError> {
+        let event = match get::<String>(v, "ev")?.as_str() {
+            "submitted" => JournalEvent::Submitted {
+                payload: get(v, "payload")?,
+                priority: get(v, "priority")?,
+            },
+            "started" => JournalEvent::Started {
+                attempt: get(v, "attempt")?,
+            },
+            "completed" => JournalEvent::Completed,
+            "failed" => JournalEvent::Failed {
+                reason: get(v, "reason")?,
+                attempt: get(v, "attempt")?,
+            },
+            "rollback_requested" => JournalEvent::RollbackRequested,
+            "rolled_back" => JournalEvent::RolledBack,
+            other => return Err(unknown(at, "journal event", other)),
+        };
+        Ok(JournalEntry {
+            time: get(v, "t")?,
+            job: get(v, "job")?,
+            event,
+        })
+    }
+}
+
+/// The log is the sequence of its entries.
+impl<P: Ck> checkpoint::Checkpointable for Journal<P> {
+    fn save_state(&self) -> Value {
+        self.entries.put()
+    }
+
+    fn load_state(&mut self, state: &Value) -> Result<(), CheckpointError> {
+        self.entries = Ck::take(state, "journal")?;
         Ok(())
     }
 }
@@ -245,6 +218,7 @@ impl<P: Clone> Journal<P> {
 mod tests {
     use super::*;
     use crate::scheduler::Priority;
+    use checkpoint::Checkpointable;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -366,13 +340,10 @@ mod tests {
         j.record(t(5), a, JournalEvent::RollbackRequested);
         j.record(t(6), a, JournalEvent::RolledBack);
 
-        let saved = j.save_state_with(|p| checkpoint::Value::Str(p.clone()));
-        let json = serde_json::to_string(&saved).unwrap();
+        let json = serde_json::to_string(&j.save_state()).unwrap();
         let mut back: Journal<String> = Journal::new();
-        back.load_state_with(&serde_json::parse_value(&json).unwrap(), |v| {
-            checkpoint::codec::as_str(v, "payload").map(str::to_string)
-        })
-        .unwrap();
+        back.load_state(&serde_json::parse_value(&json).unwrap())
+            .unwrap();
         assert_eq!(back.entries(), j.entries());
     }
 

@@ -16,6 +16,7 @@
 //! surfaced via [`Scheduler::take_rollbacks`].
 
 use crate::journal::{Journal, JournalEvent};
+use checkpoint::codec::{Ck, Keyed};
 use simcore::telemetry::{Event as TelemetryEvent, TelemetrySink};
 use simcore::{trace, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -105,6 +106,7 @@ pub enum JobState {
 
 #[derive(Debug, Clone)]
 struct Job<P> {
+    id: JobId,
     payload: P,
     priority: Priority,
     state: JobState,
@@ -183,6 +185,7 @@ impl<P: Clone> Scheduler<P> {
         self.jobs.insert(
             id,
             Job {
+                id,
                 payload,
                 priority,
                 state: JobState::Queued,
@@ -385,150 +388,37 @@ impl<P: Clone> Scheduler<P> {
     pub fn pending(&self) -> usize {
         self.immediate.len() + self.idle.len() + self.running.len()
     }
+}
 
-    /// Snapshot all dynamic state, encoding payloads through `enc`.
-    /// Construction-time config (`max_concurrent`, `max_attempts`, the
-    /// retry policy) and the telemetry sink are rebuilt by the caller,
-    /// not serialized.
-    pub fn save_state_with(&self, enc: impl Fn(&P) -> checkpoint::Value) -> checkpoint::Value {
-        use checkpoint::codec::{seq_of, MapBuilder};
-        use checkpoint::Value;
-        let priority_str = |p: Priority| match p {
-            Priority::Immediate => "immediate",
-            Priority::WhenIdle => "when_idle",
-        };
-        MapBuilder::new()
-            .u64("next_id", self.next_id)
-            .seq(
-                "jobs",
-                self.jobs
-                    .iter()
-                    .map(|(id, j)| {
-                        MapBuilder::new()
-                            .u64("id", id.0)
-                            .put("payload", enc(&j.payload))
-                            .str("priority", priority_str(j.priority))
-                            .str(
-                                "state",
-                                match j.state {
-                                    JobState::Queued => "queued",
-                                    JobState::Running => "running",
-                                    JobState::Completed => "completed",
-                                    JobState::Failed => "failed",
-                                },
-                            )
-                            .u64("attempts", u64::from(j.attempts))
-                            .time("submitted", j.submitted)
-                            .build()
-                    })
-                    .collect(),
-            )
-            .put(
-                "immediate",
-                seq_of(self.immediate.iter(), |id| Value::U64(id.0)),
-            )
-            .put("idle", seq_of(self.idle.iter(), |id| Value::U64(id.0)))
-            .put(
-                "running",
-                seq_of(self.running.iter(), |id| Value::U64(id.0)),
-            )
-            .put("journal", self.journal.save_state_with(&enc))
-            .seq(
-                "rollbacks",
-                self.rollbacks
-                    .iter()
-                    .map(|(id, p)| Value::Seq(vec![Value::U64(id.0), enc(p)]))
-                    .collect(),
-            )
-            .seq(
-                "not_before",
-                self.not_before
-                    .iter()
-                    .map(|(id, at)| Value::Seq(vec![Value::U64(id.0), Value::U64(at.as_nanos())]))
-                    .collect(),
-            )
-            .build()
+checkpoint::ck_enum!(Priority { Immediate => "immediate", WhenIdle => "when_idle" });
+checkpoint::ck_enum!(JobState {
+    Queued => "queued",
+    Running => "running",
+    Completed => "completed",
+    Failed => "failed",
+});
+checkpoint::ck_record!(Job<P> where P { id, payload, priority, state, attempts, submitted });
+
+impl<P> Keyed for Job<P> {
+    type Key = JobId;
+    fn key(&self) -> JobId {
+        self.id
     }
+}
 
-    /// Restore dynamic state from
-    /// [`Self::save_state_with`], decoding payloads through `dec`.
-    pub fn load_state_with(
-        &mut self,
-        state: &checkpoint::Value,
-        dec: impl Fn(&checkpoint::Value) -> Result<P, checkpoint::CheckpointError>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        use checkpoint::CheckpointError;
-        let ids = |key: &str| -> Result<Vec<JobId>, CheckpointError> {
-            c::get_seq(state, key)?
-                .iter()
-                .map(|v| c::as_u64(v, key).map(JobId))
-                .collect()
-        };
-        self.jobs.clear();
-        for jv in c::get_seq(state, "jobs")? {
-            let id = JobId(c::get_u64(jv, "id")?);
-            let job = Job {
-                payload: dec(c::get(jv, "payload")?)?,
-                priority: match c::get_str(jv, "priority")? {
-                    "immediate" => Priority::Immediate,
-                    "when_idle" => Priority::WhenIdle,
-                    other => {
-                        return Err(CheckpointError::Corrupt(format!(
-                            "unknown priority `{other}`"
-                        )))
-                    }
-                },
-                state: match c::get_str(jv, "state")? {
-                    "queued" => JobState::Queued,
-                    "running" => JobState::Running,
-                    "completed" => JobState::Completed,
-                    "failed" => JobState::Failed,
-                    other => {
-                        return Err(CheckpointError::Corrupt(format!(
-                            "unknown job state `{other}`"
-                        )))
-                    }
-                },
-                attempts: c::get_u32(jv, "attempts")?,
-                submitted: c::get_time(jv, "submitted")?,
-            };
-            self.jobs.insert(id, job);
-        }
-        self.immediate = ids("immediate")?.into();
-        self.idle = ids("idle")?.into();
-        self.running = ids("running")?.into_iter().collect();
-        self.journal
-            .load_state_with(c::get(state, "journal")?, &dec)?;
-        self.rollbacks = c::get_seq(state, "rollbacks")?
-            .iter()
-            .map(|v| {
-                let pair = c::as_seq(v, "rollbacks[]")?;
-                if pair.len() != 2 {
-                    return Err(CheckpointError::Corrupt(
-                        "rollback entry is not [id, payload]".into(),
-                    ));
-                }
-                Ok((JobId(c::as_u64(&pair[0], "rollback id")?), dec(&pair[1])?))
-            })
-            .collect::<Result<_, _>>()?;
-        self.not_before = c::get_seq(state, "not_before")?
-            .iter()
-            .map(|v| {
-                let pair = c::as_seq(v, "not_before[]")?;
-                if pair.len() != 2 {
-                    return Err(CheckpointError::Corrupt(
-                        "backoff entry is not [id, time]".into(),
-                    ));
-                }
-                Ok((
-                    JobId(c::as_u64(&pair[0], "backoff id")?),
-                    SimTime::from_nanos(c::as_u64(&pair[1], "backoff at")?),
-                ))
-            })
-            .collect::<Result<_, _>>()?;
-        self.next_id = c::get_u64(state, "next_id")?;
-        Ok(())
+/// All dynamic state. Construction-time config (`max_concurrent`,
+/// `max_attempts`, the retry policy) and the telemetry sink are rebuilt
+/// by the caller, not serialized.
+impl<P: Ck + Clone> checkpoint::Checkpointable for Scheduler<P> {
+    checkpoint::ck_fields! {
+        next_id,
+        jobs: keyed,
+        immediate,
+        idle,
+        running,
+        journal: state,
+        rollbacks,
+        not_before,
     }
 }
 
@@ -536,6 +426,7 @@ impl<P: Clone> Scheduler<P> {
 mod tests {
     use super::*;
     use crate::journal::ReplayState;
+    use checkpoint::Checkpointable;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -907,9 +798,6 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trip_resumes_identically() {
-        let enc = |p: &u32| checkpoint::Value::U64(u64::from(*p));
-        let dec = |v: &checkpoint::Value| checkpoint::codec::as_u64(v, "payload").map(|n| n as u32);
-
         let mut live: Scheduler<u32> = Scheduler::with_retry_policy(2, 2, backoff_policy());
         for i in 0..6u32 {
             let pri = if i % 2 == 0 {
@@ -924,10 +812,10 @@ mod tests {
         live.report(t(3), d[1].0, Outcome::Success);
         live.dispatch(t(3), true); // leaves jobs running across the snapshot
 
-        let json = serde_json::to_string(&live.save_state_with(enc)).unwrap();
+        let json = serde_json::to_string(&live.save_state()).unwrap();
         let mut restored: Scheduler<u32> = Scheduler::with_retry_policy(2, 2, backoff_policy());
         restored
-            .load_state_with(&serde_json::parse_value(&json).unwrap(), dec)
+            .load_state(&serde_json::parse_value(&json).unwrap())
             .unwrap();
 
         assert_eq!(restored.queue_depths(), live.queue_depths());
@@ -953,6 +841,64 @@ mod tests {
             live.submit(t(101), 99, Priority::Immediate),
             restored.submit(t(101), 99, Priority::Immediate)
         );
+    }
+
+    /// A scheduler with every queue occupied: immediate and idle jobs
+    /// waiting, two running, one in retry backoff, one rollback drained
+    /// and one still pending, and a journal holding every event kind.
+    fn busy_scheduler() -> Scheduler<u32> {
+        let mut s: Scheduler<u32> = Scheduler::with_retry_policy(3, 2, backoff_policy());
+        for i in 0..8u32 {
+            let pri = if i % 2 == 0 {
+                Priority::Immediate
+            } else {
+                Priority::WhenIdle
+            };
+            s.submit(t(0), i * 11, pri);
+        }
+        let fail = || Outcome::Failure("dn died".into());
+        assert_eq!(s.dispatch(t(1), false).len(), 3);
+        s.report(t(2), JobId(0), fail());
+        s.report(t(2), JobId(2), Outcome::Success);
+        s.report(t(3), JobId(4), fail());
+        assert_eq!(s.dispatch(t(20), false).len(), 3);
+        s.report(t(21), JobId(0), fail());
+        assert_eq!(s.take_rollbacks(t(21)).len(), 1);
+        s.report(t(22), JobId(4), fail());
+        assert_eq!(s.dispatch(t(23), true).len(), 2);
+        s.report(t(24), JobId(1), fail());
+        s.submit(t(25), 88, Priority::Immediate);
+        s.submit(t(25), 99, Priority::WhenIdle);
+        s
+    }
+
+    #[test]
+    fn a_busy_scheduler_snapshot_is_pinned_and_reloads_byte_for_byte() {
+        let s = busy_scheduler();
+        assert!(!s.immediate.is_empty() && !s.idle.is_empty() && !s.running.is_empty());
+        assert!(!s.rollbacks.is_empty() && !s.not_before.is_empty());
+        let kinds: std::collections::HashSet<_> = s
+            .journal
+            .entries()
+            .iter()
+            .map(|e| std::mem::discriminant(&e.event))
+            .collect();
+        assert_eq!(kinds.len(), 6, "every journal event kind is present");
+
+        let json = serde_json::to_string(&s.save_state()).unwrap();
+        let fnv = json.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        println!("busy scheduler: {fnv:#018x} {}", json.len());
+        assert_eq!(
+            (fnv, json.len()),
+            (0x9ca9_1d70_1bc7_115b, 2724),
+            "busy-scheduler snapshot bytes changed"
+        );
+        let mut back: Scheduler<u32> = Scheduler::with_retry_policy(3, 2, backoff_policy());
+        back.load_state(&serde_json::parse_value(&json).unwrap())
+            .unwrap();
+        assert_eq!(serde_json::to_string(&back.save_state()).unwrap(), json);
     }
 
     #[test]

@@ -278,19 +278,7 @@ impl checkpoint::Checkpointable for DataJudge {
     // same deterministic order, yielding identical ids), then hydrated.
     // Only the CEP engine's runtime state and the parse-error counter
     // are dynamic.
-    fn save_state(&self) -> checkpoint::Value {
-        checkpoint::codec::MapBuilder::new()
-            .put("engine", self.engine.save_state())
-            .u64("parse_errors", self.parse_errors as u64)
-            .build()
-    }
-
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        self.engine.load_state(c::get(state, "engine")?)?;
-        self.parse_errors = c::get_usize(state, "parse_errors")?;
-        Ok(())
-    }
+    checkpoint::ck_fields!(engine: state, parse_errors);
 }
 
 /// The judge reads its own CEP engine through the probe view; the

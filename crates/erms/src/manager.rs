@@ -32,6 +32,8 @@ use crate::judge::{
 };
 use crate::model::ActiveStandbyModel;
 use crate::replication::optimal_replication;
+use checkpoint::codec::{unknown, Ck};
+use checkpoint::{CheckpointError, Value};
 use condor::matchmaker::Matchmaker;
 use condor::parser::parse_expr;
 use condor::scheduler::{JobId, JobState, Outcome, Priority, Scheduler};
@@ -1397,126 +1399,65 @@ fn class_name(class: DataClass) -> &'static str {
     }
 }
 
-/// Checkpoint codecs for [`ErmsTask`] — the payload handed to Condor's
-/// generic `save_state_with`/`load_state_with` — and the two record
-/// kinds.
-mod ck {
-    use super::{ErmsTask, FileCtl, JobCtl, TASK_KINDS};
-    use checkpoint::codec as c;
-    use checkpoint::{CheckpointError, Value};
-    use condor::scheduler::JobId;
-    use simcore::SimTime;
+checkpoint::ck_tagged!(ErmsTask, "kind" {
+    "increase" => Increase { path, target },
+    "decrease" => Decrease { path, target },
+    "encode" => Encode { path },
+    "decode" => Decode { path, target },
+    "repair" => Repair { path },
+});
 
-    pub(super) fn task(t: &ErmsTask) -> Value {
-        let (kind, path, target) = match t {
-            ErmsTask::Increase { path, target } => ("increase", path, Some(*target)),
-            ErmsTask::Decrease { path, target } => ("decrease", path, Some(*target)),
-            ErmsTask::Encode { path } => ("encode", path, None),
-            ErmsTask::Decode { path, target } => ("decode", path, Some(*target)),
-            ErmsTask::Repair { path } => ("repair", path, None),
-        };
-        let mut b = c::MapBuilder::new().str("kind", kind).str("path", path);
-        if let Some(t) = target {
-            b = b.u64("target", t as u64);
-        }
-        b.build()
+/// `[boosted, cooled_streak, active, cold_due | null, [[kind, job]…]]` —
+/// of the in-flight slots, the ones that hold a job, by task kind.
+type FileCtlRow = (bool, u32, bool, Option<SimTime>, Vec<(usize, JobId)>);
+
+impl FileCtl {
+    fn row(&self) -> FileCtlRow {
+        let slots = self.inflight.iter().enumerate();
+        let held = slots.filter_map(|(kind, job)| Some((kind, (*job)?)));
+        (
+            self.boosted,
+            self.cooled_streak,
+            self.active,
+            self.cold_due,
+            held.collect(),
+        )
     }
 
-    pub(super) fn task_back(v: &Value) -> Result<ErmsTask, CheckpointError> {
-        let path = c::get_str(v, "path")?.to_string();
-        Ok(match c::get_str(v, "kind")? {
-            "increase" => ErmsTask::Increase {
-                path,
-                target: c::get_usize(v, "target")?,
-            },
-            "decrease" => ErmsTask::Decrease {
-                path,
-                target: c::get_usize(v, "target")?,
-            },
-            "encode" => ErmsTask::Encode { path },
-            "repair" => ErmsTask::Repair { path },
-            "decode" => ErmsTask::Decode {
-                path,
-                target: c::get_usize(v, "target")?,
-            },
-            other => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "unknown task kind {other:?}"
-                )))
-            }
-        })
-    }
-
-    /// The fields of a fixed-arity record.
-    pub(super) fn parts<'a>(
-        v: &'a Value,
-        n: usize,
-        what: &str,
-    ) -> Result<&'a [Value], CheckpointError> {
-        let p = c::as_seq(v, what)?;
-        if p.len() != n {
-            return Err(CheckpointError::Corrupt(format!("{what} arity")));
-        }
-        Ok(p)
-    }
-
-    /// `[boosted, cooled_streak, active, cold_due | null, [[kind, job]..]]`
-    /// — the in-flight slots that hold a job, by task kind.
-    pub(super) fn file_ctl(ctl: &FileCtl) -> Vec<Value> {
-        let inflight = ctl.inflight.iter().enumerate();
-        vec![
-            Value::Bool(ctl.boosted),
-            Value::U64(ctl.cooled_streak.into()),
-            Value::Bool(ctl.active),
-            ctl.cold_due
-                .map_or(Value::Null, |t| Value::U64(t.as_nanos())),
-            c::seq_of(
-                inflight.filter_map(|(kind, job)| Some((kind, (*job)?))),
-                |(kind, job)| Value::Seq(vec![Value::U64(kind as u64), Value::U64(job.0)]),
-            ),
-        ]
-    }
-
-    pub(super) fn file_ctl_back(p: &[Value]) -> Result<FileCtl, CheckpointError> {
+    fn from_row(row: FileCtlRow, at: &str) -> Result<Self, CheckpointError> {
+        let (boosted, cooled_streak, active, cold_due, held) = row;
         let mut inflight = [None; TASK_KINDS];
-        for v in c::as_seq(&p[4], "in-flight slots")? {
-            let pair = parts(v, 2, "in-flight slot")?;
-            let slot = inflight
-                .get_mut(c::as_u64(&pair[0], "task kind")? as usize)
-                .ok_or_else(|| CheckpointError::Corrupt("unknown task kind".into()))?;
-            *slot = Some(JobId(c::as_u64(&pair[1], "in-flight job")?));
+        for (kind, job) in held {
+            let slot = inflight.get_mut(kind);
+            *slot.ok_or_else(|| unknown(at, "task kind", &kind.to_string()))? = Some(job);
         }
-        let cold_due = match &p[3] {
-            Value::Null => None,
-            at => Some(SimTime::from_nanos(c::as_u64(at, "cold due at")?)),
-        };
         Ok(FileCtl {
-            boosted: c::as_bool(&p[0], "boosted")?,
-            cooled_streak: u32::try_from(c::as_u64(&p[1], "cooled streak")?)
-                .map_err(|_| CheckpointError::Corrupt("streak exceeds u32".into()))?,
-            active: c::as_bool(&p[2], "active")?,
+            boosted,
+            cooled_streak,
+            active,
             cold_due,
             inflight,
         })
     }
+}
 
-    /// `[waiting, failed_copy, started]`
-    pub(super) fn job_ctl(ctl: &JobCtl) -> Vec<Value> {
-        vec![
-            Value::U64(ctl.waiting as u64),
-            Value::Bool(ctl.failed_copy),
-            Value::U64(ctl.started.as_nanos()),
-        ]
+impl Ck for FileCtl {
+    const CELLS: usize = FileCtlRow::CELLS;
+    fn put(&self) -> Value {
+        self.row().put()
     }
-
-    pub(super) fn job_ctl_back(p: &[Value]) -> Result<JobCtl, CheckpointError> {
-        Ok(JobCtl {
-            waiting: c::as_u64(&p[0], "copies waited on")? as usize,
-            failed_copy: c::as_bool(&p[1], "failed copy")?,
-            started: SimTime::from_nanos(c::as_u64(&p[2], "started at")?),
-        })
+    fn take(v: &Value, at: &str) -> Result<Self, CheckpointError> {
+        Self::from_row(Ck::take(v, at)?, at)
+    }
+    fn put_cells(&self, row: &mut Vec<Value>) {
+        self.row().put_cells(row);
+    }
+    fn take_cells(cells: &[Value], at: &str) -> Result<Self, CheckpointError> {
+        Self::from_row(Ck::take_cells(cells, at)?, at)
     }
 }
+
+checkpoint::ck_record!(JobCtl [waiting, failed_copy, started]);
 
 impl checkpoint::Checkpointable for ErmsManager {
     // Rebuild-then-hydrate: a restored manager is built by
@@ -1526,122 +1467,39 @@ impl checkpoint::Checkpointable for ErmsManager {
     // cluster state at the top of every tick) are construction/derived
     // state; everything the control loop itself mutates is captured.
     // Records are written as their key followed by their fields.
-    fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::{seq_of, MapBuilder};
-        use checkpoint::Value;
-        fn keyed(key: u64, mut fields: Vec<Value>) -> Value {
-            fields.insert(0, Value::U64(key));
-            Value::Seq(fields)
-        }
-        MapBuilder::new()
-            .put("judge", self.judge.save_state())
-            .put("policy", self.policy.save_state())
-            .put("condor", self.condor.save_state_with(ck::task))
-            .put("model", self.model.save_state())
-            .put(
-                "files",
-                seq_of(&self.files, |(f, ctl)| keyed(f.0, ck::file_ctl(ctl))),
-            )
-            .put(
-                "jobs",
-                seq_of(&self.jobs, |(j, ctl)| keyed(j.0, ck::job_ctl(ctl))),
-            )
-            .put(
-                "pending_copies",
-                seq_of(&self.pending_copies, |(cp, j)| {
-                    keyed(cp.0, vec![Value::U64(j.0)])
-                }),
-            )
-            .put(
-                "reconstruct_copies",
-                seq_of(&self.reconstruct_copies, |(cp, b)| {
-                    keyed(cp.0, vec![Value::U64(b.0)])
-                }),
-            )
-            .put(
-                "reconstructing",
-                seq_of(&self.reconstructing, |b| Value::U64(b.0)),
-            )
-            .bool("primed", self.primed)
-            .u64("tick_count", self.tick_count)
-            .u64("total_completed", self.total_completed)
-            .u64("total_failed", self.total_failed)
-            .build()
+    checkpoint::ck_fields! {
+        judge: state,
+        policy: state,
+        condor: state,
+        model: state,
+        files,
+        jobs,
+        pending_copies,
+        reconstruct_copies,
+        reconstructing,
+        primed,
+        tick_count,
+        total_completed,
+        total_failed;
+        then check_loaded
     }
+}
 
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        use checkpoint::CheckpointError;
-        self.judge.load_state(c::get(state, "judge")?)?;
-        self.policy.load_state(c::get(state, "policy")?)?;
-        self.condor
-            .load_state_with(c::get(state, "condor")?, ck::task_back)?;
-        self.model.load_state(c::get(state, "model")?)?;
-        self.files = c::get_seq(state, "files")?
-            .iter()
-            .map(|v| {
-                let p = ck::parts(v, 6, "file record")?;
-                Ok((
-                    FileId(c::as_u64(&p[0], "file id")?),
-                    ck::file_ctl_back(&p[1..])?,
-                ))
-            })
-            .collect::<Result<_, CheckpointError>>()?;
-        let jobs: BTreeMap<JobId, JobCtl> = c::get_seq(state, "jobs")?
-            .iter()
-            .map(|v| {
-                let p = ck::parts(v, 4, "job record")?;
-                Ok((
-                    JobId(c::as_u64(&p[0], "job id")?),
-                    ck::job_ctl_back(&p[1..])?,
-                ))
-            })
-            .collect::<Result<_, CheckpointError>>()?;
-        let pending_copies: BTreeMap<CopyId, JobId> = c::get_seq(state, "pending_copies")?
-            .iter()
-            .map(|v| {
-                let p = ck::parts(v, 2, "pending_copies entry")?;
-                Ok((
-                    CopyId(c::as_u64(&p[0], "copy id")?),
-                    JobId(c::as_u64(&p[1], "job id")?),
-                ))
-            })
-            .collect::<Result<_, CheckpointError>>()?;
-        // `settle_copies` counts a job's record down once per pending
-        // copy: the two must agree, or a completion would find no record
-        // (or a count that never reaches zero)
+impl ErmsManager {
+    /// `settle_copies` counts a job's record down once per pending copy:
+    /// the two must agree, or a completion would find no record (or a
+    /// count that never reaches zero).
+    fn check_loaded(&self) -> Result<(), CheckpointError> {
         let mut waited: BTreeMap<JobId, usize> = BTreeMap::new();
-        for job in pending_copies.values() {
+        for job in self.pending_copies.values() {
             *waited.entry(*job).or_default() += 1;
         }
-        if !waited
-            .iter()
-            .eq(jobs.iter().map(|(job, ctl)| (job, &ctl.waiting)))
-        {
+        let recorded = self.jobs.iter().map(|(job, ctl)| (job, &ctl.waiting));
+        if !waited.iter().eq(recorded) {
             return Err(CheckpointError::Corrupt(
                 "pending copies do not match the jobs awaiting them".into(),
             ));
         }
-        self.jobs = jobs;
-        self.pending_copies = pending_copies;
-        self.reconstruct_copies = c::get_seq(state, "reconstruct_copies")?
-            .iter()
-            .map(|v| {
-                let p = ck::parts(v, 2, "reconstruct_copies entry")?;
-                Ok((
-                    CopyId(c::as_u64(&p[0], "copy id")?),
-                    BlockId(c::as_u64(&p[1], "block id")?),
-                ))
-            })
-            .collect::<Result<_, CheckpointError>>()?;
-        self.reconstructing = c::get_seq(state, "reconstructing")?
-            .iter()
-            .map(|v| Ok(BlockId(c::as_u64(v, "block id")?)))
-            .collect::<Result<_, CheckpointError>>()?;
-        self.primed = c::get_bool(state, "primed")?;
-        self.tick_count = c::get_u64(state, "tick_count")?;
-        self.total_completed = c::get_u64(state, "total_completed")?;
-        self.total_failed = c::get_u64(state, "total_failed")?;
         Ok(())
     }
 }
@@ -1993,19 +1851,22 @@ mod tests {
         assert!(deficit > 0, "nobody repaired the killed replicas");
     }
 
-    #[test]
-    fn self_healing_reconstructs_dark_encoded_shards() {
-        let mut c = cluster();
-        // encode via the normal cold path, then enable healing semantics
-        // by building a healing manager over the same cluster state
-        let cfg = ErmsConfig::builder()
+    fn reconstruct_config() -> ErmsConfig {
+        ErmsConfig::builder()
             .thresholds(fast_thresholds())
             .standby([])
             .self_healing(true)
             .task_timeout(SimDuration::from_secs(60))
             .build()
-            .unwrap();
-        let mut m = ErmsManager::new(cfg, &mut c).unwrap();
+            .unwrap()
+    }
+
+    /// A cold file encoded via the normal path, the single holder of its
+    /// first data block killed, and one tick on: the stripe's
+    /// reconstruction is in flight.
+    fn reconstructing() -> (ClusterSim, ErmsManager, FileId) {
+        let mut c = cluster();
+        let mut m = ErmsManager::new(reconstruct_config(), &mut c).unwrap();
         let f = c.create_file("/cold", 1280 * MB, 3, None).unwrap();
         c.run_until(c.now() + SimDuration::from_secs(4000));
         let now = c.now();
@@ -2014,7 +1875,6 @@ mod tests {
         m.tick(&mut c, now);
         assert!(c.namespace().file(f).unwrap().is_encoded());
 
-        // kill the single holder of the first data block
         let b0 = c.namespace().file(f).unwrap().blocks[0];
         let victim = c.blockmap().replica_nodes(b0)[0];
         let (_, lost) = c.kill_node(victim);
@@ -2027,6 +1887,39 @@ mod tests {
         let now = c.now();
         let r = m.tick(&mut c, now);
         assert!(r.reconstructions > 0, "reconstruction scheduled");
+        (c, m, f)
+    }
+
+    #[test]
+    fn a_reconstructing_manager_snapshot_is_pinned_and_reloads_byte_for_byte() {
+        use checkpoint::Checkpointable;
+        use std::hash::Hasher;
+        let (_c, m, _) = reconstructing();
+        assert!(!m.reconstruct_copies.is_empty() && !m.reconstructing.is_empty());
+
+        let json = serde_json::to_string(&m.save_state()).unwrap();
+        let mut h = cep::fnv::FnvHasher::default();
+        h.write(json.as_bytes());
+        println!(
+            "reconstructing manager: {:#018x} {}",
+            h.finish(),
+            json.len()
+        );
+        assert_eq!(
+            (h.finish(), json.len()),
+            (0x79d5_0543_ae74_ccc8, 1222),
+            "reconstructing-manager snapshot bytes changed"
+        );
+        let mut scratch = cluster();
+        let mut back = ErmsManager::new(reconstruct_config(), &mut scratch).unwrap();
+        back.load_state(&serde_json::parse_value(&json).unwrap())
+            .unwrap();
+        assert_eq!(serde_json::to_string(&back.save_state()).unwrap(), json);
+    }
+
+    #[test]
+    fn self_healing_reconstructs_dark_encoded_shards() {
+        let (mut c, mut m, f) = reconstructing();
         for _ in 0..6 {
             c.run_until_quiescent();
             let now = c.now();
@@ -2580,7 +2473,7 @@ mod tests {
     /// version-1 envelope is refused before any section is looked at.
     #[test]
     fn corrupt_snapshots_are_typed_errors_not_panics() {
-        use checkpoint::{CheckpointError, Checkpointable, Snapshot, SnapshotMeta, Value};
+        use checkpoint::{Checkpointable, Snapshot, SnapshotMeta};
         let mut c = cluster();
         let mut m = manager(&mut c, Vec::new());
         c.create_file("/hot", 64 * MB, 3, None).unwrap();
@@ -2616,13 +2509,8 @@ mod tests {
         );
         // the record is there but counts a copy that is not pending
         let (&job, ctl) = m.jobs.iter().next().unwrap();
-        let miscounted = Value::Seq(vec![
-            Value::U64(job.0),
-            Value::U64(ctl.waiting as u64 + 1),
-            Value::Bool(false),
-            Value::U64(ctl.started.as_nanos()),
-        ]);
-        let miscounted = load(&edited("jobs", Value::Seq(vec![miscounted])));
+        let miscounted = vec![(job, ctl.waiting + 1, false, ctl.started)];
+        let miscounted = load(&edited("jobs", miscounted.put()));
         assert!(
             matches!(miscounted, Err(CheckpointError::Corrupt(_))),
             "{miscounted:?}"
@@ -2654,14 +2542,12 @@ mod tests {
 
     #[test]
     fn task_codec_rejects_unknown_kind() {
-        use checkpoint::codec::MapBuilder;
-        let bad = MapBuilder::new()
-            .str("kind", "compress")
-            .str("path", "/f")
+        let bad = checkpoint::codec::MapBuilder::tagged("kind", "compress")
+            .put("path", &"/f".to_string())
             .build();
         assert!(matches!(
-            super::ck::task_back(&bad),
-            Err(checkpoint::CheckpointError::Corrupt(_))
+            ErmsTask::take(&bad, "payload"),
+            Err(CheckpointError::Corrupt(_))
         ));
     }
 }

@@ -147,91 +147,13 @@ impl ActiveStandbyModel {
     }
 }
 
+checkpoint::ck_enum!(StandbyState { Off => "off", Booting => "booting", On => "on" });
+
 impl checkpoint::Checkpointable for ActiveStandbyModel {
     // The active/standby split is reconstructed from config by
     // `ErmsManager::new`, but the split is cheap and the power states /
     // energy meter are genuinely dynamic, so the whole model is captured.
-    fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::{seq_of, MapBuilder};
-        use checkpoint::Value;
-        MapBuilder::new()
-            .seq(
-                "active",
-                self.active.iter().map(|n| Value::U64(n.0.into())).collect(),
-            )
-            .put(
-                "standby",
-                seq_of(self.standby.iter(), |(&n, &s)| {
-                    Value::Seq(vec![
-                        Value::U64(n.0.into()),
-                        Value::Str(
-                            match s {
-                                StandbyState::Off => "off",
-                                StandbyState::Booting => "booting",
-                                StandbyState::On => "on",
-                            }
-                            .into(),
-                        ),
-                    ])
-                }),
-            )
-            .f64b("powered_secs", self.powered_secs)
-            .put(
-                "powered_since",
-                seq_of(self.powered_since.iter(), |(&n, &t)| {
-                    Value::Seq(vec![Value::U64(n.0.into()), Value::U64(t.as_nanos())])
-                }),
-            )
-            .build()
-    }
-
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        use checkpoint::CheckpointError;
-        fn node(v: &checkpoint::Value) -> Result<NodeId, CheckpointError> {
-            Ok(NodeId(u32::try_from(c::as_u64(v, "node id")?).map_err(
-                |_| CheckpointError::Corrupt("node id exceeds u32".into()),
-            )?))
-        }
-        fn pair(v: &checkpoint::Value) -> Result<&[checkpoint::Value], CheckpointError> {
-            let parts = c::as_seq(v, "model pair")?;
-            if parts.len() != 2 {
-                return Err(CheckpointError::Corrupt("model pair arity".into()));
-            }
-            Ok(parts)
-        }
-        self.active = c::get_seq(state, "active")?
-            .iter()
-            .map(node)
-            .collect::<Result<_, _>>()?;
-        self.standby = c::get_seq(state, "standby")?
-            .iter()
-            .map(|v| {
-                let parts = pair(v)?;
-                let s = match c::as_str(&parts[1], "standby state")? {
-                    "off" => StandbyState::Off,
-                    "booting" => StandbyState::Booting,
-                    "on" => StandbyState::On,
-                    other => {
-                        return Err(CheckpointError::Corrupt(format!(
-                            "unknown standby state {other:?}"
-                        )))
-                    }
-                };
-                Ok((node(&parts[0])?, s))
-            })
-            .collect::<Result<_, _>>()?;
-        self.powered_secs = c::get_f64b(state, "powered_secs")?;
-        self.powered_since = c::get_seq(state, "powered_since")?
-            .iter()
-            .map(|v| {
-                let parts = pair(v)?;
-                let t = SimTime::from_nanos(c::as_u64(&parts[1], "powered since")?);
-                Ok((node(&parts[0])?, t))
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(())
-    }
+    checkpoint::ck_fields!(active, standby, powered_secs, powered_since);
 }
 
 #[cfg(test)]
@@ -327,19 +249,13 @@ mod tests {
     #[test]
     fn checkpoint_rejects_unknown_standby_state() {
         use checkpoint::codec::MapBuilder;
-        use checkpoint::{Checkpointable, Value};
+        use checkpoint::Checkpointable;
         let mut m = model();
         let bad = MapBuilder::new()
-            .seq("active", vec![Value::U64(0)])
-            .seq(
-                "standby",
-                vec![Value::Seq(vec![
-                    Value::U64(10),
-                    Value::Str("rebooting".into()),
-                ])],
-            )
-            .f64b("powered_secs", 0.0)
-            .seq("powered_since", vec![])
+            .put("active", &vec![0u32])
+            .put("standby", &vec![(10u32, "rebooting".to_string())])
+            .put("powered_secs", &0.0)
+            .put("powered_since", &Vec::<u32>::new())
             .build();
         assert!(matches!(
             m.load_state(&bad),

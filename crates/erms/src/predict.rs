@@ -74,27 +74,7 @@ impl DemandPredictor {
 impl checkpoint::Checkpointable for DemandPredictor {
     // α/β are constructor parameters; only the smoothed level, trend and
     // observation count are runtime state.
-    fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::{f64_bits, MapBuilder};
-        use checkpoint::Value;
-        MapBuilder::new()
-            .put("level", self.level.map_or(Value::Null, f64_bits))
-            .f64b("trend", self.trend)
-            .u64("observations", self.observations)
-            .build()
-    }
-
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        use checkpoint::Value;
-        self.level = match c::get(state, "level")? {
-            Value::Null => None,
-            v => Some(c::as_f64_bits(v, "level")?),
-        };
-        self.trend = c::get_f64b(state, "trend")?;
-        self.observations = c::get_u64(state, "observations")?;
-        Ok(())
-    }
+    checkpoint::ck_fields!(level, trend, observations);
 }
 
 #[cfg(test)]

@@ -81,29 +81,9 @@ pub fn client_endpoint(c: ClientId) -> Endpoint {
 }
 
 impl checkpoint::Checkpointable for AuditSink {
-    fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::MapBuilder;
-        use checkpoint::Value;
-        // Undrained lines are part of the run's state: the CEP epoch
-        // after a restore must see exactly what it would have seen.
-        MapBuilder::new()
-            .put(
-                "lines",
-                Value::Seq(self.lines.iter().map(|l| Value::Str(l.clone())).collect()),
-            )
-            .u64("emitted", self.emitted)
-            .build()
-    }
-
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        self.lines = c::get_seq(state, "lines")?
-            .iter()
-            .map(|v| c::as_str(v, "lines[]").map(str::to_string))
-            .collect::<Result<_, _>>()?;
-        self.emitted = c::get_u64(state, "emitted")?;
-        Ok(())
-    }
+    // Undrained lines are part of the run's state: the CEP epoch after
+    // a restore must see exactly what it would have seen.
+    checkpoint::ck_fields!(lines, emitted);
 }
 
 #[cfg(test)]

@@ -37,6 +37,15 @@ pub struct BlockInfo {
     pub is_parity: bool,
 }
 
+checkpoint::ck_id!(FileId, BlockId);
+checkpoint::ck_record!(BlockInfo {
+    id,
+    file,
+    index,
+    len,
+    is_parity
+});
+
 /// Split a file size into block lengths ("all blocks in a file are of the
 /// same size, except the last one" — paper Section II).
 pub fn block_lengths(file_size: Bytes, block_size: Bytes) -> Vec<Bytes> {

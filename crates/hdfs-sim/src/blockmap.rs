@@ -276,85 +276,81 @@ impl BlockMap {
     }
 }
 
-impl checkpoint::Checkpointable for BlockMap {
-    fn save_state(&self) -> checkpoint::Value {
+// Only the raw facts are stored — the under/over/dark derived sets are
+// recomputed on load via the same `reindex` path the live mutations use —
+// and they go on the wire **columnar**: the replica lists as (block ids,
+// row ends, flat node column), the targets as two parallel arrays.
+impl BlockMap {
+    pub(crate) fn save_state(&self) -> checkpoint::Value {
         use checkpoint::codec::MapBuilder;
-        use checkpoint::Value;
-        // Only the raw facts are stored — the under/over/dark derived
-        // sets are recomputed on load via the same `reindex` path the
-        // live mutations use — and they go on the wire **columnar**:
-        // the replica lists as (block ids, row ends, flat node column),
-        // the targets as two parallel arrays.
         let mut blocks = Vec::with_capacity(self.live_blocks);
         let mut row_ends = Vec::with_capacity(self.live_blocks);
         let mut nodes = Vec::with_capacity(self.replicas);
-        let mut end = 0u64;
         for (b, row) in self.blocks() {
-            blocks.push(Value::U64(b.0));
-            end += row.len() as u64;
-            row_ends.push(Value::U64(end));
-            nodes.extend(row.iter().map(|n| Value::U64(u64::from(n.0))));
+            blocks.push(b);
+            nodes.extend_from_slice(row);
+            row_ends.push(nodes.len());
         }
-        let mut target_blocks = Vec::new();
-        let mut target_values = Vec::new();
-        for (i, t) in self.targets.iter().enumerate() {
-            if let Some(t) = t {
-                target_blocks.push(Value::U64(i as u64));
-                target_values.push(Value::U64(u64::from(*t)));
-            }
-        }
+        let (target_blocks, target_values): (Vec<u64>, Vec<u32>) = self
+            .targets
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| Some((i as u64, (*t)?)))
+            .unzip();
         MapBuilder::new()
-            .put("blocks", Value::Seq(blocks))
-            .put("row_ends", Value::Seq(row_ends))
-            .put("nodes", Value::Seq(nodes))
-            .put("target_blocks", Value::Seq(target_blocks))
-            .put("target_values", Value::Seq(target_values))
+            .put("blocks", &blocks)
+            .put("row_ends", &row_ends)
+            .put("nodes", &nodes)
+            .put("target_blocks", &target_blocks)
+            .put("target_values", &target_values)
             .build()
     }
 
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        self.locations.clear();
-        self.targets.clear();
-        self.under.clear();
-        self.over.clear();
-        self.dark.clear();
-        self.live_blocks = 0;
-        self.replicas = 0;
-        let blocks = c::get_seq(state, "blocks")?;
-        let row_ends = c::get_seq(state, "row_ends")?;
-        let nodes = c::get_seq(state, "nodes")?;
-        if blocks.len() != row_ends.len() {
-            return Err(checkpoint::CheckpointError::Corrupt(
-                "blocks and row_ends columns differ in length".into(),
-            ));
+    /// Hydrate from [`save_state`](Self::save_state). The columns are
+    /// sized by the block ids they hold, so the caller bounds them:
+    /// every block id must be below `next_block` (the namespace's
+    /// counter) and every holder below `nodes`.
+    pub(crate) fn load_state(
+        &mut self,
+        state: &checkpoint::Value,
+        next_block: u64,
+        nodes: usize,
+    ) -> Result<(), checkpoint::CheckpointError> {
+        use checkpoint::codec::get;
+        use checkpoint::CheckpointError::Corrupt;
+        *self = BlockMap::default();
+        let blocks: Vec<BlockId> = get(state, "blocks")?;
+        let row_ends: Vec<usize> = get(state, "row_ends")?;
+        let holders: Vec<NodeId> = get(state, "nodes")?;
+        let target_blocks: Vec<BlockId> = get(state, "target_blocks")?;
+        let target_values: Vec<u32> = get(state, "target_values")?;
+        if blocks.len() != row_ends.len() || target_blocks.len() != target_values.len() {
+            return Err(Corrupt("blockmap columns differ in length".into()));
         }
-        let mut start = 0usize;
-        for (bv, ev) in blocks.iter().zip(row_ends) {
-            let b = BlockId(c::as_u64(bv, "blocks[]")?);
-            let end = c::as_u64(ev, "row_ends[]")? as usize;
-            if end < start || end > nodes.len() {
-                return Err(checkpoint::CheckpointError::Corrupt(
-                    "row_ends column is not a monotone prefix sum".into(),
-                ));
-            }
-            for nv in &nodes[start..end] {
-                let n = NodeId(c::as_u64(nv, "nodes[]")? as u32);
+        if let Some(b) = blocks
+            .iter()
+            .chain(&target_blocks)
+            .find(|b| b.0 >= next_block)
+        {
+            return Err(Corrupt(format!(
+                "blockmap: {b} was never minted (next is {next_block})"
+            )));
+        }
+        if let Some(n) = holders.iter().find(|n| n.0 as usize >= nodes) {
+            return Err(Corrupt(format!("blockmap: {n} of {nodes} nodes")));
+        }
+        let mut start = 0;
+        for (&b, &end) in blocks.iter().zip(&row_ends) {
+            let row = holders
+                .get(start..end)
+                .ok_or_else(|| Corrupt("blockmap: row_ends is not a monotone prefix sum".into()))?;
+            for &n in row {
                 self.add(b, n);
             }
             start = end;
         }
-        let target_blocks = c::get_seq(state, "target_blocks")?;
-        let target_values = c::get_seq(state, "target_values")?;
-        if target_blocks.len() != target_values.len() {
-            return Err(checkpoint::CheckpointError::Corrupt(
-                "target columns differ in length".into(),
-            ));
-        }
-        for (bv, tv) in target_blocks.iter().zip(target_values) {
-            let b = BlockId(c::as_u64(bv, "target_blocks[]")?);
-            let t = c::as_u64(tv, "target_values[]")? as usize;
-            self.set_target(b, t);
+        for (&b, &t) in target_blocks.iter().zip(&target_values) {
+            self.set_target(b, t as usize);
         }
         Ok(())
     }
@@ -520,7 +516,6 @@ mod tests {
 
     #[test]
     fn columnar_checkpoint_roundtrip() {
-        use checkpoint::Checkpointable;
         let mut bm = BlockMap::new();
         bm.set_target(BlockId(0), 2);
         bm.set_target(BlockId(3), 1);
@@ -530,7 +525,7 @@ mod tests {
         bm.add(BlockId(5), NodeId(4)); // untracked but live
         let wire = bm.save_state();
         let mut back = BlockMap::new();
-        back.load_state(&wire).unwrap();
+        back.load_state(&wire, 6, 5).unwrap();
         assert_eq!(back.num_blocks(), bm.num_blocks());
         assert_eq!(back.total_replicas(), bm.total_replicas());
         assert_eq!(back.replica_nodes(BlockId(3)), bm.replica_nodes(BlockId(3)));
@@ -540,6 +535,13 @@ mod tests {
             bm.under_replicated_indexed()
         );
         assert_eq!(back.save_state(), wire, "re-save is bit-identical");
+        // a block the namespace never minted, a holder the cluster lacks
+        for (next_block, nodes) in [(5, 5), (6, 4)] {
+            assert!(matches!(
+                back.load_state(&wire, next_block, nodes),
+                Err(checkpoint::CheckpointError::Corrupt(_))
+            ));
+        }
     }
 
     mod properties {

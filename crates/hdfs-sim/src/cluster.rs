@@ -21,6 +21,9 @@ use crate::flow::{FlowId, FlowNet, ResourceId};
 use crate::namespace::{Namespace, StorageMode};
 use crate::placement::{NodeView, PlacementContext, PlacementPolicy};
 use crate::topology::{ClientId, Distance, Endpoint, NodeId, RackId, Topology};
+use checkpoint::codec::{Ck, Keyed};
+use checkpoint::{CheckpointError, Value};
+use simcore::queue::QueueSnapshot;
 use simcore::stats::DurabilityLog;
 use simcore::telemetry::{Event as Tel, TelemetrySink};
 use simcore::units::{Bandwidth, Bytes};
@@ -2594,407 +2597,164 @@ fn i_is_parity(ns: &Namespace, b: BlockId) -> bool {
 // settled to the snapshot instant, which rounds to a different
 // nanosecond. Either breaks bit-identical resume.
 
-mod ck {
-    //! Value codecs for the cluster's private types.
-    use super::*;
-    use checkpoint::codec::{self as c, MapBuilder};
-    use checkpoint::{CheckpointError, Value};
+checkpoint::ck_id!(ReadId, CopyId, WriteId);
+checkpoint::ck_record!(ReadStats {
+    id,
+    path,
+    reader,
+    bytes,
+    started,
+    finished,
+    node_local_blocks => "node_local",
+    rack_local_blocks => "rack_local",
+    remote_blocks => "remote",
+    failed,
+});
+checkpoint::ck_record!(CopyStats {
+    id,
+    block,
+    source,
+    target,
+    started,
+    finished,
+    succeeded
+});
+checkpoint::ck_record!(WriteStats {
+    id,
+    path,
+    bytes,
+    started,
+    finished,
+    failed
+});
+checkpoint::ck_record!(ReadReq {
+    id,
+    reader,
+    path,
+    pending_blocks,
+    bytes_done,
+    started,
+    node_local,
+    rack_local,
+    remote,
+    failed,
+});
+checkpoint::ck_record!(WriteReq {
+    id,
+    writer,
+    file,
+    path,
+    replication,
+    pending_blocks,
+    bytes_done,
+    started,
+    failed,
+});
+checkpoint::ck_record!(StagedCopy {
+    block,
+    target,
+    len,
+    requested
+});
+checkpoint::ck_record!(PendingSession [read, block, node]);
 
-    pub(super) fn endpoint(e: Endpoint) -> Value {
-        match e {
-            Endpoint::Node(n) => MapBuilder::new()
-                .str("k", "node")
-                .u64("id", u64::from(n.0))
-                .build(),
-            Endpoint::Client(cl) => MapBuilder::new()
-                .str("k", "client")
-                .u64("id", u64::from(cl.0))
-                .build(),
-        }
+impl Keyed for ReadReq {
+    type Key = ReadId;
+    fn key(&self) -> ReadId {
+        self.id
     }
+}
 
-    pub(super) fn endpoint_back(v: &Value) -> Result<Endpoint, CheckpointError> {
-        match c::get_str(v, "k")? {
-            "node" => Ok(Endpoint::Node(NodeId(c::get_u32(v, "id")?))),
-            "client" => Ok(Endpoint::Client(ClientId(c::get_u32(v, "id")?))),
-            other => Err(CheckpointError::Corrupt(format!(
-                "unknown endpoint kind `{other}`"
-            ))),
-        }
+impl Keyed for WriteReq {
+    type Key = WriteId;
+    fn key(&self) -> WriteId {
+        self.id
     }
+}
 
-    pub(super) fn ev(e: &Ev) -> Value {
-        let (k, id) = match e {
-            Ev::BeginRead(r) => ("read", r.0),
-            Ev::FlowDone(f) => ("flow", f.0),
-            Ev::NodeBooted(n) => ("boot", u64::from(n.0)),
-            Ev::StartCopy(cp) => ("copy", cp.0),
-            Ev::Timer(t) => ("timer", *t),
-        };
-        MapBuilder::new().str("k", k).u64("id", id).build()
-    }
+checkpoint::ck_tagged!(Ev, "k" {
+    "read" => BeginRead(id),
+    "flow" => FlowDone(id),
+    "boot" => NodeBooted(id),
+    "copy" => StartCopy(id),
+    "timer" => Timer(id),
+});
+checkpoint::ck_tagged!(Transfer, "k" {
+    "read" => ReadBlock { read, block, node },
+    "write" => WriteBlock { write, block, targets, len },
+    "copy" => Copy { copy, block, source, target, len, started },
+    "reconstruct" => Reconstruct { copy, block, sources, target, len, started },
+});
 
-    pub(super) fn ev_back(v: &Value) -> Result<Ev, CheckpointError> {
-        let id = c::get_u64(v, "id")?;
-        match c::get_str(v, "k")? {
-            "read" => Ok(Ev::BeginRead(ReadId(id))),
-            "flow" => Ok(Ev::FlowDone(FlowId(id))),
-            "boot" => Ok(Ev::NodeBooted(NodeId(c::get_u32(v, "id")?))),
-            "copy" => Ok(Ev::StartCopy(CopyId(id))),
-            "timer" => Ok(Ev::Timer(id)),
-            other => Err(CheckpointError::Corrupt(format!(
-                "unknown event kind `{other}`"
-            ))),
-        }
-    }
-
-    pub(super) fn nodes(ns: &[NodeId]) -> Value {
-        Value::Seq(ns.iter().map(|n| Value::U64(u64::from(n.0))).collect())
-    }
-
-    pub(super) fn nodes_back(v: &Value, field: &str) -> Result<Vec<NodeId>, CheckpointError> {
-        c::as_seq(v, field)?
-            .iter()
-            .map(|x| c::as_u64(x, field).map(|n| NodeId(n as u32)))
-            .collect()
-    }
-
-    pub(super) fn transfer(t: &Transfer) -> Value {
-        match t {
-            Transfer::ReadBlock { read, block, node } => MapBuilder::new()
-                .str("k", "read")
-                .u64("read", read.0)
-                .u64("block", block.0)
-                .u64("node", u64::from(node.0))
-                .build(),
-            Transfer::WriteBlock {
-                write,
-                block,
-                targets,
-                len,
-            } => MapBuilder::new()
-                .str("k", "write")
-                .u64("write", write.0)
-                .u64("block", block.0)
-                .put("targets", nodes(targets))
-                .u64("len", *len)
-                .build(),
-            Transfer::Copy {
-                copy,
-                block,
-                source,
-                target,
-                len,
-                started,
-            } => MapBuilder::new()
-                .str("k", "copy")
-                .u64("copy", copy.0)
-                .u64("block", block.0)
-                .u64("source", u64::from(source.0))
-                .u64("target", u64::from(target.0))
-                .u64("len", *len)
-                .time("started", *started)
-                .build(),
+impl Transfer {
+    /// Every node the transfer reads from or lands on.
+    fn nodes(&self) -> Vec<NodeId> {
+        match self {
+            Transfer::ReadBlock { node, .. } => vec![*node],
+            Transfer::WriteBlock { targets, .. } => targets.clone(),
+            Transfer::Copy { source, target, .. } => vec![*source, *target],
             Transfer::Reconstruct {
-                copy,
-                block,
-                sources,
-                target,
-                len,
-                started,
-            } => MapBuilder::new()
-                .str("k", "reconstruct")
-                .u64("copy", copy.0)
-                .u64("block", block.0)
-                .put("sources", nodes(sources))
-                .u64("target", u64::from(target.0))
-                .u64("len", *len)
-                .time("started", *started)
-                .build(),
+                sources, target, ..
+            } => sources.iter().copied().chain([*target]).collect(),
         }
-    }
-
-    pub(super) fn transfer_back(v: &Value) -> Result<Transfer, CheckpointError> {
-        match c::get_str(v, "k")? {
-            "read" => Ok(Transfer::ReadBlock {
-                read: ReadId(c::get_u64(v, "read")?),
-                block: BlockId(c::get_u64(v, "block")?),
-                node: NodeId(c::get_u32(v, "node")?),
-            }),
-            "write" => Ok(Transfer::WriteBlock {
-                write: WriteId(c::get_u64(v, "write")?),
-                block: BlockId(c::get_u64(v, "block")?),
-                targets: nodes_back(c::get(v, "targets")?, "targets")?,
-                len: c::get_u64(v, "len")?,
-            }),
-            "copy" => Ok(Transfer::Copy {
-                copy: CopyId(c::get_u64(v, "copy")?),
-                block: BlockId(c::get_u64(v, "block")?),
-                source: NodeId(c::get_u32(v, "source")?),
-                target: NodeId(c::get_u32(v, "target")?),
-                len: c::get_u64(v, "len")?,
-                started: c::get_time(v, "started")?,
-            }),
-            "reconstruct" => Ok(Transfer::Reconstruct {
-                copy: CopyId(c::get_u64(v, "copy")?),
-                block: BlockId(c::get_u64(v, "block")?),
-                sources: nodes_back(c::get(v, "sources")?, "sources")?,
-                target: NodeId(c::get_u32(v, "target")?),
-                len: c::get_u64(v, "len")?,
-                started: c::get_time(v, "started")?,
-            }),
-            other => Err(CheckpointError::Corrupt(format!(
-                "unknown transfer kind `{other}`"
-            ))),
-        }
-    }
-
-    pub(super) fn read_req(r: &ReadReq) -> Value {
-        MapBuilder::new()
-            .u64("id", r.id.0)
-            .put("reader", endpoint(r.reader))
-            .str("path", &r.path)
-            .put(
-                "pending_blocks",
-                Value::Seq(r.pending_blocks.iter().map(|b| Value::U64(b.0)).collect()),
-            )
-            .u64("bytes_done", r.bytes_done)
-            .time("started", r.started)
-            .u64("node_local", u64::from(r.node_local))
-            .u64("rack_local", u64::from(r.rack_local))
-            .u64("remote", u64::from(r.remote))
-            .bool("failed", r.failed)
-            .build()
-    }
-
-    pub(super) fn read_req_back(v: &Value) -> Result<ReadReq, CheckpointError> {
-        Ok(ReadReq {
-            id: ReadId(c::get_u64(v, "id")?),
-            reader: endpoint_back(c::get(v, "reader")?)?,
-            path: c::get_str(v, "path")?.to_string(),
-            pending_blocks: c::get_seq(v, "pending_blocks")?
-                .iter()
-                .map(|x| c::as_u64(x, "pending_blocks[]").map(BlockId))
-                .collect::<Result<_, _>>()?,
-            bytes_done: c::get_u64(v, "bytes_done")?,
-            started: c::get_time(v, "started")?,
-            node_local: c::get_u32(v, "node_local")?,
-            rack_local: c::get_u32(v, "rack_local")?,
-            remote: c::get_u32(v, "remote")?,
-            failed: c::get_bool(v, "failed")?,
-        })
-    }
-
-    pub(super) fn write_req(w: &WriteReq) -> Value {
-        MapBuilder::new()
-            .u64("id", w.id.0)
-            .put("writer", endpoint(w.writer))
-            .u64("file", w.file.0)
-            .str("path", &w.path)
-            .u64("replication", w.replication as u64)
-            .put(
-                "pending_blocks",
-                Value::Seq(w.pending_blocks.iter().map(|b| Value::U64(b.0)).collect()),
-            )
-            .u64("bytes_done", w.bytes_done)
-            .time("started", w.started)
-            .bool("failed", w.failed)
-            .build()
-    }
-
-    pub(super) fn write_req_back(v: &Value) -> Result<WriteReq, CheckpointError> {
-        Ok(WriteReq {
-            id: WriteId(c::get_u64(v, "id")?),
-            writer: endpoint_back(c::get(v, "writer")?)?,
-            file: FileId(c::get_u64(v, "file")?),
-            path: c::get_str(v, "path")?.to_string(),
-            replication: c::get_usize(v, "replication")?,
-            pending_blocks: c::get_seq(v, "pending_blocks")?
-                .iter()
-                .map(|x| c::as_u64(x, "pending_blocks[]").map(BlockId))
-                .collect::<Result<_, _>>()?,
-            bytes_done: c::get_u64(v, "bytes_done")?,
-            started: c::get_time(v, "started")?,
-            failed: c::get_bool(v, "failed")?,
-        })
-    }
-
-    pub(super) fn staged(s: &StagedCopy) -> Value {
-        MapBuilder::new()
-            .u64("block", s.block.0)
-            .u64("target", u64::from(s.target.0))
-            .u64("len", s.len)
-            .time("requested", s.requested)
-            .build()
-    }
-
-    pub(super) fn staged_back(v: &Value) -> Result<StagedCopy, CheckpointError> {
-        Ok(StagedCopy {
-            block: BlockId(c::get_u64(v, "block")?),
-            target: NodeId(c::get_u32(v, "target")?),
-            len: c::get_u64(v, "len")?,
-            requested: c::get_time(v, "requested")?,
-        })
-    }
-
-    pub(super) fn read_stats(s: &ReadStats) -> Value {
-        MapBuilder::new()
-            .u64("id", s.id.0)
-            .str("path", &s.path)
-            .put("reader", endpoint(s.reader))
-            .u64("bytes", s.bytes)
-            .time("started", s.started)
-            .time("finished", s.finished)
-            .u64("node_local", u64::from(s.node_local_blocks))
-            .u64("rack_local", u64::from(s.rack_local_blocks))
-            .u64("remote", u64::from(s.remote_blocks))
-            .bool("failed", s.failed)
-            .build()
-    }
-
-    pub(super) fn read_stats_back(v: &Value) -> Result<ReadStats, CheckpointError> {
-        Ok(ReadStats {
-            id: ReadId(c::get_u64(v, "id")?),
-            path: c::get_str(v, "path")?.to_string(),
-            reader: endpoint_back(c::get(v, "reader")?)?,
-            bytes: c::get_u64(v, "bytes")?,
-            started: c::get_time(v, "started")?,
-            finished: c::get_time(v, "finished")?,
-            node_local_blocks: c::get_u32(v, "node_local")?,
-            rack_local_blocks: c::get_u32(v, "rack_local")?,
-            remote_blocks: c::get_u32(v, "remote")?,
-            failed: c::get_bool(v, "failed")?,
-        })
-    }
-
-    pub(super) fn write_stats(s: &WriteStats) -> Value {
-        MapBuilder::new()
-            .u64("id", s.id.0)
-            .str("path", &s.path)
-            .u64("bytes", s.bytes)
-            .time("started", s.started)
-            .time("finished", s.finished)
-            .bool("failed", s.failed)
-            .build()
-    }
-
-    pub(super) fn write_stats_back(v: &Value) -> Result<WriteStats, CheckpointError> {
-        Ok(WriteStats {
-            id: WriteId(c::get_u64(v, "id")?),
-            path: c::get_str(v, "path")?.to_string(),
-            bytes: c::get_u64(v, "bytes")?,
-            started: c::get_time(v, "started")?,
-            finished: c::get_time(v, "finished")?,
-            failed: c::get_bool(v, "failed")?,
-        })
-    }
-
-    pub(super) fn copy_stats(s: &CopyStats) -> Value {
-        MapBuilder::new()
-            .u64("id", s.id.0)
-            .u64("block", s.block.0)
-            .u64("source", u64::from(s.source.0))
-            .u64("target", u64::from(s.target.0))
-            .time("started", s.started)
-            .time("finished", s.finished)
-            .bool("succeeded", s.succeeded)
-            .build()
-    }
-
-    pub(super) fn copy_stats_back(v: &Value) -> Result<CopyStats, CheckpointError> {
-        Ok(CopyStats {
-            id: CopyId(c::get_u64(v, "id")?),
-            block: BlockId(c::get_u64(v, "block")?),
-            source: NodeId(c::get_u32(v, "source")?),
-            target: NodeId(c::get_u32(v, "target")?),
-            started: c::get_time(v, "started")?,
-            finished: c::get_time(v, "finished")?,
-            succeeded: c::get_bool(v, "succeeded")?,
-        })
-    }
-
-    pub(super) fn durability(d: &simcore::stats::DurabilityState) -> Value {
-        MapBuilder::new()
-            .put(
-                "open",
-                Value::Seq(
-                    d.open
-                        .iter()
-                        .map(|&(k, s)| Value::Seq(vec![Value::U64(k), Value::U64(s)]))
-                        .collect(),
-                ),
-            )
-            .put(
-                "windows",
-                Value::Seq(
-                    d.windows
-                        .iter()
-                        .map(|&(k, s, e, u)| {
-                            Value::Seq(vec![
-                                Value::U64(k),
-                                Value::U64(s),
-                                Value::U64(e),
-                                Value::Bool(u),
-                            ])
-                        })
-                        .collect(),
-                ),
-            )
-            .put(
-                "lost",
-                Value::Seq(
-                    d.lost
-                        .iter()
-                        .map(|&(k, a)| Value::Seq(vec![Value::U64(k), Value::U64(a)]))
-                        .collect(),
-                ),
-            )
-            .u64("repair_bytes", d.repair_bytes)
-            .build()
-    }
-
-    pub(super) fn durability_back(
-        v: &Value,
-    ) -> Result<simcore::stats::DurabilityState, CheckpointError> {
-        let tuple = |x: &Value, want: usize, field: &str| -> Result<Vec<u64>, CheckpointError> {
-            let s = c::as_seq(x, field)?;
-            if s.len() != want {
-                return Err(CheckpointError::Corrupt(format!(
-                    "`{field}` entry has {} elements, expected {want}",
-                    s.len()
-                )));
-            }
-            s.iter()
-                .map(|e| match e {
-                    Value::Bool(b) => Ok(u64::from(*b)),
-                    other => c::as_u64(other, field),
-                })
-                .collect()
-        };
-        Ok(simcore::stats::DurabilityState {
-            open: c::get_seq(v, "open")?
-                .iter()
-                .map(|x| tuple(x, 2, "open").map(|t| (t[0], t[1])))
-                .collect::<Result<_, _>>()?,
-            windows: c::get_seq(v, "windows")?
-                .iter()
-                .map(|x| tuple(x, 4, "windows").map(|t| (t[0], t[1], t[2], t[3] != 0)))
-                .collect::<Result<_, _>>()?,
-            lost: c::get_seq(v, "lost")?
-                .iter()
-                .map(|x| tuple(x, 2, "lost").map(|t| (t[0], t[1])))
-                .collect::<Result<_, _>>()?,
-            repair_bytes: c::get_u64(v, "repair_bytes")?,
-        })
     }
 }
 
 impl checkpoint::Checkpointable for ClusterSim {
-    fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::{f64_bits, seq_of, MapBuilder};
-        use checkpoint::Value;
-        // the pending flow completion is written where it sorts among
-        // the queue's entries, as the queued event it stands for
+    checkpoint::ck_fields! {
+        namespace: state,
+        blockmap(save_blockmap, load_blockmap),
+        net: state,
+        audit: state,
+        nodes,
+        queue(save_queue, load_queue),
+        client_nic,
+        reads: keyed,
+        next_read,
+        writes: keyed,
+        next_write,
+        completed_writes,
+        transfers,
+        flow_events(save_flow_events, check_flow_events),
+        tickets,
+        next_ticket,
+        next_copy,
+        completed_reads,
+        completed_copies,
+        fired_timers,
+        standby_pool,
+        copy_load,
+        staged_copies,
+        ready_copies,
+        copy_streams,
+        retained,
+        slowdown,
+        rack_down,
+        repair_copies,
+        durability: state,
+        dirty_files,
+        deleted_files,
+        latent_corrupt,
+        corrupt_pending_repair,
+        scrub_cursor;
+        then check_loaded
+    }
+}
+
+/// The irregular snapshot sections, and what the decoders cannot check.
+impl ClusterSim {
+    fn save_blockmap(&self) -> Value {
+        self.blockmap.save_state()
+    }
+
+    fn load_blockmap(&mut self, v: &Value) -> Result<(), CheckpointError> {
+        self.blockmap
+            .load_state(v, self.namespace.next_block(), self.node_disk.len())
+    }
+
+    /// The pending flow completion is written where it sorts among the
+    /// queue's entries, as the queued event it stands for.
+    fn save_queue(&self) -> Value {
         let mut qs = self.queue.snapshot();
         if let Some(f) = self.flow_event {
             let pos = qs
@@ -3003,231 +2763,23 @@ impl checkpoint::Checkpointable for ClusterSim {
             qs.entries
                 .insert(pos, (f.at, f.id.raw(), Ev::FlowDone(f.flow)));
         }
-        MapBuilder::new()
-            .put("namespace", self.namespace.save_state())
-            .put("blockmap", self.blockmap.save_state())
-            .put("net", self.net.save_state())
-            .put("audit", self.audit.save_state())
-            .put("nodes", seq_of(self.nodes.iter(), |n| n.save_state()))
-            .put(
-                "queue",
-                MapBuilder::new()
-                    .time("now", qs.now)
-                    .u64("next_seq", qs.next_seq)
-                    .put(
-                        "entries",
-                        seq_of(qs.entries.iter(), |(at, seq, ev)| {
-                            Value::Seq(vec![
-                                Value::U64(at.as_nanos()),
-                                Value::U64(*seq),
-                                ck::ev(ev),
-                            ])
-                        }),
-                    )
-                    .build(),
-            )
-            .put(
-                "client_nic",
-                seq_of(self.client_nic.iter(), |(cl, r)| {
-                    Value::Seq(vec![Value::U64(u64::from(cl.0)), Value::U64(r.0 as u64)])
-                }),
-            )
-            .put("reads", seq_of(self.reads.values(), ck::read_req))
-            .u64("next_read", self.next_read)
-            .put("writes", seq_of(self.writes.values(), ck::write_req))
-            .u64("next_write", self.next_write)
-            .put(
-                "completed_writes",
-                seq_of(self.completed_writes.iter(), ck::write_stats),
-            )
-            .put(
-                "transfers",
-                seq_of(self.transfers.iter(), |(f, t)| {
-                    Value::Seq(vec![Value::U64(f.0), ck::transfer(t)])
-                }),
-            )
-            .put(
-                "flow_events",
-                seq_of(self.flow_event.iter(), |f| {
-                    Value::Seq(vec![Value::U64(f.flow.0), Value::U64(f.id.raw())])
-                }),
-            )
-            .put(
-                "tickets",
-                seq_of(self.tickets.iter(), |(t, ps)| {
-                    Value::Seq(vec![
-                        Value::U64(*t),
-                        Value::U64(ps.read.0),
-                        Value::U64(ps.block.0),
-                        Value::U64(u64::from(ps.node.0)),
-                    ])
-                }),
-            )
-            .u64("next_ticket", self.next_ticket)
-            .u64("next_copy", self.next_copy)
-            .put(
-                "completed_reads",
-                seq_of(self.completed_reads.iter(), ck::read_stats),
-            )
-            .put(
-                "completed_copies",
-                seq_of(self.completed_copies.iter(), ck::copy_stats),
-            )
-            .put(
-                "fired_timers",
-                seq_of(self.fired_timers.iter(), |(at, tok)| {
-                    Value::Seq(vec![Value::U64(at.as_nanos()), Value::U64(*tok)])
-                }),
-            )
-            .put(
-                "standby_pool",
-                Value::Seq(self.standby_pool.iter().map(|&b| Value::Bool(b)).collect()),
-            )
-            .put(
-                "copy_load",
-                Value::Seq(
-                    self.copy_load
-                        .iter()
-                        .map(|&x| Value::U64(u64::from(x)))
-                        .collect(),
-                ),
-            )
-            .put(
-                "staged_copies",
-                seq_of(self.staged_copies.iter(), |(id, s)| {
-                    Value::Seq(vec![Value::U64(id.0), ck::staged(s)])
-                }),
-            )
-            .put(
-                "ready_copies",
-                seq_of(self.ready_copies.iter(), |(id, s)| {
-                    Value::Seq(vec![Value::U64(id.0), ck::staged(s)])
-                }),
-            )
-            .put(
-                "copy_streams",
-                Value::Seq(
-                    self.copy_streams
-                        .iter()
-                        .map(|&x| Value::U64(u64::from(x)))
-                        .collect(),
-                ),
-            )
-            .put(
-                "retained",
-                seq_of(self.retained.iter(), |(n, stash)| {
-                    Value::Seq(vec![
-                        Value::U64(u64::from(n.0)),
-                        Value::Seq(
-                            stash
-                                .iter()
-                                .map(|&(b, len)| Value::Seq(vec![Value::U64(b.0), Value::U64(len)]))
-                                .collect(),
-                        ),
-                    ])
-                }),
-            )
-            .put("slowdown", seq_of(self.slowdown.iter().copied(), f64_bits))
-            .put(
-                "rack_down",
-                Value::Seq(self.rack_down.iter().map(|&b| Value::Bool(b)).collect()),
-            )
-            .put(
-                "repair_copies",
-                Value::Seq(self.repair_copies.iter().map(|c| Value::U64(c.0)).collect()),
-            )
-            .put("durability", ck::durability(&self.durability.state()))
-            .put(
-                "dirty_files",
-                Value::Seq(self.dirty_files.iter().map(|f| Value::U64(f.0)).collect()),
-            )
-            .put(
-                "deleted_files",
-                Value::Seq(self.deleted_files.iter().map(|f| Value::U64(f.0)).collect()),
-            )
-            .put(
-                "latent_corrupt",
-                Value::Seq(
-                    self.latent_corrupt
-                        .iter()
-                        .map(|(&(b, n), &t)| {
-                            Value::Seq(vec![
-                                Value::U64(b.0),
-                                Value::U64(u64::from(n.0)),
-                                Value::U64(t.as_nanos()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            )
-            .put(
-                "corrupt_pending_repair",
-                Value::Seq(
-                    self.corrupt_pending_repair
-                        .iter()
-                        .map(|b| Value::U64(b.0))
-                        .collect(),
-                ),
-            )
-            .put("scrub_cursor", Value::U64(self.scrub_cursor))
-            .build()
+        qs.put()
     }
 
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        use checkpoint::CheckpointError;
-        self.namespace.load_state(c::get(state, "namespace")?)?;
-        self.blockmap.load_state(c::get(state, "blockmap")?)?;
-        self.net.load_state(c::get(state, "net")?)?;
-        self.audit.load_state(c::get(state, "audit")?)?;
-        let node_states = c::get_seq(state, "nodes")?;
-        if node_states.len() != self.nodes.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "snapshot has {} nodes, cluster has {} — wrong scenario config?",
-                node_states.len(),
-                self.nodes.len()
-            )));
-        }
-        for (node, nv) in self.nodes.iter_mut().zip(node_states) {
-            node.load_state(nv)?;
-        }
-        let pair_u64 =
-            |x: &checkpoint::Value, field: &str| -> Result<(u64, u64), CheckpointError> {
-                let s = c::as_seq(x, field)?;
-                if s.len() != 2 {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "`{field}` entry is not a pair"
-                    )));
-                }
-                Ok((c::as_u64(&s[0], field)?, c::as_u64(&s[1], field)?))
-            };
-        // The event queue is restored verbatim: same entries, same seqs,
-        // same id counter — deliberately NOT re-derived from the flow
-        // table, so resumed runs replay the identical schedule.
-        let qv = c::get(state, "queue")?;
-        let mut entries = c::get_seq(qv, "entries")?
-            .iter()
-            .map(|e| {
-                let t = c::as_seq(e, "queue.entries[]")?;
-                if t.len() != 3 {
-                    return Err(CheckpointError::Corrupt(
-                        "queue entry is not (at, seq, ev)".into(),
-                    ));
-                }
-                Ok((
-                    SimTime::from_nanos(c::as_u64(&t[0], "queue.entries[].at")?),
-                    c::as_u64(&t[1], "queue.entries[].seq")?,
-                    ck::ev_back(&t[2])?,
-                ))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        // Flow completions leave the queue: the first to pop becomes the
-        // pending one. A snapshot may list a completion for every active
-        // flow (`flow_events` then pairs each with its event); only the
-        // earliest can fire before the resync it ends in replaces them
-        // all, so dropping the others here leaves the resumed schedule
-        // exactly as it was.
-        self.flow_event = entries
+    /// The event queue is restored verbatim: same entries, same seqs,
+    /// same id counter — deliberately NOT re-derived from the flow
+    /// table, so resumed runs replay the identical schedule.
+    ///
+    /// Flow completions leave the queue: the first to pop becomes the
+    /// pending one. A snapshot may list a completion for every active
+    /// flow (`flow_events` then pairs each with its event); only the
+    /// earliest can fire before the resync it ends in replaces them
+    /// all, so dropping the others here leaves the resumed schedule
+    /// exactly as it was.
+    fn load_queue(&mut self, v: &Value) -> Result<(), CheckpointError> {
+        let mut qs = QueueSnapshot::<Ev>::take(v, "queue")?;
+        self.flow_event = qs
+            .entries
             .iter()
             .filter_map(|(at, seq, ev)| match ev {
                 Ev::FlowDone(flow) => Some((*at, *seq, *flow)),
@@ -3239,185 +2791,105 @@ impl checkpoint::Checkpointable for ClusterSim {
                 id: EventId::from_raw(seq),
                 flow,
             });
-        entries.retain(|(_, _, ev)| !matches!(ev, Ev::FlowDone(_)));
-        let mut listed = c::get_seq(state, "flow_events")?
+        qs.entries
+            .retain(|(_, _, ev)| !matches!(ev, Ev::FlowDone(_)));
+        for (_, _, ev) in &qs.entries {
+            if let Ev::NodeBooted(n) = ev {
+                self.known_node(*n, "queue.entries")?;
+            }
+        }
+        self.queue = EventQueue::restore(qs);
+        Ok(())
+    }
+
+    fn save_flow_events(&self) -> Value {
+        let pending: Vec<(FlowId, u64)> = self
+            .flow_event
             .iter()
-            .map(|x| pair_u64(x, "flow_events"));
+            .map(|f| (f.flow, f.id.raw()))
+            .collect();
+        pending.put()
+    }
+
+    /// `flow_events` carries no state of its own: it must list the
+    /// pending completion [`load_queue`](Self::load_queue) lifted out.
+    fn check_flow_events(&mut self, v: &Value) -> Result<(), CheckpointError> {
+        let listed = Vec::<(FlowId, u64)>::take(v, "flow_events")?;
         let pending_listed = match self.flow_event {
-            Some(f) => listed.any(|p| p.is_ok_and(|p| p == (f.flow.0, f.id.raw()))),
-            None => listed.next().is_none(),
+            Some(f) => listed.contains(&(f.flow, f.id.raw())),
+            None => listed.is_empty(),
         };
         if !pending_listed {
             return Err(CheckpointError::Corrupt(
                 "`flow_events` disagrees with the queued flow completions".into(),
             ));
         }
-        self.queue = EventQueue::restore(simcore::queue::QueueSnapshot {
-            now: c::get_time(qv, "now")?,
-            next_seq: c::get_u64(qv, "next_seq")?,
-            entries,
-        });
-        self.client_nic = c::get_seq(state, "client_nic")?
-            .iter()
-            .map(|x| {
-                pair_u64(x, "client_nic")
-                    .map(|(cl, r)| (ClientId(cl as u32), ResourceId(r as usize)))
-            })
-            .collect::<Result<_, _>>()?;
-        self.reads = c::get_seq(state, "reads")?
-            .iter()
-            .map(|v| ck::read_req_back(v).map(|r| (r.id, r)))
-            .collect::<Result<_, _>>()?;
-        self.next_read = c::get_u64(state, "next_read")?;
-        self.writes = c::get_seq(state, "writes")?
-            .iter()
-            .map(|v| ck::write_req_back(v).map(|w| (w.id, w)))
-            .collect::<Result<_, _>>()?;
-        self.next_write = c::get_u64(state, "next_write")?;
-        self.completed_writes = c::get_seq(state, "completed_writes")?
-            .iter()
-            .map(ck::write_stats_back)
-            .collect::<Result<_, _>>()?;
-        self.transfers = c::get_seq(state, "transfers")?
-            .iter()
-            .map(|x| {
-                let s = c::as_seq(x, "transfers[]")?;
-                if s.len() != 2 {
-                    return Err(CheckpointError::Corrupt(
-                        "transfers entry is not (flow, transfer)".into(),
-                    ));
-                }
-                Ok((
-                    FlowId(c::as_u64(&s[0], "transfers[].flow")?),
-                    ck::transfer_back(&s[1])?,
-                ))
-            })
-            .collect::<Result<_, _>>()?;
-        self.tickets = c::get_seq(state, "tickets")?
-            .iter()
-            .map(|x| {
-                let s = c::as_seq(x, "tickets[]")?;
-                if s.len() != 4 {
-                    return Err(CheckpointError::Corrupt(
-                        "tickets entry is not (ticket, read, block, node)".into(),
-                    ));
-                }
-                Ok((
-                    c::as_u64(&s[0], "tickets[].ticket")?,
-                    PendingSession {
-                        read: ReadId(c::as_u64(&s[1], "tickets[].read")?),
-                        block: BlockId(c::as_u64(&s[2], "tickets[].block")?),
-                        node: NodeId(c::as_u64(&s[3], "tickets[].node")? as u32),
-                    },
-                ))
-            })
-            .collect::<Result<_, _>>()?;
-        self.next_ticket = c::get_u64(state, "next_ticket")?;
-        self.next_copy = c::get_u64(state, "next_copy")?;
-        self.completed_reads = c::get_seq(state, "completed_reads")?
-            .iter()
-            .map(ck::read_stats_back)
-            .collect::<Result<_, _>>()?;
-        self.completed_copies = c::get_seq(state, "completed_copies")?
-            .iter()
-            .map(ck::copy_stats_back)
-            .collect::<Result<_, _>>()?;
-        self.fired_timers = c::get_seq(state, "fired_timers")?
-            .iter()
-            .map(|x| pair_u64(x, "fired_timers").map(|(at, tok)| (SimTime::from_nanos(at), tok)))
-            .collect::<Result<_, _>>()?;
-        self.standby_pool = c::get_seq(state, "standby_pool")?
-            .iter()
-            .map(|v| c::as_bool(v, "standby_pool[]"))
-            .collect::<Result<_, _>>()?;
-        self.copy_load = c::get_seq(state, "copy_load")?
-            .iter()
-            .map(|v| c::as_u64(v, "copy_load[]").map(|x| x as u32))
-            .collect::<Result<_, _>>()?;
-        let staged_pairs = |field: &'static str,
-                            state: &checkpoint::Value|
-         -> Result<Vec<(CopyId, StagedCopy)>, CheckpointError> {
-            c::get_seq(state, field)?
-                .iter()
-                .map(|x| {
-                    let s = c::as_seq(x, field)?;
-                    if s.len() != 2 {
-                        return Err(CheckpointError::Corrupt(format!(
-                            "`{field}` entry is not (copy, staged)"
-                        )));
-                    }
-                    Ok((CopyId(c::as_u64(&s[0], field)?), ck::staged_back(&s[1])?))
-                })
-                .collect()
+        Ok(())
+    }
+
+    fn known_node(&self, n: NodeId, at: &str) -> Result<(), CheckpointError> {
+        let nodes = self.node_disk.len();
+        if (n.0 as usize) < nodes {
+            return Ok(());
+        }
+        Err(CheckpointError::Corrupt(format!(
+            "`{at}`: {n} of {nodes} nodes"
+        )))
+    }
+
+    /// What must hold between the loaded fields and the cluster they
+    /// were loaded into before anything indexes by them: one entry per
+    /// node (or rack) in every per-node vector, every node id naming a
+    /// node, every resource id a registered resource.
+    fn check_loaded(&self) -> Result<(), CheckpointError> {
+        let shaped = |what: &str, len: usize, want: usize| {
+            if len == want {
+                return Ok(());
+            }
+            Err(CheckpointError::Corrupt(format!(
+                "snapshot has {len} `{what}` entries, cluster has {want} — wrong scenario config?"
+            )))
         };
-        self.staged_copies = staged_pairs("staged_copies", state)?.into_iter().collect();
-        self.ready_copies = staged_pairs("ready_copies", state)?.into_iter().collect();
-        self.copy_streams = c::get_seq(state, "copy_streams")?
-            .iter()
-            .map(|v| c::as_u64(v, "copy_streams[]").map(|x| x as u32))
-            .collect::<Result<_, _>>()?;
-        self.retained = c::get_seq(state, "retained")?
-            .iter()
-            .map(|x| {
-                let s = c::as_seq(x, "retained[]")?;
-                if s.len() != 2 {
-                    return Err(CheckpointError::Corrupt(
-                        "retained entry is not (node, stash)".into(),
-                    ));
-                }
-                let n = NodeId(c::as_u64(&s[0], "retained[].node")? as u32);
-                let stash = c::as_seq(&s[1], "retained[].stash")?
-                    .iter()
-                    .map(|y| pair_u64(y, "retained[].stash[]").map(|(b, len)| (BlockId(b), len)))
-                    .collect::<Result<_, _>>()?;
-                Ok((n, stash))
-            })
-            .collect::<Result<_, _>>()?;
-        self.slowdown = c::get_seq(state, "slowdown")?
-            .iter()
-            .map(|v| c::as_f64_bits(v, "slowdown[]"))
-            .collect::<Result<_, _>>()?;
-        self.rack_down = c::get_seq(state, "rack_down")?
-            .iter()
-            .map(|v| c::as_bool(v, "rack_down[]"))
-            .collect::<Result<_, _>>()?;
-        self.repair_copies = c::get_seq(state, "repair_copies")?
-            .iter()
-            .map(|v| c::as_u64(v, "repair_copies[]").map(CopyId))
-            .collect::<Result<_, _>>()?;
-        self.durability
-            .set_state(ck::durability_back(c::get(state, "durability")?)?);
-        self.dirty_files = c::get_seq(state, "dirty_files")?
-            .iter()
-            .map(|v| c::as_u64(v, "dirty_files[]").map(FileId))
-            .collect::<Result<_, _>>()?;
-        self.deleted_files = c::get_seq(state, "deleted_files")?
-            .iter()
-            .map(|v| c::as_u64(v, "deleted_files[]").map(FileId))
-            .collect::<Result<_, _>>()?;
-        self.latent_corrupt = c::get_seq(state, "latent_corrupt")?
-            .iter()
-            .map(|v| {
-                let t = c::as_seq(v, "latent_corrupt[]")?;
-                if t.len() != 3 {
-                    return Err(checkpoint::CheckpointError::Corrupt(
-                        "latent_corrupt[] is not a (block, node, t_ns) triple".into(),
-                    ));
-                }
-                Ok((
-                    (
-                        BlockId(c::as_u64(&t[0], "latent_corrupt[].block")?),
-                        NodeId(c::as_u64(&t[1], "latent_corrupt[].node")? as u32),
-                    ),
-                    SimTime::from_nanos(c::as_u64(&t[2], "latent_corrupt[].t_ns")?),
-                ))
-            })
-            .collect::<Result<_, _>>()?;
-        self.corrupt_pending_repair = c::get_seq(state, "corrupt_pending_repair")?
-            .iter()
-            .map(|v| c::as_u64(v, "corrupt_pending_repair[]").map(BlockId))
-            .collect::<Result<_, _>>()?;
-        self.scrub_cursor = c::get_u64(state, "scrub_cursor")?;
+        let nodes = self.node_disk.len();
+        shaped("nodes", self.nodes.len(), nodes)?;
+        shaped("standby_pool", self.standby_pool.len(), nodes)?;
+        shaped("copy_load", self.copy_load.len(), nodes)?;
+        shaped("copy_streams", self.copy_streams.len(), nodes)?;
+        shaped("slowdown", self.slowdown.len(), nodes)?;
+        shaped("rack_down", self.rack_down.len(), self.rack_uplink.len())?;
+
+        for (i, node) in self.nodes.iter().enumerate() {
+            let ascending = node.blocks().zip(node.blocks().skip(1)).all(|(a, b)| a < b);
+            if node.id.0 as usize != i || !ascending {
+                return Err(CheckpointError::Corrupt(format!(
+                    "`nodes[{i}]`: wrong id or unsorted block list"
+                )));
+            }
+        }
+        let endpoints = (self.reads.values().map(|r| r.reader))
+            .chain(self.writes.values().map(|w| w.writer))
+            .filter_map(|e| match e {
+                Endpoint::Node(n) => Some(n),
+                Endpoint::Client(_) => None,
+            });
+        let named = (self.transfers.values().flat_map(Transfer::nodes))
+            .chain(endpoints)
+            .chain(self.tickets.values().map(|t| t.node))
+            .chain(self.staged_copies.values().map(|s| s.target))
+            .chain(self.ready_copies.iter().map(|(_, s)| s.target))
+            .chain(self.retained.keys().copied())
+            .chain(self.latent_corrupt.keys().map(|&(_, n)| n));
+        for n in named {
+            self.known_node(n, "cluster")?;
+        }
+
+        let registered = self.net.resources();
+        let wired = nodes * 2 + self.rack_uplink.len();
+        if registered < wired || self.client_nic.values().any(|r| r.0 >= registered) {
+            return Err(CheckpointError::Corrupt(format!(
+                "`net.capacities`: {registered} resources registered, {wired} wired plus the client NICs needed"
+            )));
+        }
         Ok(())
     }
 }
@@ -3426,6 +2898,7 @@ impl checkpoint::Checkpointable for ClusterSim {
 mod tests {
     use super::*;
     use crate::placement::DefaultRackAware;
+    use checkpoint::codec::get;
     use simcore::units::MB;
 
     fn sim() -> ClusterSim {
@@ -3581,8 +3054,7 @@ mod tests {
         let q = straight.queue_stats();
         assert!(q.active_flows >= 200, "{q:?}");
         let state = straight.save_state();
-        let listed = checkpoint::codec::get_seq(&state, "flow_events").unwrap();
-        assert_eq!(listed.len(), 1, "one pending completion for {q:?}");
+        assert_eq!(listed_flow_events(&state), 1, "one completion for {q:?}");
 
         assert_eq!(resume_crowd(&state, &state), finish(&mut straight));
     }
@@ -3590,9 +3062,8 @@ mod tests {
     /// `c`'s state as a build that queued a completion per active flow
     /// wrote it. Exact only straight after a resync, while the flow
     /// model's settle point is still the resync's `now`.
-    fn saved_with_every_flow_queued(c: &ClusterSim) -> checkpoint::Value {
-        use checkpoint::codec::{as_seq, as_u64};
-        use checkpoint::{Checkpointable, Value};
+    fn saved_with_every_flow_queued(c: &ClusterSim) -> Value {
+        use checkpoint::Checkpointable;
         let pending = c.flow_event.unwrap();
         let rank = c.transfers.keys().position(|&f| f == pending.flow).unwrap();
         let first_id = pending.id.raw() - rank as u64;
@@ -3608,39 +3079,21 @@ mod tests {
         );
 
         let mut state = c.save_state();
-        *seq_mut(&mut state, &["flow_events"]) = all
-            .iter()
-            .map(|&(_, id, f)| Value::Seq(vec![Value::U64(f.0), Value::U64(id)]))
-            .collect();
-        let entries = seq_mut(&mut state, &["queue", "entries"]);
-        let parts = |e: &Value| -> (u64, u64, Ev) {
-            let t = as_seq(e, "entry").unwrap();
-            let u = |v| as_u64(v, "entry").unwrap();
-            (u(&t[0]), u(&t[1]), ck::ev_back(&t[2]).unwrap())
-        };
-        entries.retain(|e| !matches!(parts(e).2, Ev::FlowDone(_)));
-        entries.extend(all.iter().map(|&(at, id, f)| {
-            Value::Seq(vec![
-                Value::U64(at.as_nanos()),
-                Value::U64(id),
-                ck::ev(&Ev::FlowDone(f)),
-            ])
-        }));
-        entries.sort_by_key(|e| (parts(e).0, parts(e).1));
+        let listed: Vec<(FlowId, u64)> = all.iter().map(|&(_, id, f)| (f, id)).collect();
+        *at_mut(&mut state, &["flow_events"]) = listed.put();
+        let mut qs: QueueSnapshot<Ev> = get(&state, "queue").unwrap();
+        qs.entries.retain(|e| !matches!(e.2, Ev::FlowDone(_)));
+        qs.entries
+            .extend(all.iter().map(|&(at, id, f)| (at, id, Ev::FlowDone(f))));
+        qs.entries.sort_by_key(|e| (e.0, e.1));
+        *at_mut(&mut state, &["queue"]) = qs.put();
         state
     }
 
-    /// The sequence at `path` (map keys, outermost first) inside `v`.
-    fn seq_mut<'a>(v: &'a mut checkpoint::Value, path: &[&str]) -> &'a mut Vec<checkpoint::Value> {
-        use checkpoint::Value;
-        match (v, path) {
-            (Value::Seq(items), []) => items,
-            (Value::Map(m), [key, rest @ ..]) => {
-                let (_, inner) = m.iter_mut().find(|(k, _)| k == key).unwrap();
-                seq_mut(inner, rest)
-            }
-            (other, _) => panic!("no {path:?} in {other:?}"),
-        }
+    fn listed_flow_events(state: &Value) -> usize {
+        get::<Vec<(FlowId, u64)>>(state, "flow_events")
+            .unwrap()
+            .len()
     }
 
     #[test]
@@ -3654,8 +3107,7 @@ mod tests {
         assert!(flows >= 200, "{flows} flows");
 
         let old_format = saved_with_every_flow_queued(&straight);
-        let listed = checkpoint::codec::get_seq(&old_format, "flow_events").unwrap();
-        assert_eq!(listed.len(), flows);
+        assert_eq!(listed_flow_events(&old_format), flows);
         let resumed = resume_crowd(&old_format, &straight.save_state());
         assert_eq!(resumed, finish(&mut straight));
     }
@@ -3666,13 +3118,132 @@ mod tests {
         let mut c = read_crowd();
         c.run_until(SimTime::from_millis(1500));
         let mut state = c.save_state();
-        seq_mut(&mut state, &["flow_events"]).clear();
+        *at_mut(&mut state, &["flow_events"]) = Value::Seq(Vec::new());
         match crowd_cluster().load_state(&state) {
             Err(checkpoint::CheckpointError::Corrupt(msg)) => {
                 assert!(msg.contains("flow_events"), "{msg}")
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    /// A cluster caught with every snapshot field populated and nothing
+    /// drained: a session-capped read crowd, a pipelined write in
+    /// flight, finished reads, writes and copies, copies staged, waiting
+    /// for a stream and in flight, a reconstruction, a fired timer, an
+    /// open, a closed and a lost durability window, a crashed disk,
+    /// latent and quarantined corruption, an encoded file, a deleted
+    /// file, a straggler and a failed rack uplink.
+    fn busy_cluster() -> ClusterSim {
+        let mut c = sim();
+        let client = |i| Endpoint::Client(ClientId(i));
+        c.schedule_timer(SimTime::from_secs(1), 77);
+        let one = c.create_file("/one", 64 * MB, 1, Some(NodeId(0))).unwrap();
+        c.create_file("/hot", 64 * MB, 1, Some(NodeId(5))).unwrap();
+        c.create_file("/small", MB, 3, Some(NodeId(2))).unwrap();
+        c.create_file("/open", 64 * MB, 1, Some(NodeId(7))).unwrap();
+        c.create_file("/closed", 64 * MB, 1, Some(NodeId(8)))
+            .unwrap();
+        c.create_file("/lost", 64 * MB, 1, Some(NodeId(9))).unwrap();
+        c.create_file("/wide", 128 * MB, 3, Some(NodeId(10)))
+            .unwrap();
+        c.create_file("/gone", MB, 2, None).unwrap();
+        let enc = c
+            .create_file("/enc", 128 * MB, 1, Some(NodeId(12)))
+            .unwrap();
+        let (parity, _) = c.place_parity_block(enc, 0, 64 * MB).unwrap();
+        c.mark_encoded(enc, vec![parity]);
+
+        // ten copies of a single-replica block, two streams per holder:
+        // most wait their turn
+        let b_one = c.namespace().file(one).unwrap().blocks[0];
+        for n in [1, 2, 3, 4, 6, 11, 13, 14, 15, 17] {
+            c.add_replica_to(b_one, NodeId(n)).unwrap();
+        }
+        for i in 0..25 {
+            c.open_read(client(i), "/hot").unwrap();
+        }
+        c.open_read(client(100), "/small").unwrap();
+        c.open_read(Endpoint::Node(NodeId(2)), "/small").unwrap();
+        c.write_file(client(200), "/w-long", 640 * MB, 3).unwrap();
+        c.write_file(client(201), "/w-short", 4 * MB, 2).unwrap();
+        c.run_until(SimTime::from_secs(2));
+
+        assert!(c.crash_node(NodeId(7)));
+        assert!(c.crash_node(NodeId(8)));
+        c.kill_node(NodeId(9));
+        assert!(c.corrupt_replica(NodeId(10), 0, false));
+        assert_eq!(c.scrub(1000, &[]).1, 1, "the scrubber finds the rot");
+        assert!(c.delete_file("/gone"));
+        c.set_node_slowdown(NodeId(3), 0.25);
+        c.fail_rack_uplink(RackId(2));
+        c.run_until(SimTime::from_millis(4900));
+        assert_eq!(c.restart_node(NodeId(8)), Some(1));
+        assert!(!c.repair_under_replicated().is_empty());
+        // a data block of the encoded file goes dark and is rebuilt
+        // from its stripe
+        let b_enc = c.namespace().file(enc).unwrap().blocks[0];
+        let holder = c.blockmap().replica_nodes(b_enc)[0];
+        c.crash_node(holder);
+        let sources: Vec<NodeId> = [NodeId(14), NodeId(15)]
+            .into_iter()
+            .filter(|&n| n != holder)
+            .collect();
+        c.reconstruct_block(b_enc, &sources, NodeId(16)).unwrap();
+        assert!(c.corrupt_replica(NodeId(2), 0, false));
+        c.run_until(SimTime::from_secs(5));
+        c
+    }
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        use std::hash::Hasher;
+        let mut h = cep::fnv::FnvHasher::default();
+        h.write(bytes);
+        h.finish()
+    }
+
+    #[test]
+    fn a_busy_cluster_snapshot_is_pinned_and_reloads_byte_for_byte() {
+        use checkpoint::Checkpointable;
+        let c = busy_cluster();
+        assert!(!c.reads.is_empty() && !c.completed_reads.is_empty());
+        assert!(!c.writes.is_empty() && !c.completed_writes.is_empty());
+        assert!(!c.completed_copies.is_empty());
+        assert!(!c.staged_copies.is_empty() && !c.ready_copies.is_empty());
+        assert!(!c.tickets.is_empty() && !c.fired_timers.is_empty());
+        assert!(c.nodes.iter().any(|n| n.queued_sessions() > 0));
+        assert!(!c.dirty_files.is_empty() && !c.deleted_files.is_empty());
+        assert!(!c.latent_corrupt.is_empty() && !c.corrupt_pending_repair.is_empty());
+        assert!(!c.retained.is_empty() && !c.repair_copies.is_empty());
+        assert!(c.audit.pending() > 0);
+        let d = c.durability.state();
+        assert!(!d.open.is_empty() && !d.windows.is_empty() && !d.lost.is_empty());
+        for kind in ["ReadBlock", "WriteBlock", "Copy", "Reconstruct"] {
+            assert!(
+                c.transfers
+                    .values()
+                    .any(|t| format!("{t:?}").starts_with(kind)),
+                "no {kind} transfer in flight"
+            );
+        }
+        assert!(c.namespace.files().any(|f| f.is_encoded()));
+        assert!(c.flow_event.is_some() && c.queue_stats().live_events > 0);
+
+        let json = serde_json::to_string(&c.save_state()).unwrap();
+        println!(
+            "busy cluster: {:#018x} {}",
+            fnv(json.as_bytes()),
+            json.len()
+        );
+        assert_eq!(
+            (fnv(json.as_bytes()), json.len()),
+            (0x94ee_eb26_f6ee_2d20, 20302),
+            "busy-cluster snapshot bytes changed"
+        );
+        let mut back = sim();
+        back.load_state(&serde_json::parse_value(&json).unwrap())
+            .unwrap();
+        assert_eq!(serde_json::to_string(&back.save_state()).unwrap(), json);
     }
 
     #[test]
@@ -3685,10 +3256,120 @@ mod tests {
         cfg.datanodes = 4;
         let mut small = ClusterSim::new(cfg, Box::new(DefaultRackAware));
         match small.load_state(&state) {
-            Err(checkpoint::CheckpointError::Corrupt(msg)) => {
+            Err(CheckpointError::Corrupt(msg)) => {
                 assert!(msg.contains("nodes"), "{msg}")
             }
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // a per-node (or per-rack) vector cut short used to load, then
+        // index out of bounds on the next event
+        for key in [
+            "nodes",
+            "standby_pool",
+            "copy_load",
+            "copy_streams",
+            "slowdown",
+            "rack_down",
+        ] {
+            let mut cut = state.clone();
+            let Value::Seq(items) = at_mut(&mut cut, &[key]) else {
+                panic!("`{key}` is a sequence");
+            };
+            items.truncate(1);
+            match sim().load_state(&cut) {
+                Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(key), "{msg}"),
+                other => panic!("`{key}` cut short: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    /// The value at `path` inside a saved section: map keys, and decimal
+    /// indices into sequences.
+    fn at_mut<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+        let Some((step, rest)) = path.split_first() else {
+            return v;
+        };
+        let inner = match v {
+            Value::Map(m) => &mut m.iter_mut().find(|(k, _)| k == step).unwrap().1,
+            Value::Seq(items) => &mut items[step.parse::<usize>().unwrap()],
+            other => panic!("no `{step}` in {other:?}"),
+        };
+        at_mut(inner, rest)
+    }
+
+    /// Load the busy cluster's snapshot with the number at `path` passed
+    /// through `edit`.
+    fn load_edited(path: &[&str], edit: impl Fn(u64) -> u64) -> Result<(), CheckpointError> {
+        use checkpoint::Checkpointable;
+        let mut state = busy_cluster().save_state();
+        let cell = at_mut(&mut state, path);
+        let Value::U64(n) = *cell else {
+            panic!("{path:?} is not a number: {cell:?}");
+        };
+        *cell = Value::U64(edit(n));
+        sim().load_state(&state)
+    }
+
+    #[test]
+    fn an_id_that_was_never_minted_is_refused_before_a_column_grows_to_it() {
+        for path in [
+            &["namespace", "files", "0", "id"][..],
+            &["namespace", "blocks", "0", "id"],
+            &["blockmap", "blocks", "0"],
+            &["blockmap", "target_blocks", "0"],
+        ] {
+            match load_edited(path, |_| 1 << 62) {
+                Err(CheckpointError::Corrupt(msg)) => {
+                    assert!(msg.contains("never minted"), "{msg}")
+                }
+                other => panic!("{path:?}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_flow_through_an_unregistered_resource_is_refused() {
+        match load_edited(&["net", "flows", "0", "resources", "0"], |_| 999_999) {
+            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("resources"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_node_id_above_u32_is_a_type_error_not_the_truncated_node() {
+        for path in [
+            &["blockmap", "nodes", "0"][..],
+            &["tickets", "0", "3"],
+            &["retained", "0", "0"],
+            &["latent_corrupt", "0", "1"],
+            &["client_nic", "0", "0"],
+            &["copy_load", "0"],
+            &["copy_streams", "0"],
+            &["staged_copies", "0", "1", "target"],
+        ] {
+            match load_edited(path, |n| n + (1 << 32)) {
+                Err(CheckpointError::TypeMismatch { expected, .. }) => {
+                    assert_eq!(expected, "u32", "{path:?}")
+                }
+                other => panic!("{path:?}: expected TypeMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_id_the_cluster_lacks_is_refused() {
+        for path in [
+            &["blockmap", "nodes", "0"][..],
+            &["tickets", "0", "3"],
+            &["ready_copies", "0", "1", "target"],
+            &["transfers", "0", "1", "node"],
+        ] {
+            match load_edited(path, |_| 18) {
+                Err(CheckpointError::Corrupt(msg)) => {
+                    assert!(msg.contains("dn18 of 18 nodes"), "{msg}")
+                }
+                other => panic!("{path:?}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 

@@ -171,69 +171,19 @@ impl DataNode {
     }
 }
 
-impl checkpoint::Checkpointable for DataNode {
-    fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::MapBuilder;
-        use checkpoint::Value;
-        let state = match self.state {
-            NodeState::Active => "active",
-            NodeState::Standby => "standby",
-            NodeState::Dead => "dead",
-        };
-        MapBuilder::new()
-            .u64("id", u64::from(self.id.0))
-            .str("state", state)
-            .u64("capacity", self.capacity)
-            .u64("used", self.used)
-            .put(
-                "blocks",
-                Value::Seq(self.blocks.iter().map(|b| Value::U64(b.0)).collect()),
-            )
-            .u64("active_sessions", self.active_sessions as u64)
-            .u64("max_sessions", self.max_sessions as u64)
-            .put(
-                "wait_queue",
-                Value::Seq(self.wait_queue.iter().map(|&t| Value::U64(t)).collect()),
-            )
-            .u64("sessions_served", self.sessions_served)
-            .u64("peak_sessions", self.peak_sessions as u64)
-            .build()
-    }
-
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        self.id = NodeId(c::get_u32(state, "id")?);
-        self.state = match c::get_str(state, "state")? {
-            "active" => NodeState::Active,
-            "standby" => NodeState::Standby,
-            "dead" => NodeState::Dead,
-            other => {
-                return Err(checkpoint::CheckpointError::Corrupt(format!(
-                    "unknown node state `{other}`"
-                )))
-            }
-        };
-        self.capacity = c::get_u64(state, "capacity")?;
-        self.used = c::get_u64(state, "used")?;
-        self.blocks = c::get_seq(state, "blocks")?
-            .iter()
-            .map(|v| c::as_u64(v, "blocks[]").map(BlockId))
-            .collect::<Result<_, _>>()?;
-        // the column is sorted by invariant; saved order already is,
-        // but hand-edited snapshots must not break binary search
-        self.blocks.sort_unstable();
-        self.blocks.dedup();
-        self.active_sessions = c::get_usize(state, "active_sessions")?;
-        self.max_sessions = c::get_usize(state, "max_sessions")?;
-        self.wait_queue = c::get_seq(state, "wait_queue")?
-            .iter()
-            .map(|v| c::as_u64(v, "wait_queue[]"))
-            .collect::<Result<_, _>>()?;
-        self.sessions_served = c::get_u64(state, "sessions_served")?;
-        self.peak_sessions = c::get_usize(state, "peak_sessions")?;
-        Ok(())
-    }
-}
+checkpoint::ck_enum!(NodeState { Active => "active", Standby => "standby", Dead => "dead" });
+checkpoint::ck_record!(DataNode {
+    id,
+    state,
+    capacity,
+    used,
+    blocks,
+    active_sessions,
+    max_sessions,
+    wait_queue,
+    sessions_served,
+    peak_sessions,
+});
 
 #[cfg(test)]
 mod tests {

@@ -291,63 +291,40 @@ impl FlowNet {
     }
 }
 
-impl checkpoint::Checkpointable for FlowNet {
-    fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::{f64_bits, seq_of, MapBuilder};
-        use checkpoint::Value;
-        MapBuilder::new()
-            .put(
-                "capacities",
-                seq_of(self.capacities.iter().copied(), f64_bits),
-            )
-            .put(
-                "flows",
-                seq_of(self.flows.iter(), |f| {
-                    MapBuilder::new()
-                        .u64("id", f.id.0)
-                        .put(
-                            "resources",
-                            Value::Seq(
-                                f.resources.iter().map(|r| Value::U64(r.0 as u64)).collect(),
-                            ),
-                        )
-                        .f64b("remaining", f.remaining)
-                        .f64b("rate", f.rate)
-                        .build()
-                }),
-            )
-            .u64("next_flow", self.next_flow)
-            .time("last_settle", self.last_settle)
-            .build()
-    }
+checkpoint::ck_id!(ResourceId, FlowId);
+checkpoint::ck_record!(Flow {
+    id,
+    resources,
+    remaining,
+    rate
+});
 
-    fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        // Capacities are replaced wholesale: the saved run may have
-        // lazily registered more resources (client NICs) than a freshly
-        // built instance has.
-        self.capacities = c::get_seq(state, "capacities")?
+impl checkpoint::Checkpointable for FlowNet {
+    // Capacities are replaced wholesale: the saved run may have lazily
+    // registered more resources (client NICs) than a freshly built
+    // instance has.
+    checkpoint::ck_fields!(capacities, flows, next_flow, last_settle; then check_loaded);
+}
+
+impl FlowNet {
+    /// Size the scratch vectors to the loaded capacities and refuse a
+    /// flow that crosses a resource nobody registered.
+    fn check_loaded(&mut self) -> Result<(), checkpoint::CheckpointError> {
+        let registered = self.capacities.len();
+        if let Some(r) = self
+            .flows
             .iter()
-            .map(|v| c::as_f64_bits(v, "capacities[]"))
-            .collect::<Result<_, _>>()?;
-        self.counts = vec![0; self.capacities.len()];
-        self.residual = vec![0.0; self.capacities.len()];
-        self.flows.clear();
-        for fv in c::get_seq(state, "flows")? {
-            let resources = c::get_seq(fv, "resources")?
-                .iter()
-                .map(|v| c::as_u64(v, "resources[]").map(|n| ResourceId(n as usize)))
-                .collect::<Result<_, _>>()?;
-            self.flows.push(Flow {
-                id: FlowId(c::get_u64(fv, "id")?),
-                resources,
-                remaining: c::get_f64b(fv, "remaining")?,
-                rate: c::get_f64b(fv, "rate")?,
-            });
+            .flat_map(|f| &f.resources)
+            .find(|r| r.0 >= registered)
+        {
+            return Err(checkpoint::CheckpointError::Corrupt(format!(
+                "`flows[].resources`: resource {} of {registered} registered",
+                r.0
+            )));
         }
+        self.counts = vec![0; registered];
+        self.residual = vec![0.0; registered];
         self.flows.sort_by_key(|f| f.id);
-        self.next_flow = c::get_u64(state, "next_flow")?;
-        self.last_settle = c::get_time(state, "last_settle")?;
         Ok(())
     }
 }

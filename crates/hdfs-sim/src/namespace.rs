@@ -204,110 +204,92 @@ impl Namespace {
     }
 }
 
+// A record whose storage mode is flattened into it: `replication` for a
+// replicated file, `parity_blocks` for an encoded one.
+impl checkpoint::codec::Ck for FileMeta {
+    fn put(&self) -> checkpoint::Value {
+        let b = checkpoint::codec::MapBuilder::new()
+            .put("id", &self.id)
+            .put("path", &self.path)
+            .put("size", &self.size)
+            .put("blocks", &self.blocks)
+            .put("created_at", &self.created_at)
+            .put("last_access", &self.last_access);
+        match &self.mode {
+            StorageMode::Replicated { replication } => b.put("replication", replication),
+            StorageMode::Encoded { parity_blocks } => b.put("parity_blocks", parity_blocks),
+        }
+        .build()
+    }
+
+    fn take(v: &checkpoint::Value, _at: &str) -> Result<Self, checkpoint::CheckpointError> {
+        use checkpoint::codec::{get, Ck};
+        Ok(FileMeta {
+            id: get(v, "id")?,
+            path: get(v, "path")?,
+            size: get(v, "size")?,
+            blocks: get(v, "blocks")?,
+            mode: match v.get("replication") {
+                Some(r) => StorageMode::Replicated {
+                    replication: Ck::take(r, "replication")?,
+                },
+                None => StorageMode::Encoded {
+                    parity_blocks: get(v, "parity_blocks")?,
+                },
+            },
+            created_at: get(v, "created_at")?,
+            last_access: get(v, "last_access")?,
+        })
+    }
+}
+
 impl checkpoint::Checkpointable for Namespace {
     fn save_state(&self) -> checkpoint::Value {
-        use checkpoint::codec::{seq_of, MapBuilder};
-        use checkpoint::Value;
+        use checkpoint::codec::{put_seq, MapBuilder};
         MapBuilder::new()
-            .put(
-                "files",
-                seq_of(self.files(), |f| {
-                    let mut b = MapBuilder::new()
-                        .u64("id", f.id.0)
-                        .str("path", &f.path)
-                        .u64("size", f.size)
-                        .put(
-                            "blocks",
-                            Value::Seq(f.blocks.iter().map(|b| Value::U64(b.0)).collect()),
-                        )
-                        .time("created_at", f.created_at)
-                        .time("last_access", f.last_access);
-                    b = match &f.mode {
-                        StorageMode::Replicated { replication } => {
-                            b.u64("replication", *replication as u64)
-                        }
-                        StorageMode::Encoded { parity_blocks } => b.put(
-                            "parity_blocks",
-                            Value::Seq(parity_blocks.iter().map(|p| Value::U64(p.0)).collect()),
-                        ),
-                    };
-                    b.build()
-                }),
-            )
-            .put(
-                "blocks",
-                seq_of(self.blocks.iter().filter_map(Option::as_ref), |i| {
-                    MapBuilder::new()
-                        .u64("id", i.id.0)
-                        .u64("file", i.file.0)
-                        .u64("index", u64::from(i.index))
-                        .u64("len", i.len)
-                        .bool("is_parity", i.is_parity)
-                        .build()
-                }),
-            )
-            .u64("next_file", self.next_file)
-            .u64("next_block", self.next_block)
+            .raw("files", put_seq(self.files()))
+            .raw("blocks", put_seq(self.blocks.iter().flatten()))
+            .put("next_file", &self.next_file)
+            .put("next_block", &self.next_block)
             .build()
     }
 
+    // The columns are sized by the ids they hold, so every id is bounded
+    // by the section's own counter before anything is allocated for it.
     fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
+        use checkpoint::codec::get;
+        let minted = |what: &str, id: u64, next: u64| {
+            let i = usize::try_from(id).ok().filter(|_| id < next);
+            i.ok_or_else(|| {
+                checkpoint::CheckpointError::Corrupt(format!(
+                    "`{what}`: id {id} was never minted (next is {next})"
+                ))
+            })
+        };
+        self.next_file = get(state, "next_file")?;
+        self.next_block = get(state, "next_block")?;
         self.files.clear();
         self.by_path.clear();
         self.blocks.clear();
         self.live_blocks = 0;
-        for fv in c::get_seq(state, "files")? {
-            let id = FileId(c::get_u64(fv, "id")?);
-            let path = c::get_str(fv, "path")?.to_string();
-            let blocks = c::get_seq(fv, "blocks")?
-                .iter()
-                .map(|v| c::as_u64(v, "blocks[]").map(BlockId))
-                .collect::<Result<_, _>>()?;
-            let mode = match fv.get("replication") {
-                Some(r) => StorageMode::Replicated {
-                    replication: c::as_u64(r, "replication")? as usize,
-                },
-                None => StorageMode::Encoded {
-                    parity_blocks: c::get_seq(fv, "parity_blocks")?
-                        .iter()
-                        .map(|v| c::as_u64(v, "parity_blocks[]").map(BlockId))
-                        .collect::<Result<_, _>>()?,
-                },
-            };
-            self.by_path.insert(path.clone(), id);
-            column_put(
-                &mut self.files,
-                id.0 as usize,
-                FileMeta {
-                    id,
-                    path,
-                    size: c::get_u64(fv, "size")?,
-                    blocks,
-                    mode,
-                    created_at: c::get_time(fv, "created_at")?,
-                    last_access: c::get_time(fv, "last_access")?,
-                },
-            );
+        for f in get::<Vec<FileMeta>>(state, "files")? {
+            let i = minted("files[].id", f.id.0, self.next_file)?;
+            self.by_path.insert(f.path.clone(), f.id);
+            column_put(&mut self.files, i, f);
         }
-        for bv in c::get_seq(state, "blocks")? {
-            let id = BlockId(c::get_u64(bv, "id")?);
-            column_put(
-                &mut self.blocks,
-                id.0 as usize,
-                BlockInfo {
-                    id,
-                    file: FileId(c::get_u64(bv, "file")?),
-                    index: c::get_u32(bv, "index")?,
-                    len: c::get_u64(bv, "len")?,
-                    is_parity: c::get_bool(bv, "is_parity")?,
-                },
-            );
+        for b in get::<Vec<BlockInfo>>(state, "blocks")? {
+            let i = minted("blocks[].id", b.id.0, self.next_block)?;
+            column_put(&mut self.blocks, i, b);
             self.live_blocks += 1;
         }
-        self.next_file = c::get_u64(state, "next_file")?;
-        self.next_block = c::get_u64(state, "next_block")?;
         Ok(())
+    }
+}
+
+impl Namespace {
+    /// One past the highest block id ever minted.
+    pub(crate) fn next_block(&self) -> u64 {
+        self.next_block
     }
 }
 

@@ -38,6 +38,10 @@ pub enum Endpoint {
     Client(ClientId),
 }
 
+checkpoint::ck_id!(NodeId, ClientId);
+
+checkpoint::ck_tagged!(Endpoint, "k" { "node" => Node(id), "client" => Client(id) });
+
 /// Network distance categories, mirroring HDFS's topology levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Distance {

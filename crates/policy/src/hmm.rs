@@ -206,36 +206,38 @@ impl JudgePolicy for HmmJudge {
     }
 }
 
+/// One file's belief as the wire names it.
+struct Belief {
+    file: FileId,
+    cold: f64,
+    warm: f64,
+    hot: f64,
+}
+checkpoint::ck_record!(Belief {
+    file,
+    cold,
+    warm,
+    hot
+});
+
 impl Checkpointable for HmmJudge {
     fn save_state(&self) -> Value {
-        let beliefs = self
-            .beliefs
-            .iter()
-            .map(|(file, b)| {
-                c::MapBuilder::new()
-                    .u64("file", file.0)
-                    .f64b("cold", b[COLD])
-                    .f64b("warm", b[WARM])
-                    .f64b("hot", b[HOT])
-                    .build()
+        let beliefs: Vec<Belief> = (self.beliefs.iter())
+            .map(|(&file, b)| Belief {
+                file,
+                cold: b[COLD],
+                warm: b[WARM],
+                hot: b[HOT],
             })
             .collect();
-        c::MapBuilder::new().seq("beliefs", beliefs).build()
+        c::MapBuilder::new().put("beliefs", &beliefs).build()
     }
 
     fn load_state(&mut self, state: &Value) -> Result<(), CheckpointError> {
-        let mut beliefs = BTreeMap::new();
-        for entry in c::get_seq(state, "beliefs")? {
-            beliefs.insert(
-                FileId(c::get_u64(entry, "file")?),
-                [
-                    c::get_f64b(entry, "cold")?,
-                    c::get_f64b(entry, "warm")?,
-                    c::get_f64b(entry, "hot")?,
-                ],
-            );
-        }
-        self.beliefs = beliefs;
+        self.beliefs = c::get::<Vec<Belief>>(state, "beliefs")?
+            .into_iter()
+            .map(|b| (b.file, [b.cold, b.warm, b.hot]))
+            .collect();
         Ok(())
     }
 }

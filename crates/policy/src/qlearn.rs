@@ -159,11 +159,9 @@ impl QLearningJudge {
     pub fn new(cfg: QConfig, seed: u64) -> QLearningJudge {
         let mut root = DetRng::new(seed);
         let salt = root.fork(0x9_1ea7).gen_u64();
-        let mut q = vec![0.0f64; NUM_STATES * NUM_ACTIONS];
-        for s in 0..NUM_STATES {
-            let prior = Self::rules_action(&cfg.disc, s);
-            q[s * NUM_ACTIONS + prior as usize] = 1.0;
-        }
+        let q = (0..NUM_STATES * NUM_ACTIONS)
+            .map(|i| prior(&cfg.disc, i))
+            .collect();
         QLearningJudge {
             cfg,
             q,
@@ -321,126 +319,94 @@ impl JudgePolicy for QLearningJudge {
     }
 }
 
+/// A pending `(state, action)` as the wire names it.
+struct PendingRow {
+    file: FileId,
+    state: usize,
+    action: usize,
+}
+checkpoint::ck_record!(PendingRow {
+    file,
+    state,
+    action
+});
+
+/// The warm-start prior of cell `i`: 1 at the rules' action, 0 elsewhere.
+fn prior(disc: &Discretizer, i: usize) -> f64 {
+    if QLearningJudge::rules_action(disc, i / NUM_ACTIONS) as usize == i % NUM_ACTIONS {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+fn within(at: &str, i: usize, len: usize) -> Result<usize, CheckpointError> {
+    if i < len {
+        return Ok(i);
+    }
+    Err(CheckpointError::Corrupt(format!(
+        "`{at}`: index {i} outside a table of {len}"
+    )))
+}
+
 impl Checkpointable for QLearningJudge {
     fn save_state(&self) -> Value {
         // The table is stored sparsely as diffs against the warm-start
         // prior: most of the 768×4 cells never leave their init value,
         // so snapshots stay small.
-        let mut q_diff = Vec::new();
-        for (i, &v) in self.q.iter().enumerate() {
-            let s = i / NUM_ACTIONS;
-            let init: f64 = if Self::rules_action(&self.cfg.disc, s) as usize == i % NUM_ACTIONS {
-                1.0
-            } else {
-                0.0
-            };
-            if v.to_bits() != init.to_bits() {
-                q_diff.push(Value::Seq(vec![Value::U64(i as u64), c::f64_bits(v)]));
-            }
-        }
-        let visits = self
-            .visits
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| Value::Seq(vec![Value::U64(i as u64), Value::U64(n)]))
+        let disc = &self.cfg.disc;
+        let q: Vec<(usize, f64)> = (self.q.iter().copied().enumerate())
+            .filter(|&(i, v)| v.to_bits() != prior(disc, i).to_bits())
             .collect();
-        let pending = self
-            .pending
-            .iter()
-            .map(|(file, p)| {
-                c::MapBuilder::new()
-                    .u64("file", file.0)
-                    .u64("state", p.state as u64)
-                    .u64("action", p.action as u64)
-                    .build()
+        let visits: Vec<(usize, u64)> = (self.visits.iter().copied().enumerate())
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        let pending: Vec<PendingRow> = (self.pending.iter())
+            .map(|(&file, p)| PendingRow {
+                file,
+                state: p.state,
+                action: p.action as usize,
             })
             .collect();
         c::MapBuilder::new()
-            .u64("passes", self.passes)
-            .u64("salt", self.salt)
-            .f64b("m_storage", self.meters.storage_overhead)
-            .f64b("m_energy", self.meters.standby_on_frac)
-            .put("q", Value::Seq(q_diff))
-            .seq("visits", visits)
-            .seq("pending", pending)
+            .put("passes", &self.passes)
+            .put("salt", &self.salt)
+            .put("m_storage", &self.meters.storage_overhead)
+            .put("m_energy", &self.meters.standby_on_frac)
+            .put("q", &q)
+            .put("visits", &visits)
+            .put("pending", &pending)
             .build()
     }
 
     fn load_state(&mut self, state: &Value) -> Result<(), CheckpointError> {
-        let passes = c::get_u64(state, "passes")?;
-        let salt = c::get_u64(state, "salt")?;
-        let m_storage = c::get_f64b(state, "m_storage")?;
-        let m_energy = c::get_f64b(state, "m_energy")?;
-        let mut q = vec![0.0f64; NUM_STATES * NUM_ACTIONS];
-        for s in 0..NUM_STATES {
-            q[s * NUM_ACTIONS + Self::rules_action(&self.cfg.disc, s) as usize] = 1.0;
-        }
-        for entry in c::get_seq(state, "q")? {
-            let pair = c::as_seq(entry, "q[]")?;
-            if pair.len() != 2 {
-                return Err(CheckpointError::TypeMismatch {
-                    field: "q[]".to_string(),
-                    expected: "[index, bits] pair",
-                });
-            }
-            let i = c::as_u64(&pair[0], "q[].index")? as usize;
-            if i >= q.len() {
-                return Err(CheckpointError::TypeMismatch {
-                    field: "q[].index".to_string(),
-                    expected: "index within table",
-                });
-            }
-            q[i] = c::as_f64_bits(&pair[1], "q[].bits")?;
+        let passes = c::get(state, "passes")?;
+        let salt = c::get(state, "salt")?;
+        let meters = RewardMeters {
+            storage_overhead: c::get(state, "m_storage")?,
+            standby_on_frac: c::get(state, "m_energy")?,
+        };
+        let mut q: Vec<f64> = (0..NUM_STATES * NUM_ACTIONS)
+            .map(|i| prior(&self.cfg.disc, i))
+            .collect();
+        for (i, v) in c::get::<Vec<(usize, f64)>>(state, "q")? {
+            q[within("q", i, NUM_STATES * NUM_ACTIONS)?] = v;
         }
         let mut visits = vec![0u64; NUM_STATES];
-        for entry in c::get_seq(state, "visits")? {
-            let pair = c::as_seq(entry, "visits[]")?;
-            if pair.len() != 2 {
-                return Err(CheckpointError::TypeMismatch {
-                    field: "visits[]".to_string(),
-                    expected: "[state, count] pair",
-                });
-            }
-            let i = c::as_u64(&pair[0], "visits[].state")? as usize;
-            if i >= visits.len() {
-                return Err(CheckpointError::TypeMismatch {
-                    field: "visits[].state".to_string(),
-                    expected: "state within table",
-                });
-            }
-            visits[i] = c::as_u64(&pair[1], "visits[].count")?;
+        for (s, n) in c::get::<Vec<(usize, u64)>>(state, "visits")? {
+            visits[within("visits", s, NUM_STATES)?] = n;
         }
         let mut pending = BTreeMap::new();
-        for entry in c::get_seq(state, "pending")? {
-            let action = c::get_u64(entry, "action")? as usize;
-            if action >= NUM_ACTIONS {
-                return Err(CheckpointError::TypeMismatch {
-                    field: "pending[].action".to_string(),
-                    expected: "action index",
-                });
-            }
-            let st = c::get_u64(entry, "state")? as usize;
-            if st >= NUM_STATES {
-                return Err(CheckpointError::TypeMismatch {
-                    field: "pending[].state".to_string(),
-                    expected: "state within table",
-                });
-            }
-            pending.insert(
-                FileId(c::get_u64(entry, "file")?),
-                Pending {
-                    state: st,
-                    action: Action::from_index(action),
-                },
-            );
+        for row in c::get::<Vec<PendingRow>>(state, "pending")? {
+            let p = Pending {
+                state: within("pending[].state", row.state, NUM_STATES)?,
+                action: Action::from_index(within("pending[].action", row.action, NUM_ACTIONS)?),
+            };
+            pending.insert(row.file, p);
         }
         self.passes = passes;
         self.salt = salt;
-        self.meters = RewardMeters {
-            storage_overhead: m_storage,
-            standby_on_frac: m_energy,
-        };
+        self.meters = meters;
         self.q = q;
         self.visits = visits;
         self.pending = pending;
@@ -708,10 +674,7 @@ mod tests {
         if let Value::Map(entries) = &mut saved {
             for (k, v) in entries.iter_mut() {
                 if k == "q" {
-                    *v = Value::Seq(vec![Value::Seq(vec![
-                        Value::U64(10_000_000),
-                        c::f64_bits(1.0),
-                    ])]);
+                    *v = c::Ck::put(&vec![(10_000_000usize, 1.0f64)]);
                 }
             }
         }

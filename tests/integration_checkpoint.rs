@@ -12,8 +12,10 @@
 //! test moves the checkpoint tick and fault schedule around.
 
 use bench::checkpointing::{ResumableRun, Scenario};
-use checkpoint::Snapshot;
+use cep::fnv::FnvHasher;
+use checkpoint::{Snapshot, Value};
 use proptest::prelude::*;
+use std::hash::Hasher;
 use trace_tools::{check, OracleConfig};
 
 /// Straight-through run: full trace plus the final-state snapshot JSON.
@@ -224,6 +226,41 @@ fn crash_restart_trace_stays_oracle_clean() {
     assert_oracle_clean(&format!("{prefix}{suffix}"));
 }
 
+/// A mid-run snapshot's JSON, checkpointed at `at_tick`.
+fn snapshot_json(scenario: &str, at_tick: u64) -> String {
+    let scenario = Scenario::by_name(scenario).expect("registered scenario");
+    let mut run = ResumableRun::new(scenario, 42);
+    run.run_to_tick(at_tick);
+    run.save().to_json()
+}
+
+/// The snapshot wire bytes, pinned per scenario: FNV-1a-64 of the JSON
+/// plus its length. The resume guards above prove a build agrees with
+/// itself; this proves it still writes the format-2 bytes every earlier
+/// build wrote, so a codec refactor that moves a key, a row arity or a
+/// number's encoding fails here.
+#[test]
+fn snapshot_digest_is_pinned() {
+    let pinned = [
+        ("churn-small", 40, 0xbdc3_433c_58ce_517f_u64, 26760_usize),
+        ("churn-small-full", 40, 0x53ac_879b_0f2b_659b, 26766),
+        ("churn-learned-q", 35, 0xeb95_789f_05a9_65ee, 27561),
+        ("churn-learned-hmm", 35, 0xf88e_27ea_43e4_1b1d, 27176),
+        ("churn-corrupt", 35, 0x4c9f_b1a3_7e2a_9e67, 37907),
+        ("prod-flashcrowd", 20, 0xdc46_3933_ddbd_c934, 35634),
+        ("prod-tiered", 33, 0x6c8b_664d_41eb_e74e, 84767),
+    ];
+    assert_eq!(checkpoint::FORMAT_VERSION, 2);
+    for (scenario, at_tick, digest, len) in pinned {
+        let json = snapshot_json(scenario, at_tick);
+        let mut h = FnvHasher::default();
+        h.write(json.as_bytes());
+        let got = (h.finish(), json.len());
+        println!("{scenario}@{at_tick}: {:#018x} {}", got.0, got.1);
+        assert_eq!(got, (digest, len), "{scenario}@{at_tick} snapshot changed");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -235,5 +272,103 @@ proptest! {
         let (trace_b, state_b) = split(Scenario::churn_tiny(), seed, at_tick);
         prop_assert_eq!(trace_a, trace_b);
         prop_assert_eq!(state_a, state_b);
+    }
+}
+
+/// One seeded mutation somewhere in `v`: walk down from the root taking a
+/// random child at each level (stopping early one time in six), then
+/// drop, overwrite, duplicate, swap or truncate what is there.
+fn mutate(v: &mut Value, next: &mut impl FnMut() -> usize) {
+    let children = match v {
+        Value::Map(m) => m.len(),
+        Value::Seq(s) => s.len(),
+        _ => 0,
+    };
+    if children == 0 {
+        *v = Value::U64(u64::MAX);
+        return;
+    }
+    let i = next() % children;
+    let j = next() % children;
+    let child = match v {
+        Value::Map(m) => &mut m[i].1,
+        Value::Seq(s) => &mut s[i],
+        _ => unreachable!("scalars have no children"),
+    };
+    if matches!(child, Value::Map(_) | Value::Seq(_)) && !next().is_multiple_of(6) {
+        return mutate(child, next);
+    }
+    match next() % 9 {
+        0 => *child = Value::U64(0),
+        1 => *child = Value::U64(u64::MAX),
+        2 => *child = Value::Str("x".into()),
+        3 => *child = Value::Null,
+        4 => *child = Value::U64(1 << 32),
+        5 => match v {
+            Value::Map(m) => drop(m.remove(i)),
+            Value::Seq(s) => drop(s.remove(i)),
+            _ => {}
+        },
+        6 => match v {
+            Value::Map(m) => m.push(m[i].clone()),
+            Value::Seq(s) => s.insert(i, s[i].clone()),
+            _ => {}
+        },
+        7 => match v {
+            Value::Map(m) => {
+                let (a, b) = (m[i].1.clone(), m[j].1.clone());
+                (m[i].1, m[j].1) = (b, a);
+            }
+            Value::Seq(s) => s.swap(i, j),
+            _ => {}
+        },
+        _ => match v {
+            Value::Map(m) => m.truncate(i),
+            Value::Seq(s) => s.truncate(i),
+            _ => {}
+        },
+    }
+}
+
+/// The two richest pinned snapshots, parsed once.
+fn fuzz_corpus() -> &'static [Value; 2] {
+    static CORPUS: std::sync::OnceLock<[Value; 2]> = std::sync::OnceLock::new();
+    CORPUS.get_or_init(|| {
+        [("churn-corrupt", 35), ("prod-tiered", 33)]
+            .map(|(name, at)| serde_json::parse_value(&snapshot_json(name, at)).expect("own JSON"))
+    })
+}
+
+proptest! {
+    /// Loader fuzz: whatever one mutation does to a snapshot, parsing
+    /// and resuming it ends in `Ok` or a typed error — never a panic, an
+    /// out-of-bounds index or an allocation sized by a number in the
+    /// file. (Default 64 cases; CI runs `PROPTEST_CASES=2048`.)
+    #[test]
+    fn a_mutated_snapshot_resumes_or_is_refused_never_panics(
+        which in 0usize..2,
+        seed in any::<u64>(),
+    ) {
+        let mut doc = fuzz_corpus()[which].clone();
+        let mut state = seed;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 16) as usize
+        };
+        // the envelope has four fields and its own tests; spend the
+        // mutations on the sections
+        let Value::Map(envelope) = &mut doc else {
+            unreachable!("a snapshot is a map");
+        };
+        mutate(&mut envelope[2].1, &mut next);
+        let json = serde_json::to_string(&doc).expect("value tree always prints");
+        let outcome = std::panic::catch_unwind(|| {
+            Snapshot::from_json(&json).and_then(|snap| ResumableRun::resume(&snap).map(drop))
+        });
+        prop_assert!(outcome.is_ok(), "corpus {which}, seed {seed}: the loader panicked");
     }
 }

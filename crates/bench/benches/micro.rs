@@ -196,9 +196,13 @@ fn bench_flownet(c: &mut Criterion) {
                 for i in 0..100usize {
                     let path = vec![res[i % 40], res[(i * 7 + 1) % 40]];
                     flows.push(net.start(SimTime::ZERO, 1 << 20, path));
+                    // rates are filled when read: read after every
+                    // change, or 100 starts cost no filling at all
+                    black_box(net.next_completion(SimTime::ZERO));
                 }
                 for f in flows {
                     net.remove(SimTime::from_millis(1), f);
+                    black_box(net.next_completion(SimTime::ZERO));
                 }
                 net.active_flows()
             },

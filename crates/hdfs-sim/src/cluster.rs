@@ -241,6 +241,11 @@ pub struct QueueStats {
     /// Capacity resources registered with the flow model: disks, NICs
     /// and uplinks, plus one NIC per client ever seen.
     pub resources: usize,
+    /// Max-min fillings run by this instance (monotone).
+    pub fillings: u64,
+    /// Resyncs — changes to the flows or capacities — made by this
+    /// instance (monotone); `resyncs / fillings` of them share a filling.
+    pub resyncs: u64,
 }
 
 /// The HDFS cluster simulator.
@@ -267,12 +272,22 @@ pub struct ClusterSim {
     completed_writes: Vec<WriteStats>,
     transfers: BTreeMap<FlowId, Transfer>,
     /// The one pending `FlowDone`: the completion
-    /// [`FlowNet::next_completion`] named at the last resync. Every
+    /// [`FlowNet::next_completion`] names for the last resync. Every
     /// change to the flows ends in a resync, so no other flow can finish
     /// before this one fires or is replaced. It is held here, beside the
     /// queue, because a resync replaces it — a heap entry would have to
-    /// be cancelled and left behind as a tombstone each time.
+    /// be cancelled and left behind as a tombstone each time. Out of
+    /// date while `unaimed` is set.
     flow_event: Option<FlowEvent>,
+    /// First id of the batch the last resync reserved, until
+    /// [`ClusterSim::aim_flow_event`] turns it into `flow_event`. Always
+    /// `None` when a public call returns, so nothing outside the event
+    /// loop — a snapshot least of all — sees a stale completion or rate.
+    unaimed: Option<EventId>,
+    resyncs: u64,
+    /// The reference the lazy aim is tested against: aim in every resync.
+    #[cfg(test)]
+    eager_aim: bool,
     tickets: BTreeMap<SessionTicket, PendingSession>,
     next_ticket: u64,
     next_copy: u64,
@@ -382,6 +397,10 @@ impl ClusterSim {
             completed_writes: Vec::new(),
             transfers: BTreeMap::new(),
             flow_event: None,
+            unaimed: None,
+            resyncs: 0,
+            #[cfg(test)]
+            eager_aim: false,
             tickets: BTreeMap::new(),
             next_ticket: 0,
             next_copy: 0,
@@ -555,6 +574,8 @@ impl ClusterSim {
             live_events: self.queue.len() + usize::from(self.flow_event.is_some()),
             active_flows: self.net.active_flows(),
             resources: self.net.resources(),
+            fillings: self.net.fillings(),
+            resyncs: self.resyncs,
         }
     }
 
@@ -694,6 +715,7 @@ impl ClusterSim {
             },
         );
         self.advance_write(id);
+        self.aim_flow_event();
         Some(id)
     }
 
@@ -1467,7 +1489,7 @@ impl ClusterSim {
         self.nodes[ni].state = NodeState::Standby;
         self.apply_node_capacity(n);
         self.fail_node_transfers(n, false);
-        self.resync_flow_events();
+        self.resync_and_aim();
         let now = self.now();
         trace!(
             self.telemetry,
@@ -1521,7 +1543,7 @@ impl ClusterSim {
         self.latent_corrupt.retain(|&(_, ln), _| ln != n);
         self.apply_node_capacity(n);
         self.fail_node_transfers(n, true);
-        self.resync_flow_events();
+        self.resync_and_aim();
         for &b in &lost {
             self.note_zero_replicas(b);
         }
@@ -1561,7 +1583,7 @@ impl ClusterSim {
         let (degraded, lost) = self.blockmap.remove_node(n);
         self.apply_node_capacity(n);
         self.fail_node_transfers(n, true);
-        self.resync_flow_events();
+        self.resync_and_aim();
         for &b in &lost {
             self.note_zero_replicas(b);
         }
@@ -1601,7 +1623,7 @@ impl ClusterSim {
                 }
             }
         }
-        self.resync_flow_events();
+        self.resync_and_aim();
         Some(readmitted)
     }
 
@@ -1617,7 +1639,7 @@ impl ClusterSim {
         let now = self.now();
         self.net
             .set_capacity(now, self.rack_uplink[ri], Bandwidth::ZERO);
-        self.resync_flow_events();
+        self.resync_and_aim();
         true
     }
 
@@ -1632,7 +1654,7 @@ impl ClusterSim {
         let now = self.now();
         self.net
             .set_capacity(now, self.rack_uplink[ri], self.cfg.rack_uplink);
-        self.resync_flow_events();
+        self.resync_and_aim();
         true
     }
 
@@ -1642,7 +1664,7 @@ impl ClusterSim {
     pub fn set_node_slowdown(&mut self, n: NodeId, factor: f64) {
         self.slowdown[n.0 as usize] = factor.clamp(0.01, 1.0);
         self.apply_node_capacity(n);
-        self.resync_flow_events();
+        self.resync_and_aim();
     }
 
     /// End a straggler episode (restore full service rate).
@@ -2159,7 +2181,7 @@ impl ClusterSim {
                 started: now,
             },
         );
-        self.resync_flow_events();
+        self.resync_and_aim();
         Some(id)
     }
 
@@ -2263,7 +2285,8 @@ impl ClusterSim {
 
     /// Run until the event queue drains (all submitted work finished).
     pub fn run_until_quiescent(&mut self) -> SimTime {
-        while self.step() {}
+        while self.fire_next() {}
+        self.aim_flow_event();
         self.now()
     }
 
@@ -2274,8 +2297,9 @@ impl ClusterSim {
             if t > deadline {
                 break;
             }
-            self.step();
+            self.fire_next();
         }
+        self.aim_flow_event();
         self.queue.advance_to(deadline);
         self.net.settle(deadline);
         self.now()
@@ -2283,6 +2307,14 @@ impl ClusterSim {
 
     /// Process one event. Returns false when nothing is pending.
     pub fn step(&mut self) -> bool {
+        let fired = self.fire_next();
+        self.aim_flow_event();
+        fired
+    }
+
+    /// [`step`](Self::step) inside the event loop: whatever the event
+    /// changed stays unaimed until the loop has to order it.
+    fn fire_next(&mut self) -> bool {
         let (t, ev) = if let Some(f) = self.flow_event_if_next() {
             self.flow_event = None;
             self.queue.advance_to(f.at);
@@ -2319,7 +2351,12 @@ impl ClusterSim {
 
     fn on_flow_done(&mut self, now: SimTime, flow: FlowId) {
         let Some(transfer) = self.transfers.remove(&flow) else {
-            return; // already cancelled
+            // the two tables are kept in step; should they ever part, drop
+            // the orphan so its siblings get its share and the run drains
+            debug_assert!(false, "{flow:?} completed without a transfer");
+            self.net.remove(now, flow);
+            self.resync_flow_events();
+            return;
         };
         self.net.remove(now, flow);
         match transfer {
@@ -2537,7 +2574,7 @@ impl ClusterSim {
         }
     }
 
-    /// Re-aim the pending `FlowDone` after rates changed.
+    /// Rates changed: the pending `FlowDone` must be re-aimed.
     ///
     /// The schedule is defined as if every active flow got a completion
     /// event here, in `FlowId` order with consecutive ids. Only the
@@ -2545,11 +2582,35 @@ impl ClusterSim {
     /// which would replace all the others — so it alone is kept, under
     /// the id its rank gives it, and the id counter moves past the rest.
     /// Every event id and same-nanosecond tie-break in the run depends
-    /// on that numbering.
+    /// on that numbering, so the batch is reserved here, at every call.
+    /// Finding the earliest completion is what costs (a filling and a
+    /// scan of the flows) and is left to [`Self::aim_flow_event`]: a later
+    /// resync at the same instant replaces the batch before anyone looked.
     fn resync_flow_events(&mut self) {
-        simcore::prof_scope!("resync");
         debug_assert_eq!(self.transfers.len(), self.net.active_flows());
-        let first = self.queue.reserve_seqs(self.net.active_flows() as u64);
+        self.resyncs += 1;
+        self.unaimed = Some(self.queue.reserve_seqs(self.net.active_flows() as u64));
+        #[cfg(test)]
+        if self.eager_aim {
+            self.aim_flow_event();
+        }
+    }
+
+    /// Resync from a mutator called from outside the event loop, which
+    /// must leave nothing unaimed behind.
+    fn resync_and_aim(&mut self) {
+        self.resync_flow_events();
+        self.aim_flow_event();
+    }
+
+    /// Name the completion of the last resync, if that is still owed. Only
+    /// events at `now` fire while a batch is unaimed and every change to
+    /// the flows is a resync, so it is the one the resync would have named.
+    fn aim_flow_event(&mut self) {
+        let Some(first) = self.unaimed.take() else {
+            return;
+        };
+        simcore::prof_scope!("flow_aim");
         self.flow_event = self.net.next_completion(self.now()).map(|next| FlowEvent {
             at: next.at,
             id: EventId::from_raw(first.raw() + next.rank as u64),
@@ -2558,12 +2619,21 @@ impl ClusterSim {
     }
 
     /// The pending flow completion, if it fires before the queue's head.
+    ///
+    /// An unaimed batch is aimed here unless the head makes the answer
+    /// moot: an event at the current instant numbered below the batch
+    /// precedes any completion the batch could name (`at ≥ now`,
+    /// `id ≥ first`), and firing it may well resync again.
     fn flow_event_if_next(&mut self) -> Option<FlowEvent> {
+        let head = self.queue.peek();
+        if let Some(first) = self.unaimed {
+            if head.is_some_and(|(at, id)| at <= self.now() && id < first) {
+                return None;
+            }
+            self.aim_flow_event();
+        }
         let f = self.flow_event?;
-        self.queue
-            .peek()
-            .is_none_or(|head| (f.at, f.id) < head)
-            .then_some(f)
+        head.is_none_or(|head| (f.at, f.id) < head).then_some(f)
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
@@ -2755,6 +2825,7 @@ impl ClusterSim {
     /// The pending flow completion is written where it sorts among the
     /// queue's entries, as the queued event it stands for.
     fn save_queue(&self) -> Value {
+        debug_assert!(self.unaimed.is_none() && self.net.is_filled());
         let mut qs = self.queue.snapshot();
         if let Some(f) = self.flow_event {
             let pos = qs
@@ -2803,6 +2874,7 @@ impl ClusterSim {
     }
 
     fn save_flow_events(&self) -> Value {
+        debug_assert!(self.unaimed.is_none() && self.net.is_filled());
         let pending: Vec<(FlowId, u64)> = self
             .flow_event
             .iter()
@@ -2881,6 +2953,12 @@ impl ClusterSim {
             .chain(self.latent_corrupt.keys().map(|&(_, n)| n));
         for n in named {
             self.known_node(n, "cluster")?;
+        }
+
+        if !self.transfers.keys().copied().eq(self.net.flow_ids()) {
+            return Err(CheckpointError::Corrupt(
+                "`transfers` and `net.flows` name different flows".into(),
+            ));
         }
 
         let registered = self.net.resources();
@@ -3004,18 +3082,25 @@ mod tests {
         (reads, c.drain_audit(), end)
     }
 
+    /// What holds between events however many flows there are: no
+    /// tombstones, and one pending completion beside the heap.
+    fn crowd_invariants(c: &ClusterSim) -> QueueStats {
+        let q = c.queue_stats();
+        assert!(q.heap_len <= q.live_events, "tombstones pile up: {q:?}");
+        assert_eq!(c.flow_event.is_some(), q.active_flows > 0, "{q:?}");
+        let in_heap = c.queue.snapshot().entries;
+        assert!(!in_heap
+            .iter()
+            .any(|(_, _, ev)| matches!(ev, Ev::FlowDone(_))));
+        q
+    }
+
     #[test]
     fn a_read_crowd_keeps_one_flow_completion_and_a_heap_of_live_events() {
         let mut c = read_crowd();
         let mut peak_flows = 0;
         loop {
-            let q = c.queue_stats();
-            assert!(q.heap_len <= q.live_events, "tombstones pile up: {q:?}");
-            assert_eq!(c.flow_event.is_some(), q.active_flows > 0, "{q:?}");
-            let in_heap = c.queue.snapshot().entries;
-            assert!(!in_heap
-                .iter()
-                .any(|(_, _, ev)| matches!(ev, Ev::FlowDone(_))));
+            let q = crowd_invariants(&c);
             peak_flows = peak_flows.max(q.active_flows);
             if !c.step() {
                 break;
@@ -3028,6 +3113,49 @@ mod tests {
         assert!(reads.iter().all(|r| r.1 == 256 * MB && !r.3));
         // every client's NIC stays registered after its read
         assert_eq!(c.queue_stats().resources, 2 * 60 + 6 + 240);
+    }
+
+    #[test]
+    fn a_read_crowd_fills_rates_once_per_instant() {
+        // stepped from outside, every event is a public call of its own
+        // and is aimed for; that run supplies what happened and when
+        let mut stepped = read_crowd();
+        let (mut queue_instants, mut completions) = (BTreeSet::new(), 0u64);
+        let mut last = crowd_invariants(&stepped);
+        loop {
+            let is_completion = stepped.flow_event_if_next().is_some();
+            if !stepped.step() {
+                break;
+            }
+            if is_completion {
+                completions += 1;
+            } else {
+                queue_instants.insert(stepped.now());
+            }
+            let q = crowd_invariants(&stepped);
+            assert!(q.fillings >= last.fillings && q.resyncs >= last.resyncs);
+            last = q;
+        }
+        assert_eq!((queue_instants.len(), completions), (1, 240 * 4));
+
+        let mut c = read_crowd();
+        assert_eq!(c.queue_stats().resyncs, 0, "opening a read changes no flow");
+        // all 240 reads begin at one instant: 240 changes, one filling
+        c.run_until(c.now() + c.cfg.request_overhead);
+        let q = c.queue_stats();
+        assert_eq!((q.active_flows, q.resyncs, q.fillings), (240, 240, 1));
+        c.run_until_quiescent();
+        let q = c.queue_stats();
+        assert_eq!(q.resyncs, last.resyncs, "the same schedule either way");
+        // rates are filled where the loop has to name the next completion:
+        // once for an instant's queued events, once after each completion
+        // (many of this symmetric crowd's land on one nanosecond, and the
+        // successor of each can only be named from fresh rates)
+        assert!(q.fillings <= 1 + completions, "{q:?}");
+        assert!(q.fillings < last.fillings, "{q:?} vs stepped {last:?}");
+        let per_filling = q.resyncs as f64 / q.fillings as f64;
+        assert!(per_filling >= 1.8, "{per_filling:.2} resyncs per filling");
+        assert_eq!(finish(&mut c), finish(&mut stepped));
     }
 
     /// Load `state` into a fresh crowd cluster, check it re-saves as
@@ -3062,8 +3190,9 @@ mod tests {
     /// `c`'s state as a build that queued a completion per active flow
     /// wrote it. Exact only straight after a resync, while the flow
     /// model's settle point is still the resync's `now`.
-    fn saved_with_every_flow_queued(c: &ClusterSim) -> Value {
+    fn saved_with_every_flow_queued(c: &mut ClusterSim) -> Value {
         use checkpoint::Checkpointable;
+        let now = c.now();
         let pending = c.flow_event.unwrap();
         let rank = c.transfers.keys().position(|&f| f == pending.flow).unwrap();
         let first_id = pending.id.raw() - rank as u64;
@@ -3071,7 +3200,7 @@ mod tests {
             .transfers
             .keys()
             .enumerate()
-            .map(|(i, &f)| (c.net.eta(f).unwrap().max(c.now()), first_id + i as u64, f))
+            .map(|(i, &f)| (c.net.eta(f).unwrap().max(now), first_id + i as u64, f))
             .collect();
         assert_eq!(
             all.iter().min(),
@@ -3106,7 +3235,7 @@ mod tests {
         let flows = straight.queue_stats().active_flows;
         assert!(flows >= 200, "{flows} flows");
 
-        let old_format = saved_with_every_flow_queued(&straight);
+        let old_format = saved_with_every_flow_queued(&mut straight);
         assert_eq!(listed_flow_events(&old_format), flows);
         let resumed = resume_crowd(&old_format, &straight.save_state());
         assert_eq!(resumed, finish(&mut straight));
@@ -3332,6 +3461,29 @@ mod tests {
         match load_edited(&["net", "flows", "0", "resources", "0"], |_| 999_999) {
             Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("resources"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_flow_and_its_transfer_must_both_be_there() {
+        use checkpoint::Checkpointable;
+        // the flow model and the transfer table each name every flow in
+        // flight; with one row gone the flow would finish into nothing
+        // (or never start), so neither edit may load
+        for table in [&["transfers"][..], &["net", "flows"]] {
+            for row in [0, 3] {
+                let mut state = busy_cluster().save_state();
+                let Value::Seq(rows) = at_mut(&mut state, table) else {
+                    panic!("{table:?} is a sequence");
+                };
+                rows.remove(row);
+                match sim().load_state(&state) {
+                    Err(CheckpointError::Corrupt(msg)) => {
+                        assert!(msg.contains("`transfers` and `net.flows`"), "{msg}")
+                    }
+                    other => panic!("{table:?} less row {row}: expected Corrupt, got {other:?}"),
+                }
+            }
         }
     }
 
@@ -4161,5 +4313,241 @@ mod tests {
             r.is_replica_corrupt(b0, victim),
             c.is_replica_corrupt(b0, victim)
         );
+    }
+
+    /// The lazy aim against the eager one (`eager_aim`: name the next
+    /// completion inside every resync, as the cluster did before rates
+    /// became lazy), through the same script of public calls.
+    mod lazy_vs_eager {
+        use super::*;
+        use checkpoint::Checkpointable;
+        use proptest::prelude::*;
+        use simcore::SimDuration;
+
+        const NODES: u32 = 8;
+        const RACKS: u16 = 2;
+        /// `(path, bytes)`: no blocks at all, one tiny block, one short
+        /// of a full block, and several blocks.
+        const FILES: [(&str, Bytes); 5] = [
+            ("/zero", 0),
+            ("/byte", 1),
+            ("/small", MB),
+            ("/block", 64 * MB),
+            ("/long", 200 * MB),
+        ];
+
+        #[derive(Debug, Clone)]
+        enum Act {
+            OpenRead {
+                client: u32,
+                file: usize,
+            },
+            /// A read by a datanode: node-local ones finish together.
+            NodeRead {
+                node: u32,
+                file: usize,
+            },
+            WriteFile {
+                client: u32,
+                mb: u64,
+                replication: usize,
+            },
+            SetReplication {
+                file: usize,
+                r: usize,
+            },
+            KillNode(u32),
+            CrashNode(u32),
+            RestartNode(u32),
+            SetSlowdown(u32, f64),
+            FailUplink(u16),
+            RestoreUplink(u16),
+            Timer {
+                ms: u64,
+            },
+            /// A timer on the very nanosecond of the pending completion,
+            /// numbered above it — and below the next resync's batch.
+            TimerAtCompletion,
+            Step,
+            /// `run_until`, noting every event fired.
+            Run {
+                ms: u64,
+            },
+            /// The real `run_until`.
+            RunPlain {
+                ms: u64,
+            },
+        }
+
+        fn arb_act() -> impl Strategy<Value = Act> {
+            let node = || 0..NODES;
+            let open = || {
+                (0u32..6, 0..FILES.len()).prop_map(|(client, file)| Act::OpenRead { client, file })
+            };
+            let node_read =
+                || (node(), 0..FILES.len()).prop_map(|(node, file)| Act::NodeRead { node, file });
+            prop_oneof![
+                open(),
+                open(),
+                open(),
+                node_read(),
+                node_read(),
+                (0u32..6, prop_oneof![Just(0u64), 1u64..150], 1usize..4).prop_map(
+                    |(client, mb, replication)| Act::WriteFile {
+                        client,
+                        mb,
+                        replication
+                    }
+                ),
+                (0..FILES.len(), 1usize..5).prop_map(|(file, r)| Act::SetReplication { file, r }),
+                node().prop_map(Act::KillNode),
+                node().prop_map(Act::CrashNode),
+                node().prop_map(Act::RestartNode),
+                (node(), 0.05f64..1.0).prop_map(|(n, f)| Act::SetSlowdown(n, f)),
+                (0..RACKS).prop_map(Act::FailUplink),
+                (0..RACKS).prop_map(Act::RestoreUplink),
+                prop_oneof![Just(0u64), 0u64..3000].prop_map(|ms| Act::Timer { ms }),
+                Just(Act::TimerAtCompletion),
+                Just(Act::TimerAtCompletion),
+                Just(Act::Step),
+                Just(Act::Step),
+                Just(Act::Step),
+                (0u64..1500).prop_map(|ms| Act::Run { ms }),
+                (0u64..1500).prop_map(|ms| Act::Run { ms }),
+                (0u64..1500).prop_map(|ms| Act::RunPlain { ms }),
+            ]
+        }
+
+        /// `(time, event id, event)` of everything fired.
+        type Fired = Vec<(SimTime, u64, String)>;
+
+        fn cluster(request_overhead: SimDuration, eager_aim: bool) -> ClusterSim {
+            let cfg = ClusterConfig {
+                datanodes: NODES,
+                racks: RACKS,
+                max_sessions_per_node: 2,
+                request_overhead,
+                ..ClusterConfig::paper_testbed()
+            };
+            let mut c = ClusterSim::new(cfg, Box::new(DefaultRackAware));
+            c.eager_aim = eager_aim;
+            for (path, bytes) in FILES {
+                c.create_file(path, bytes, 2, None).unwrap();
+            }
+            c
+        }
+
+        /// Note the event about to fire.
+        fn note_next(c: &mut ClusterSim, fired: &mut Fired) {
+            let next = match c.flow_event_if_next() {
+                Some(f) => Some((f.at, f.id.raw(), format!("{:?}", Ev::FlowDone(f.flow)))),
+                None => (c.queue.snapshot().entries.into_iter().next())
+                    .map(|(at, seq, ev)| (at, seq, format!("{ev:?}"))),
+            };
+            fired.extend(next);
+        }
+
+        fn apply(c: &mut ClusterSim, act: &Act, n: usize, fired: &mut Fired) {
+            match *act {
+                Act::OpenRead { client, file } => {
+                    c.open_read(Endpoint::Client(ClientId(client)), FILES[file].0);
+                }
+                Act::NodeRead { node, file } => {
+                    c.open_read(Endpoint::Node(NodeId(node)), FILES[file].0);
+                }
+                Act::WriteFile {
+                    client,
+                    mb,
+                    replication,
+                } => {
+                    let client = Endpoint::Client(ClientId(client));
+                    c.write_file(client, &format!("/w{n}"), mb * MB, replication);
+                }
+                Act::SetReplication { file, r } => {
+                    if let Some(id) = c.namespace.resolve(FILES[file].0) {
+                        c.set_file_replication(id, r);
+                    }
+                }
+                Act::KillNode(n) => {
+                    c.kill_node(NodeId(n));
+                }
+                Act::CrashNode(n) => {
+                    c.crash_node(NodeId(n));
+                }
+                Act::RestartNode(n) => {
+                    c.restart_node(NodeId(n));
+                }
+                Act::SetSlowdown(n, f) => c.set_node_slowdown(NodeId(n), f),
+                Act::FailUplink(r) => {
+                    c.fail_rack_uplink(RackId(r));
+                }
+                Act::RestoreUplink(r) => {
+                    c.restore_rack_uplink(RackId(r));
+                }
+                Act::Timer { ms } => {
+                    c.schedule_timer(c.now() + SimDuration::from_millis(ms), n as u64)
+                }
+                Act::TimerAtCompletion => {
+                    if let Some(f) = c.flow_event {
+                        c.schedule_timer(f.at, n as u64);
+                    }
+                }
+                Act::Step => {
+                    note_next(c, fired);
+                    c.step();
+                }
+                Act::Run { ms } => {
+                    let deadline = c.now() + SimDuration::from_millis(ms);
+                    while c.next_event_time().is_some_and(|t| t <= deadline) {
+                        note_next(c, fired);
+                        c.fire_next();
+                    }
+                    c.run_until(deadline);
+                }
+                Act::RunPlain { ms } => {
+                    c.run_until(c.now() + SimDuration::from_millis(ms));
+                }
+            }
+        }
+
+        fn bytes(c: &ClusterSim) -> String {
+            serde_json::to_string(&c.save_state()).unwrap()
+        }
+
+        proptest! {
+            #[test]
+            fn the_lazy_aim_fires_the_eager_schedule(
+                zero_overhead in any::<bool>(),
+                script in prop::collection::vec(arb_act(), 1..60),
+            ) {
+                let overhead = if zero_overhead {
+                    SimDuration::ZERO
+                } else {
+                    SimDuration::from_millis(1)
+                };
+                let mut lazy = cluster(overhead, false);
+                let mut eager = cluster(overhead, true);
+                let (mut fired_lazy, mut fired_eager) = (Fired::new(), Fired::new());
+                for (n, act) in script.iter().enumerate() {
+                    apply(&mut lazy, act, n, &mut fired_lazy);
+                    apply(&mut eager, act, n, &mut fired_eager);
+                    prop_assert_eq!(&fired_lazy, &fired_eager, "after {:?}", act);
+                    prop_assert!(lazy.unaimed.is_none(), "{:?} left a resync unaimed", act);
+                    prop_assert!(bytes(&lazy) == bytes(&eager), "snapshots differ after {:?}", act);
+                }
+                for (c, fired) in [(&mut lazy, &mut fired_lazy), (&mut eager, &mut fired_eager)] {
+                    while c.next_event_time().is_some() {
+                        note_next(c, fired);
+                        c.fire_next();
+                    }
+                    c.run_until_quiescent();
+                }
+                prop_assert_eq!(&fired_lazy, &fired_eager);
+                prop_assert!(bytes(&lazy) == bytes(&eager), "final snapshots differ");
+                let (l, e) = (lazy.queue_stats(), eager.queue_stats());
+                prop_assert_eq!(l.resyncs, e.resyncs);
+                prop_assert!(l.fillings <= e.fillings, "{:?} vs eager {:?}", l, e);
+            }
+        }
     }
 }

@@ -12,9 +12,17 @@
 //!
 //! # Cost model
 //!
-//! Rates are recomputed on every flow arrival, departure and capacity
-//! change, so `FlowNet::recompute` runs once per flow event and is the
-//! data plane's inner loop. It costs O(rounds × (L + Σ path lengths))
+//! Rates are a lazily evaluated function of the flow set: a flow arrival,
+//! departure or capacity change only marks them stale, and the one
+//! filling (`FlowNet::fill`, the data plane's inner loop) runs when a
+//! rate is next *read* — a `settle` over a non-zero interval,
+//! `next_completion`, `rate` or `eta`. So however many flows change at
+//! an instant, it costs one filling (the cluster reads again after each
+//! completion, to name the next). That is exact: the filling is a pure
+//! function of the capacities and the flows' paths in `FlowId` order,
+//! and a `settle` that does not advance time changes nothing, so the
+//! rates the skipped fillings would have produced were never observable.
+//! A filling costs O(rounds × (L + Σ path lengths))
 //! where L is the number of resources a live flow crosses — a few dozen
 //! to a few hundred — and **not** the number of resources registered.
 //! That distinction is the whole point: the cluster registers one NIC
@@ -24,7 +32,7 @@
 //! its list of loaded resources while it counts the flows on each, and
 //! every later round walks that list only. The per-resource `counts` and
 //! `residual` vectors and the two work lists live in the `FlowNet` and
-//! are reused, so a recompute allocates nothing; rates are written into
+//! are reused, so a filling allocates nothing; rates are written into
 //! the flows as they freeze, and a frozen flow's resources are
 //! un-counted on the spot.
 //!
@@ -85,9 +93,13 @@ pub struct FlowNet {
     flows: Vec<Flow>,
     next_flow: u64,
     last_settle: SimTime,
+    /// The flows or capacities changed since the rates were last filled.
+    stale: bool,
+    /// Fillings run so far.
+    fillings: u64,
 
-    // `recompute` scratch, kept so a recompute allocates nothing.
-    /// Unfrozen flows on each resource; all zero between recomputes.
+    // `fill` scratch, kept so a filling allocates nothing.
+    /// Unfrozen flows on each resource; all zero between fillings.
     counts: Vec<u32>,
     /// Capacity left on each resource; meaningful only for `loaded` ones.
     residual: Vec<f64>,
@@ -113,7 +125,7 @@ impl FlowNet {
     pub fn set_capacity(&mut self, now: SimTime, r: ResourceId, capacity: Bandwidth) {
         self.settle(now);
         self.capacities[r.0] = capacity.bytes_per_sec();
-        self.recompute();
+        self.stale = true;
     }
 
     pub fn capacity(&self, r: ResourceId) -> Bandwidth {
@@ -137,7 +149,7 @@ impl FlowNet {
             remaining: bytes as f64,
             rate: 0.0,
         });
-        self.recompute();
+        self.stale = true;
         id
     }
 
@@ -146,7 +158,7 @@ impl FlowNet {
     pub fn remove(&mut self, now: SimTime, id: FlowId) -> Option<u64> {
         self.settle(now);
         let flow = self.flows.remove(self.index_of(id)?);
-        self.recompute();
+        self.stale = true;
         Some(flow.remaining.max(0.0).round() as u64)
     }
 
@@ -165,8 +177,24 @@ impl FlowNet {
         self.flows.len()
     }
 
+    /// Ids of the active flows, ascending.
+    pub fn flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
+        self.flows.iter().map(|f| f.id)
+    }
+
+    /// Fillings run so far (see the module's cost model).
+    pub fn fillings(&self) -> u64 {
+        self.fillings
+    }
+
+    /// Whether the rates reflect every change made so far.
+    pub fn is_filled(&self) -> bool {
+        !self.stale
+    }
+
     /// Current rate of a flow in bytes/sec.
-    pub fn rate(&self, id: FlowId) -> Option<Bandwidth> {
+    pub fn rate(&mut self, id: FlowId) -> Option<Bandwidth> {
+        self.fill();
         self.get(id).map(|f| Bandwidth(f.rate))
     }
 
@@ -176,7 +204,8 @@ impl FlowNet {
     }
 
     /// Predicted completion time of a flow given current rates.
-    pub fn eta(&self, id: FlowId) -> Option<SimTime> {
+    pub fn eta(&mut self, id: FlowId) -> Option<SimTime> {
+        self.fill();
         self.get(id).map(|f| self.eta_of(f))
     }
 
@@ -187,7 +216,8 @@ impl FlowNet {
     /// The flow that completes first under current rates, no completion
     /// counted earlier than `not_before`; the lowest `FlowId` wins a tie.
     /// Until rates next change no other flow can complete before it.
-    pub fn next_completion(&self, not_before: SimTime) -> Option<NextCompletion> {
+    pub fn next_completion(&mut self, not_before: SimTime) -> Option<NextCompletion> {
+        self.fill();
         let mut best: Option<NextCompletion> = None;
         for (rank, f) in self.flows.iter().enumerate() {
             let at = self.eta_of(f).max(not_before);
@@ -207,6 +237,7 @@ impl FlowNet {
         if now <= self.last_settle {
             return;
         }
+        self.fill();
         let dt = (now - self.last_settle).as_secs_f64();
         for f in &mut self.flows {
             f.remaining = (f.remaining - f.rate * dt).max(0.0);
@@ -214,8 +245,13 @@ impl FlowNet {
         self.last_settle = now;
     }
 
-    /// Max-min fair progressive filling over the loaded resources.
-    fn recompute(&mut self) {
+    /// Max-min fair progressive filling over the loaded resources, if
+    /// anything changed since the last one. Every read of a rate starts here.
+    fn fill(&mut self) {
+        if !std::mem::take(&mut self.stale) {
+            return;
+        }
+        self.fillings += 1;
         simcore::prof_scope!("flow_recompute");
         let FlowNet {
             capacities,
@@ -701,7 +737,6 @@ mod tests {
                 res: usize,
                 mb: f64,
             },
-            Settle,
         }
 
         /// Mostly the busy block, sometimes a far-away client NIC.
@@ -732,7 +767,6 @@ mod tests {
                 arb_remove(),
                 arb_remove(),
                 (arb_res(), arb_capacity()).prop_map(|(res, mb)| Op::SetCapacity { res, mb }),
-                Just(Op::Settle),
             ]
         }
 
@@ -747,11 +781,22 @@ mod tests {
             ]
         }
 
+        /// 1–8 changes at one instant `gap_ms` after the previous burst
+        /// (0 ⇒ the same instant, after its rates were read), then
+        /// `run_ms` of progress at the rates they leave behind.
+        fn arb_burst() -> impl Strategy<Value = (Vec<Op>, u64, u64)> {
+            (prop::collection::vec(arb_op(), 1..=8), 0u64..400, 0u64..400)
+        }
+
         proptest! {
+            /// The lazy sparse filling against the eager dense one. The
+            /// reference refills on every operation; `FlowNet` is read
+            /// only once a burst is over, so it must get there in one
+            /// filling — and to the same bits.
             #[test]
             fn sparse_filling_matches_the_dense_reference(
                 caps in prop::collection::vec(arb_capacity(), BUSY),
-                ops in prop::collection::vec((arb_op(), 0u64..400), 1..60),
+                bursts in prop::collection::vec(arb_burst(), 1..24),
             ) {
                 let mut net = FlowNet::new();
                 let mut dense = DenseNet::default();
@@ -762,30 +807,41 @@ mod tests {
                 }
                 let mut active: Vec<FlowId> = Vec::new();
                 let mut now_ms = 0u64;
-                for (op, dt_ms) in ops {
-                    now_ms += dt_ms;
+                let mut changed_bursts = 0u64;
+                for (ops, gap_ms, run_ms) in bursts {
+                    now_ms += gap_ms;
                     let now = SimTime::from_millis(now_ms);
-                    match op {
-                        Op::Start { bytes, path } => {
-                            let path: Vec<ResourceId> = path.into_iter().map(ResourceId).collect();
-                            let id = net.start(now, bytes, path.clone());
-                            prop_assert_eq!(id, dense.start(now, bytes, path));
-                            active.push(id);
-                        }
-                        Op::Remove { pick } if !active.is_empty() => {
-                            let id = active.remove(pick % active.len());
-                            prop_assert_eq!(net.remove(now, id), dense.remove(now, id));
-                        }
-                        Op::Remove { .. } => {}
-                        Op::SetCapacity { res, mb } => {
-                            net.set_capacity(now, ResourceId(res), bw(mb));
-                            dense.set_capacity(now, ResourceId(res), bw(mb));
-                        }
-                        Op::Settle => {
-                            net.settle(now);
-                            dense.settle(now);
+                    let mut changed = false;
+                    for op in ops {
+                        match op {
+                            Op::Start { bytes, path } => {
+                                let path: Vec<ResourceId> =
+                                    path.into_iter().map(ResourceId).collect();
+                                let id = net.start(now, bytes, path.clone());
+                                prop_assert_eq!(id, dense.start(now, bytes, path));
+                                active.push(id);
+                                changed = true;
+                            }
+                            Op::Remove { pick } if !active.is_empty() => {
+                                let id = active.remove(pick % active.len());
+                                prop_assert_eq!(net.remove(now, id), dense.remove(now, id));
+                                changed = true;
+                            }
+                            Op::Remove { .. } => {}
+                            Op::SetCapacity { res, mb } => {
+                                net.set_capacity(now, ResourceId(res), bw(mb));
+                                dense.set_capacity(now, ResourceId(res), bw(mb));
+                                changed = true;
+                            }
                         }
                     }
+                    changed_bursts += u64::from(changed);
+
+                    let first = active.iter().map(|&id| (dense.eta(id), id)).min();
+                    prop_assert_eq!(
+                        net.next_completion(SimTime::ZERO).map(|n| (n.at, n.flow)),
+                        first
+                    );
                     for &id in &active {
                         prop_assert_eq!(
                             net.rate(id).unwrap().bytes_per_sec().to_bits(),
@@ -794,12 +850,20 @@ mod tests {
                         );
                         prop_assert_eq!(net.eta(id), Some(dense.eta(id)), "eta of {:?}", id);
                     }
-                    let first = active.iter().map(|&id| (dense.eta(id), id)).min();
-                    prop_assert_eq!(
-                        net.next_completion(SimTime::ZERO).map(|n| (n.at, n.flow)),
-                        first
-                    );
+                    prop_assert_eq!(net.fillings(), changed_bursts, "one filling per changed burst");
                     prop_assert!(net.counts.iter().all(|&c| c == 0), "scratch counts left dirty");
+
+                    now_ms += run_ms;
+                    let now = SimTime::from_millis(now_ms);
+                    net.settle(now);
+                    dense.settle(now);
+                    for f in &net.flows {
+                        prop_assert_eq!(
+                            f.remaining.to_bits(),
+                            dense.flows[&f.id].1.to_bits(),
+                            "remaining of {:?}", f.id
+                        );
+                    }
                 }
             }
         }

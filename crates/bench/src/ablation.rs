@@ -14,17 +14,11 @@
 //!   (the paper's future work): control-loop ticks until a ramping file
 //!   is flagged;
 //! * [`energy`] — active/standby vs all-active deployment on the same
-//!   replay: standby node-hours actually burned;
-//! * [`judge_backends`] — the paper's rule judge vs the learned
-//!   [`erms::JudgePolicy`] backends (tabular Q-learning, HMM forward
-//!   filter) on the production-traffic matrix: read tails, storage
-//!   overhead, energy, and trace-oracle violations per backend.
+//!   replay: standby node-hours actually burned.
 
-use crate::checkpointing::Scenario;
 use crate::common::{paper_standby_pool, Mode};
 use crate::replay::{self, ReplayConfig};
-use crate::scorecard::{run_case, Case};
-use erms::{ErmsConfig, ErmsPlacement, JudgeBackend, Thresholds};
+use erms::{ErmsConfig, ErmsPlacement, Thresholds};
 use hdfs_sim::placement::DefaultRackAware;
 use hdfs_sim::{balancer, ClusterConfig, ClusterSim};
 use serde::Serialize;
@@ -243,80 +237,6 @@ pub fn energy(cfg: &ReplayConfig) -> EnergyAblation {
     }
 }
 
-/// One (scenario, backend) cell of the judge-backend A/B.
-#[derive(Debug, Clone, Serialize)]
-pub struct JudgeBackendRow {
-    pub scenario: String,
-    pub backend: String,
-    pub read_p95_s: f64,
-    pub read_p99_s: f64,
-    pub storage_overhead_x: f64,
-    pub energy_saved_pct: f64,
-    pub oracle_violations: u64,
-}
-
-/// The full judge-backend A/B: every requested scenario run under every
-/// backend at the same seed, plus the scenarios where a learned backend
-/// matched or beat the rules.
-#[derive(Debug, Clone, Serialize)]
-pub struct JudgeBackendAblation {
-    pub seed: u64,
-    pub rows: Vec<JudgeBackendRow>,
-    /// `"scenario/backend"` entries where a learned backend held read
-    /// p95 at or below the rules' at equal-or-lower storage overhead
-    /// with a clean oracle — the acceptance bar for shipping a learner.
-    pub learned_wins: Vec<String>,
-}
-
-/// Run `scenarios` (checkpointing-registry names) under each judge
-/// backend at `seed` and distil the per-backend scorecard rows. The
-/// scenario's own `judge_backend` is overridden per run; everything
-/// else about the shape is shared, so rows differ only by policy.
-pub fn judge_backends(scenarios: &[&str], seed: u64) -> JudgeBackendAblation {
-    const BACKENDS: [JudgeBackend; 3] = [
-        JudgeBackend::Rules,
-        JudgeBackend::QLearning,
-        JudgeBackend::Hmm,
-    ];
-    let mut rows = Vec::new();
-    for name in scenarios {
-        let base = Scenario::by_name(name)
-            .unwrap_or_else(|| panic!("unknown scenario {name:?} in judge ablation"));
-        for backend in BACKENDS {
-            let mut s = base.clone();
-            s.judge_backend = backend;
-            let card = run_case(&Case::Churn(Box::new(s)), seed);
-            let get = |k: &str| *card.deterministic.get(k).unwrap_or(&0.0);
-            rows.push(JudgeBackendRow {
-                scenario: (*name).to_string(),
-                backend: backend.as_str().to_string(),
-                read_p95_s: get("read_p95_s"),
-                read_p99_s: get("read_p99_s"),
-                storage_overhead_x: get("storage_overhead_x"),
-                energy_saved_pct: get("energy_saved_pct"),
-                oracle_violations: get("oracle_violations") as u64,
-            });
-        }
-    }
-    let learned_wins = rows
-        .iter()
-        .filter(|r| r.backend != "rules" && r.oracle_violations == 0)
-        .filter(|r| {
-            rows.iter()
-                .find(|b| b.backend == "rules" && b.scenario == r.scenario)
-                .is_some_and(|b| {
-                    r.read_p95_s <= b.read_p95_s && r.storage_overhead_x <= b.storage_overhead_x
-                })
-        })
-        .map(|r| format!("{}/{}", r.scenario, r.backend))
-        .collect();
-    JudgeBackendAblation {
-        seed,
-        rows,
-        learned_wins,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,22 +277,6 @@ mod tests {
         let a = predictor();
         let (r, p) = (a.reactive_tick.unwrap(), a.predictive_tick.unwrap());
         assert!(p < r, "forecast {p} should precede threshold {r}");
-    }
-
-    #[test]
-    fn judge_ab_runs_every_backend_with_a_clean_oracle() {
-        let a = judge_backends(&["churn-tiny"], 42);
-        assert_eq!(a.rows.len(), 3);
-        let backends: Vec<&str> = a.rows.iter().map(|r| r.backend.as_str()).collect();
-        assert_eq!(backends, ["rules", "qlearning", "hmm"]);
-        for r in &a.rows {
-            assert_eq!(
-                r.oracle_violations, 0,
-                "{}/{} violated the trace oracle",
-                r.scenario, r.backend
-            );
-            assert!(r.storage_overhead_x > 0.0);
-        }
     }
 
     #[test]

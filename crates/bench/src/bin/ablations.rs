@@ -2,87 +2,14 @@
 //!
 //! ```text
 //! cargo run -p bench --release --bin ablations
-//! cargo run -p bench --release --bin ablations -- judge \
-//!     [--scenarios prod-flashcrowd,prod-tiered] [--seed 42]
 //! ```
-//!
-//! The `judge` mode runs the judge-backend A/B (rules vs Q-learning vs
-//! HMM) instead of the design ablations, writes
-//! `results/ablation_judge_backends.json`, and exits non-zero if any
-//! backend's trace violated the oracle.
 
 use bench::ablation;
 use bench::common::write_json;
 use bench::replay::ReplayConfig;
 use simcore::units::fmt_bytes;
 
-fn judge_ab(args: &[String]) {
-    let mut scenarios = vec![
-        "prod-diurnal".to_string(),
-        "prod-flashcrowd".to_string(),
-        "prod-ingest".to_string(),
-        "prod-tiered".to_string(),
-    ];
-    let mut seed = 42u64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scenarios" => {
-                let v = it.next().expect("--scenarios needs a comma-separated list");
-                scenarios = v.split(',').map(str::to_string).collect();
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            other => panic!("unknown judge-ablation arg {other:?}"),
-        }
-    }
-
-    println!("== Ablation: judge backends (rules vs Q-learning vs HMM) ==");
-    let names: Vec<&str> = scenarios.iter().map(String::as_str).collect();
-    let a = ablation::judge_backends(&names, seed);
-    println!(
-        "  {:<18} {:<10} {:>10} {:>10} {:>10} {:>9} {:>7}",
-        "scenario", "backend", "read p95", "read p99", "storage x", "energy %", "oracle"
-    );
-    for r in &a.rows {
-        println!(
-            "  {:<18} {:<10} {:>9.3}s {:>9.3}s {:>10.3} {:>8.1}% {:>7}",
-            r.scenario,
-            r.backend,
-            r.read_p95_s,
-            r.read_p99_s,
-            r.storage_overhead_x,
-            r.energy_saved_pct,
-            r.oracle_violations
-        );
-    }
-    println!("  learned wins (p95 <= rules at <= storage, clean oracle):");
-    if a.learned_wins.is_empty() {
-        println!("    (none)");
-    } else {
-        for w in &a.learned_wins {
-            println!("    {w}");
-        }
-    }
-    write_json("ablation_judge_backends", &a);
-
-    let violations: u64 = a.rows.iter().map(|r| r.oracle_violations).sum();
-    if violations > 0 {
-        eprintln!("FAIL: {violations} trace-oracle violation(s) across backends");
-        std::process::exit(1);
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("judge") {
-        judge_ab(&args[1..]);
-        return;
-    }
     println!("== Ablation: placement Algorithm 1 vs default for elastic replicas ==");
     let p = ablation::placement_rebalance();
     println!(

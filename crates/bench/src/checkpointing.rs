@@ -19,7 +19,7 @@
 
 use checkpoint::codec as c;
 use checkpoint::{CheckpointError, Checkpointable, Snapshot, SnapshotMeta};
-use erms::{ErmsConfig, ErmsManager, ErmsPlacement, JudgeBackend, Thresholds};
+use erms::{ErmsConfig, ErmsManager, ErmsPlacement, Thresholds};
 use hdfs_sim::faults::{FaultConfig, FaultInjector};
 use hdfs_sim::topology::{ClientId, Endpoint};
 use hdfs_sim::{ClusterConfig, ClusterSim, NodeId};
@@ -61,11 +61,6 @@ pub struct Scenario {
     /// grid — file creations and job reads fire at their tick's
     /// deadline. `None` means the classic `/churn` warm-up shape.
     pub workload: Option<ProdScenario>,
-    /// Which [`erms::JudgePolicy`] backend classifies files: the paper's
-    /// rules, the tabular Q-learner, or the HMM hot/cold filter. Part of
-    /// the scenario shape (snapshots rebuild it from the name), so a
-    /// learned run resumes with the same backend it saved under.
-    pub judge_backend: JudgeBackend,
 }
 
 impl Scenario {
@@ -89,7 +84,6 @@ impl Scenario {
             scrubber: false,
             encode: false,
             workload: None,
-            judge_backend: JudgeBackend::Rules,
         }
     }
 
@@ -111,25 +105,6 @@ impl Scenario {
         s.fault.node_mtbf = SimDuration::from_mins(12);
         s.num_files = 6;
         s.total_ticks = 60 + 10;
-        s
-    }
-
-    /// [`churn_tiny`](Self::churn_tiny) judged by the tabular
-    /// Q-learner instead of the paper's rules — the learned-backend
-    /// scenario the resume-equivalence guard and the trace oracle run.
-    pub fn churn_learned_q() -> Self {
-        let mut s = Self::churn_tiny();
-        s.name = "churn-learned-q";
-        s.judge_backend = JudgeBackend::QLearning;
-        s
-    }
-
-    /// [`churn_tiny`](Self::churn_tiny) judged by the HMM hot/cold
-    /// forward filter.
-    pub fn churn_learned_hmm() -> Self {
-        let mut s = Self::churn_tiny();
-        s.name = "churn-learned-hmm";
-        s.judge_backend = JudgeBackend::Hmm;
         s
     }
 
@@ -248,8 +223,6 @@ impl Scenario {
             "churn-small-full" => Some(Self::churn_small_full()),
             "churn-tiny" => Some(Self::churn_tiny()),
             "churn-corrupt" => Some(Self::churn_corrupt()),
-            "churn-learned-q" => Some(Self::churn_learned_q()),
-            "churn-learned-hmm" => Some(Self::churn_learned_hmm()),
             "prod-diurnal" => Some(Self::prod_diurnal()),
             "prod-flashcrowd" => Some(Self::prod_flashcrowd()),
             "prod-ingest" => Some(Self::prod_ingest()),
@@ -265,8 +238,6 @@ impl Scenario {
             "churn-small-full",
             "churn-tiny",
             "churn-corrupt",
-            "churn-learned-q",
-            "churn-learned-hmm",
             "prod-diurnal",
             "prod-flashcrowd",
             "prod-ingest",
@@ -286,7 +257,6 @@ impl Scenario {
             .encode(self.encode)
             .scrubber(self.scrubber)
             .full_rescan(self.full_rescan)
-            .judge_backend(self.judge_backend)
             .build()
             .expect("scenario config is valid")
     }

@@ -93,17 +93,13 @@ impl Case {
 /// The default matrix: every churn and production-traffic scenario plus
 /// the small scale storm. The `soak-*` family is excluded — multi-day
 /// horizons belong to `bench soak` and its sharded CI job, not the
-/// per-commit scorecard. Learned-judge scenarios are excluded too: the
-/// checked-in baseline doubles as the rules backend's byte-identity
-/// regression guard, and must not churn when the learners are retuned —
-/// `bench ablation judge` covers those. `scale-xlarge` is opt-in via
+/// per-commit scorecard. `scale-xlarge` is opt-in via
 /// the binary's `--xlarge` flag — it runs minutes, not seconds.
 pub fn default_matrix() -> Vec<Case> {
     let mut cases: Vec<Case> = Scenario::names()
         .iter()
         .filter(|n| !n.starts_with("soak-"))
         .map(|n| Scenario::by_name(n).expect("registry name"))
-        .filter(|s| s.judge_backend == erms::JudgeBackend::Rules)
         .map(|s| Case::Churn(Box::new(s)))
         .collect();
     cases.push(Case::Scale(ScaleConfig::small()));
@@ -620,24 +616,6 @@ mod tests {
             !names.iter().any(|n| n.starts_with("soak-")),
             "soaks belong to the soak job, not the scorecard"
         );
-        // learned-judge scenarios are benchmarked by the ablation, not
-        // gated against the rules baseline
-        assert!(
-            !names.iter().any(|n| n.starts_with("churn-learned-")),
-            "learned backends belong to the judge ablation, not the scorecard"
-        );
-    }
-
-    #[test]
-    fn learned_scenarios_still_resolve_as_explicit_cases() {
-        assert!(matches!(
-            Case::by_name("churn-learned-q"),
-            Some(Case::Churn(_))
-        ));
-        assert!(matches!(
-            Case::by_name("churn-learned-hmm"),
-            Some(Case::Churn(_))
-        ));
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //!
 //! ```json
 //! {
-//!   "version": 2,
+//!   "version": 3,
 //!   "meta": { "scenario": "faults-small", "seed": 42, "tick": 10 },
 //!   "sections": { "cluster": { ... }, "manager": { ... }, ... }
 //! }
 //! ```
 //!
 //! `version` is checked *first* on load: a snapshot written by any
-//! other format — newer, or the retired version 1, whose `manager`,
-//! `policy` and cluster sections keyed per-file state by path where
-//! version 2 writes `FileId`s — fails with
+//! other format — newer, the retired version 1 (per-file state keyed
+//! by path, not `FileId`) or version 2 (whose `manager` section carried
+//! a `policy` key for the since-deleted learned judges) — fails with
 //! [`CheckpointError::UnknownVersion`] before anything else is touched —
 //! never a panic. `meta` names the scenario and seed
 //! the snapshot belongs to; the runner rebuilds the static configuration
@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The snapshot format this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Identity of the run a snapshot belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,6 +197,14 @@ mod tests {
                 got => panic!("expected UnknownVersion for {other}, got {got:?}"),
             }
         }
+        // the retired version 2 (its manager section had a `policy` key)
+        assert_eq!(
+            Snapshot::from_json(&s.to_json().replace(&current, "\"version\":2")).unwrap_err(),
+            CheckpointError::UnknownVersion {
+                found: 2,
+                supported: 3
+            }
+        );
     }
 
     #[test]

@@ -1,17 +1,11 @@
 //! ERMS configuration.
 
-use crate::judge::JudgeBackend;
 use crate::replication::IncreaseStrategy;
 use crate::thresholds::Thresholds;
 use erasure::StripeLayout;
 use hdfs_sim::NodeId;
 use simcore::SimDuration;
 use std::fmt;
-
-/// Default seed for learned-judge exploration streams. A fixed
-/// constant, not randomness: runs that never set
-/// [`ErmsConfigBuilder::judge_seed`] stay reproducible by construction.
-pub const DEFAULT_JUDGE_SEED: u64 = 0x0E1A_571C_1EA2;
 
 /// Why an [`ErmsConfig`] (or its [`Thresholds`]) was rejected.
 ///
@@ -37,8 +31,6 @@ pub enum ConfigError {
     ZeroMaxReplication,
     /// A Condor concurrency/retry knob must be positive.
     ZeroCondorKnob(&'static str),
-    /// The repair-scan cadence must be at least one tick.
-    ZeroRepairScanTicks,
     /// Self-healing needs a positive task timeout.
     ZeroTaskTimeout,
     /// The scrubber is enabled with a zero per-tick block budget, so it
@@ -70,7 +62,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroWindow => write!(f, "CEP window must be positive"),
             ConfigError::ZeroMaxReplication => write!(f, "max_replication must be positive"),
             ConfigError::ZeroCondorKnob(knob) => write!(f, "{knob} must be positive"),
-            ConfigError::ZeroRepairScanTicks => write!(f, "repair_scan_ticks must be positive"),
             ConfigError::ZeroTaskTimeout => {
                 write!(f, "task_timeout must be positive when self-healing")
             }
@@ -108,8 +99,6 @@ pub struct ErmsConfig {
     pub strategy: IncreaseStrategy,
     /// Master switch for cold-data encoding.
     pub enable_encode: bool,
-    /// Power drained standby nodes off for energy saving.
-    pub enable_standby_shutdown: bool,
     /// Condor concurrency / retry knobs.
     pub max_concurrent_tasks: usize,
     pub max_task_attempts: u32,
@@ -128,8 +117,6 @@ pub struct ErmsConfig {
     /// every tick. Off by default — the figure harness flips it to show
     /// the durability delta under identical churn.
     pub enable_self_healing: bool,
-    /// Run the repair scan every this many ticks (≥ 1).
-    pub repair_scan_ticks: u32,
     /// Fail an ERMS task whose replica copies have been in flight
     /// longer than this (stalled behind a dead endpoint or a downed
     /// rack uplink); Condor's retry/backoff then takes over.
@@ -151,16 +138,6 @@ pub struct ErmsConfig {
     /// this knob exists for A/B verification and benchmarking, not
     /// correctness.
     pub full_rescan: bool,
-    /// Which judge backend classifies files: the paper's threshold
-    /// rules (default), or one of the learned judges from the `policy`
-    /// crate. The audit→CEP pipeline and the `FileId`-ordered judge
-    /// pass are identical for every backend; only the per-file decision
-    /// differs.
-    pub judge_backend: JudgeBackend,
-    /// Seed for learned-backend exploration streams (ignored by the
-    /// rules backend). Fixed default so unseeded runs stay
-    /// deterministic.
-    pub judge_seed: u64,
 }
 
 impl ErmsConfig {
@@ -174,19 +151,15 @@ impl ErmsConfig {
             max_replication: 18,
             strategy: IncreaseStrategy::Direct,
             enable_encode: true,
-            enable_standby_shutdown: true,
             max_concurrent_tasks: 8,
             max_task_attempts: 10,
             cooled_patience: 3,
             enable_freshness_boost: false,
             enable_self_healing: false,
-            repair_scan_ticks: 1,
             task_timeout: SimDuration::from_mins(30),
             enable_scrubber: false,
             scrub_blocks_per_tick: 16,
             full_rescan: false,
-            judge_backend: JudgeBackend::Rules,
-            judge_seed: DEFAULT_JUDGE_SEED,
         }
     }
 
@@ -214,9 +187,6 @@ impl ErmsConfig {
         }
         if self.max_task_attempts == 0 {
             return Err(ConfigError::ZeroCondorKnob("max_task_attempts"));
-        }
-        if self.repair_scan_ticks == 0 {
-            return Err(ConfigError::ZeroRepairScanTicks);
         }
         if (self.enable_self_healing || self.enable_scrubber) && self.task_timeout.is_zero() {
             return Err(ConfigError::ZeroTaskTimeout);
@@ -297,11 +267,6 @@ impl ErmsConfigBuilder {
         self
     }
 
-    pub fn standby_shutdown(mut self, on: bool) -> Self {
-        self.cfg.enable_standby_shutdown = on;
-        self
-    }
-
     pub fn max_concurrent_tasks(mut self, n: usize) -> Self {
         self.cfg.max_concurrent_tasks = n;
         self
@@ -327,11 +292,6 @@ impl ErmsConfigBuilder {
         self
     }
 
-    pub fn repair_scan_ticks(mut self, ticks: u32) -> Self {
-        self.cfg.repair_scan_ticks = ticks;
-        self
-    }
-
     pub fn task_timeout(mut self, d: SimDuration) -> Self {
         self.cfg.task_timeout = d;
         self
@@ -349,19 +309,6 @@ impl ErmsConfigBuilder {
 
     pub fn scrub_blocks_per_tick(mut self, blocks: u32) -> Self {
         self.cfg.scrub_blocks_per_tick = blocks;
-        self
-    }
-
-    /// Select the judge backend (see [`ErmsConfig::judge_backend`]).
-    pub fn judge_backend(mut self, backend: JudgeBackend) -> Self {
-        self.cfg.judge_backend = backend;
-        self
-    }
-
-    /// Seed the learned-backend exploration streams (see
-    /// [`ErmsConfig::judge_seed`]).
-    pub fn judge_seed(mut self, seed: u64) -> Self {
-        self.cfg.judge_seed = seed;
         self
     }
 
@@ -411,19 +358,11 @@ mod tests {
             .max_replication(12)
             .standby([NodeId(8), NodeId(9)])
             .self_healing(true)
-            .repair_scan_ticks(5)
             .build()
             .expect("valid");
         assert_eq!(cfg.max_replication, 12);
         assert_eq!(cfg.standby, vec![NodeId(8), NodeId(9)]);
         assert!(cfg.enable_self_healing);
-        assert_eq!(cfg.repair_scan_ticks, 5);
-
-        let err = ErmsConfig::builder()
-            .repair_scan_ticks(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroRepairScanTicks);
     }
 
     #[test]
@@ -448,21 +387,6 @@ mod tests {
             .scrub_blocks_per_tick(0)
             .build()
             .is_ok());
-    }
-
-    #[test]
-    fn judge_backend_defaults_to_rules_and_is_selectable() {
-        let cfg = ErmsConfig::builder().build().unwrap();
-        assert_eq!(cfg.judge_backend, JudgeBackend::Rules);
-        assert_eq!(cfg.judge_seed, DEFAULT_JUDGE_SEED);
-
-        let cfg = ErmsConfig::builder()
-            .judge_backend(JudgeBackend::QLearning)
-            .judge_seed(7)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.judge_backend, JudgeBackend::QLearning);
-        assert_eq!(cfg.judge_seed, 7);
     }
 
     #[test]

@@ -11,12 +11,9 @@
 //!   derived per-(datanode,file) stream so an overloaded node can name
 //!   "the data D that contributes the largest access" to it.
 //!
-//! Classification implements Formulas (1)–(6) verbatim; thresholds come
-//! from [`crate::thresholds::Thresholds`]. The formulas themselves live
-//! in [`classify_with_rules`], a free function over the `policy` crate's
-//! [`CepProbe`] view of the windowed counts, so the same decision logic
-//! serves both [`DataJudge::classify`] and the [`RulesPolicy`] backend
-//! the manager drives through the [`JudgePolicy`] trait.
+//! Classification implements Formulas (1)–(6) verbatim in
+//! [`DataJudge::classify`]; thresholds come from
+//! [`crate::thresholds::Thresholds`].
 
 use crate::config::ConfigError;
 use crate::thresholds::Thresholds;
@@ -27,9 +24,90 @@ use cep::{CepEngine, QuerySpec, Value};
 use simcore::telemetry::TelemetrySink;
 use simcore::{SimDuration, SimTime};
 
-pub use policy::{
-    CepProbe, DataClass, FileSnapshot, JudgeBackend, JudgePolicy, JudgeRule, Judgment, RewardMeters,
-};
+/// The four data classes of the paper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DataClass {
+    Hot,
+    Cooled,
+    Normal,
+    Cold,
+}
+
+/// Which formula produced a verdict.
+///
+/// The numeric codes of the former `rule: u8` (0–6) are preserved
+/// through [`code`](Self::code) so anything that serialized the old byte
+/// keeps its wire encoding.
+#[non_exhaustive]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JudgeRule {
+    /// No formula fired (code 0).
+    Normal,
+    /// Formula (1): per-replica file pressure `N_d / r > τ_M` (code 1).
+    FilePressure,
+    /// Formula (2): a single block bursting past `M_M` (code 2).
+    BlockBurst,
+    /// Formula (3): warm-block fraction above ε (code 3).
+    WarmFraction,
+    /// Formula (4): promoted as an overloaded datanode's top file
+    /// (code 4).
+    NodeOverload,
+    /// Formula (5): boosted file whose demand fell away (code 5).
+    Cooled,
+    /// Formula (6): quiet past the cold age (code 6).
+    ColdAge,
+}
+
+impl JudgeRule {
+    /// The stable numeric code (the pre-enum `rule: u8` values 0–6).
+    pub fn code(self) -> u8 {
+        match self {
+            JudgeRule::Normal => 0,
+            JudgeRule::FilePressure => 1,
+            JudgeRule::BlockBurst => 2,
+            JudgeRule::WarmFraction => 3,
+            JudgeRule::NodeOverload => 4,
+            JudgeRule::Cooled => 5,
+            JudgeRule::ColdAge => 6,
+        }
+    }
+}
+
+/// What the judge needs to know about a file to classify it: a view
+/// borrowed from the namespace's own record for the length of one
+/// `classify` call, so judging a file copies neither its path nor its
+/// block list.
+#[derive(Debug, Clone, Copy)]
+pub struct FileSnapshot<'a> {
+    /// Dense namespace id — the sort key that keeps the judge pass in
+    /// namespace-walk order.
+    pub id: hdfs_sim::FileId,
+    /// The CEP group key of the file's `open` records.
+    pub path: &'a str,
+    /// Current replication factor `r` of the file's data blocks.
+    pub replication: usize,
+    /// Data block ids; rendered to their client-trace names (`blk_N`)
+    /// only at query time.
+    pub blocks: &'a [hdfs_sim::BlockId],
+    pub last_access: SimTime,
+    /// Whether ERMS has boosted this file above the default factor.
+    pub boosted: bool,
+    /// Whether the file is already erasure-encoded.
+    pub encoded: bool,
+}
+
+/// A classification result (of the file the caller passed in).
+#[derive(Debug, Clone, Copy)]
+pub struct Judgment {
+    pub class: DataClass,
+    /// Windowed access count `N_d`.
+    pub n_d: f64,
+    /// Largest windowed per-block count `N_b` seen while classifying
+    /// (0 when Formula (1) short-circuited before the block scan).
+    pub n_b_max: f64,
+    /// Which formula produced the verdict.
+    pub rule: JudgeRule,
+}
 
 /// CEP-backed data-type judge.
 pub struct DataJudge {
@@ -50,7 +128,7 @@ pub struct DataJudge {
     /// Interned key of their composite `dn|src` field.
     key_dn_src: std::sync::Arc<str>,
     /// Scratch for rendering `BlockId`s to their client-trace names in
-    /// the [`CepProbe`] impl; excluded from checkpoints.
+    /// [`classify`](Self::classify); excluded from checkpoints.
     blk_key: String,
 }
 
@@ -177,20 +255,60 @@ impl DataJudge {
         paths
     }
 
-    /// Windowed `N_d` for a file path.
-    pub fn file_accesses(&mut self, now: SimTime, path: &str) -> f64 {
-        self.engine.value_for(self.q_file, now, path)
-    }
-
-    /// Windowed `N_b` for a block name.
-    pub fn block_accesses(&mut self, now: SimTime, blk: &str) -> f64 {
-        self.engine.value_for(self.q_block, now, blk)
-    }
-
     /// Classify one file per Formulas (1)–(3), (5), (6).
+    ///
+    /// The CEP engine is queried lazily and in a fixed order — file
+    /// count first, then each block in order, stopping at the first
+    /// formula that fires — because each query emits `WindowEmit`
+    /// telemetry and the query order is part of the byte-identical
+    /// trace contract.
     pub fn classify(&mut self, now: SimTime, file: &FileSnapshot<'_>) -> Judgment {
-        let thresholds = self.thresholds.clone();
-        classify_with_rules(&thresholds, now, file, self)
+        use std::fmt::Write as _;
+        let t = &self.thresholds;
+        let r = file.replication.max(1) as f64;
+        // N_d is the file's windowed access count. MapReduce inflates the
+        // raw open count by the file's block count (every map task opens
+        // the file to read its split), so normalise per block: the result
+        // counts *whole-file accesses* (jobs/clients) in the window, which
+        // is the concurrency Formula (1) compares against per-replica
+        // session capacity.
+        let raw_opens = self.engine.value_for(self.q_file, now, file.path);
+        let n_d = raw_opens / file.blocks.len().max(1) as f64;
+
+        // Formula (1): per-replica file pressure
+        if n_d / r > t.tau_hot {
+            return judgment(DataClass::Hot, n_d, 0.0, JudgeRule::FilePressure);
+        }
+        // Formulas (2) and (3): per-block pressure
+        let n_blocks = file.blocks.len();
+        let mut n_b_max = 0.0f64;
+        if n_blocks > 0 {
+            let mut warm_blocks = 0usize;
+            for &b in file.blocks {
+                self.blk_key.clear();
+                write!(self.blk_key, "{b}").expect("writing to a String cannot fail");
+                let n_b = self.engine.value_for(self.q_block, now, &self.blk_key);
+                n_b_max = n_b_max.max(n_b);
+                if n_b / r > t.block_burst {
+                    return judgment(DataClass::Hot, n_d, n_b_max, JudgeRule::BlockBurst);
+                }
+                if n_b / r > t.block_warm {
+                    warm_blocks += 1;
+                }
+            }
+            if warm_blocks as f64 / n_blocks as f64 > t.epsilon {
+                return judgment(DataClass::Hot, n_d, n_b_max, JudgeRule::WarmFraction);
+            }
+        }
+        // Formula (5): boosted file whose demand fell away
+        if file.boosted && n_d / r < t.tau_cooled {
+            return judgment(DataClass::Cooled, n_d, n_b_max, JudgeRule::Cooled);
+        }
+        // Formula (6): quiet and old → cold
+        if !file.encoded && n_d / r < t.tau_cold && now.since(file.last_access) > t.cold_age {
+            return judgment(DataClass::Cold, n_d, n_b_max, JudgeRule::ColdAge);
+        }
+        judgment(DataClass::Normal, n_d, n_b_max, JudgeRule::Normal)
     }
 
     /// Formula (4): datanodes whose windowed session count exceeds τ_DN,
@@ -281,134 +399,6 @@ impl checkpoint::Checkpointable for DataJudge {
     checkpoint::ck_fields!(engine: state, parse_errors);
 }
 
-/// The judge reads its own CEP engine through the probe view; the
-/// scratch `blk_key` keeps per-block queries allocation-free at steady
-/// state. Query order (and therefore `WindowEmit` telemetry order) is
-/// exactly the order [`classify_with_rules`] asks in.
-impl CepProbe for DataJudge {
-    fn file_accesses(&mut self, now: SimTime, path: &str) -> f64 {
-        self.engine.value_for(self.q_file, now, path)
-    }
-
-    fn block_accesses(&mut self, now: SimTime, block: hdfs_sim::BlockId) -> f64 {
-        use std::fmt::Write as _;
-        self.blk_key.clear();
-        write!(self.blk_key, "{block}").expect("writing to a String cannot fail");
-        self.engine.value_for(self.q_block, now, &self.blk_key)
-    }
-}
-
-/// Formulas (1)–(3), (5), (6) as a pure decision over probed counts.
-///
-/// The probe is consulted lazily and in a fixed order — file count
-/// first, then each block in order, stopping at the first formula that
-/// fires — because each probe call emits `WindowEmit` telemetry and the
-/// call order is part of the byte-identical trace contract.
-pub fn classify_with_rules(
-    t: &Thresholds,
-    now: SimTime,
-    file: &FileSnapshot<'_>,
-    probe: &mut dyn CepProbe,
-) -> Judgment {
-    let r = file.replication.max(1) as f64;
-    let (tau_hot, block_burst, block_warm, epsilon, tau_cooled, tau_cold, cold_age) = (
-        t.tau_hot,
-        t.block_burst,
-        t.block_warm,
-        t.epsilon,
-        t.tau_cooled,
-        t.tau_cold,
-        t.cold_age,
-    );
-    // N_d is the file's windowed access count. MapReduce inflates the
-    // raw open count by the file's block count (every map task opens
-    // the file to read its split), so normalise per block: the result
-    // counts *whole-file accesses* (jobs/clients) in the window, which
-    // is the concurrency Formula (1) compares against per-replica
-    // session capacity.
-    let raw_opens = probe.file_accesses(now, file.path);
-    let n_d = raw_opens / file.blocks.len().max(1) as f64;
-
-    // Formula (1): per-replica file pressure
-    if n_d / r > tau_hot {
-        return judgment(DataClass::Hot, n_d, 0.0, JudgeRule::FilePressure);
-    }
-    // Formulas (2) and (3): per-block pressure
-    let n_blocks = file.blocks.len();
-    let mut n_b_max = 0.0f64;
-    if n_blocks > 0 {
-        let mut warm_blocks = 0usize;
-        for &b in file.blocks {
-            let n_b = probe.block_accesses(now, b);
-            n_b_max = n_b_max.max(n_b);
-            if n_b / r > block_burst {
-                return judgment(DataClass::Hot, n_d, n_b_max, JudgeRule::BlockBurst);
-            }
-            if n_b / r > block_warm {
-                warm_blocks += 1;
-            }
-        }
-        if warm_blocks as f64 / n_blocks as f64 > epsilon {
-            return judgment(DataClass::Hot, n_d, n_b_max, JudgeRule::WarmFraction);
-        }
-    }
-    // Formula (5): boosted file whose demand fell away
-    if file.boosted && n_d / r < tau_cooled {
-        return judgment(DataClass::Cooled, n_d, n_b_max, JudgeRule::Cooled);
-    }
-    // Formula (6): quiet and old → cold
-    if !file.encoded && n_d / r < tau_cold && now.since(file.last_access) > cold_age {
-        return judgment(DataClass::Cold, n_d, n_b_max, JudgeRule::ColdAge);
-    }
-    judgment(DataClass::Normal, n_d, n_b_max, JudgeRule::Normal)
-}
-
-/// The paper's threshold machine as a [`JudgePolicy`] backend: a
-/// stateless wrapper over [`classify_with_rules`] probing the manager's
-/// [`DataJudge`]. Stateless because the formulas *are* configuration —
-/// everything dynamic (the CEP windows) lives in the judge it probes.
-pub struct RulesPolicy {
-    thresholds: Thresholds,
-}
-
-impl RulesPolicy {
-    /// Thresholds are assumed already validated (the manager constructs
-    /// the [`DataJudge`] through [`DataJudge::try_new`] first).
-    pub fn new(thresholds: Thresholds) -> Self {
-        RulesPolicy { thresholds }
-    }
-}
-
-impl JudgePolicy for RulesPolicy {
-    fn backend(&self) -> JudgeBackend {
-        JudgeBackend::Rules
-    }
-
-    fn classify(
-        &mut self,
-        now: SimTime,
-        file: &FileSnapshot<'_>,
-        _fresh: bool,
-        probe: &mut dyn CepProbe,
-    ) -> Judgment {
-        classify_with_rules(&self.thresholds, now, file, probe)
-    }
-}
-
-impl checkpoint::Checkpointable for RulesPolicy {
-    fn save_state(&self) -> checkpoint::Value {
-        // stateless: the thresholds are rebuilt from scenario config
-        checkpoint::codec::MapBuilder::new().build()
-    }
-
-    fn load_state(
-        &mut self,
-        _state: &checkpoint::Value,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        Ok(())
-    }
-}
-
 fn count_query(event_type: &str, field: &str, window: SimDuration) -> QuerySpec {
     QuerySpec::count_per_group(event_type, field, window)
 }
@@ -456,6 +446,79 @@ mod tests {
 
     fn judge() -> DataJudge {
         DataJudge::new(Thresholds::calibrate(4.0)) // τ_M=4, M_M=6, M_m=3, τ_d=2, τ_m=0.5
+    }
+
+    #[test]
+    fn rule_codes_are_wire_stable() {
+        // the pre-enum u8 values, byte for byte
+        assert_eq!(JudgeRule::Normal.code(), 0);
+        assert_eq!(JudgeRule::FilePressure.code(), 1);
+        assert_eq!(JudgeRule::BlockBurst.code(), 2);
+        assert_eq!(JudgeRule::WarmFraction.code(), 3);
+        assert_eq!(JudgeRule::NodeOverload.code(), 4);
+        assert_eq!(JudgeRule::Cooled.code(), 5);
+        assert_eq!(JudgeRule::ColdAge.code(), 6);
+    }
+
+    /// Observe `lines`, then classify `file` at t=30 s with a recording
+    /// sink installed: the verdict and the `(query, group)` of every
+    /// `WindowEmit` the classification caused, in emission order.
+    fn classify_recording(lines: &[String], file: &FileSnapshot<'_>) -> (Judgment, Vec<String>) {
+        use simcore::telemetry::Event;
+        let mut j = judge();
+        j.observe_lines(lines.iter().map(String::as_str));
+        let sink = TelemetrySink::recording();
+        j.set_telemetry(sink.clone());
+        let verdict = j.classify(SimTime::from_secs(30), file);
+        let queries = sink
+            .drain_events()
+            .into_iter()
+            .map(|ev| match ev.event {
+                Event::WindowEmit { query, group, .. } => format!("{query}:{group}"),
+                other => panic!("classify emitted {other:?}"),
+            })
+            .collect();
+        (verdict, queries)
+    }
+
+    #[test]
+    fn classify_queries_the_file_then_its_blocks_and_stops_at_the_first_rule() {
+        let blocks = [BlockId(5), BlockId(9), BlockId(2)];
+        let file = snapshot("/f", 1, &blocks);
+        let file_query = format!("{AUDIT_EVENT}:/f");
+        let block_query = |b: BlockId| format!("{BLOCK_EVENT}:{b}");
+
+        // Formula (1) hot: 15 opens / 3 blocks / r=1 = 5 > τ_M=4 — the
+        // file query alone, no block scan
+        let opens: Vec<String> = (0..15).map(|i| open_line(1 + i, "/f")).collect();
+        let (v, queries) = classify_recording(&opens, &file);
+        assert_eq!(v.rule, JudgeRule::FilePressure);
+        assert_eq!(v.n_b_max, 0.0);
+        assert_eq!(queries, [file_query.as_str()]);
+
+        // quiet: the file, then every block in `FileMeta::blocks` order
+        let (v, queries) = classify_recording(&[], &file);
+        assert_eq!(v.rule, JudgeRule::Normal);
+        assert_eq!(
+            queries,
+            [
+                file_query.clone(),
+                block_query(blocks[0]),
+                block_query(blocks[1]),
+                block_query(blocks[2]),
+            ]
+        );
+
+        // Formula (2) burst on the second block (7 reads > M_M=6): the
+        // third block is never asked about
+        let burst: Vec<String> = (0..7).map(|i| block_line(1 + i, 9, 0, "/f")).collect();
+        let (v, queries) = classify_recording(&burst, &file);
+        assert_eq!(v.rule, JudgeRule::BlockBurst);
+        assert_eq!(v.n_b_max, 7.0);
+        assert_eq!(
+            queries,
+            [file_query, block_query(blocks[0]), block_query(blocks[1])]
+        );
     }
 
     #[test]

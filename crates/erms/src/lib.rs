@@ -58,10 +58,7 @@ pub mod thresholds;
 
 pub use calibrate::{probe, ProbeConfig, ProbeResult};
 pub use config::{ConfigError, ErmsConfig, ErmsConfigBuilder};
-pub use judge::{
-    classify_with_rules, CepProbe, DataClass, DataJudge, FileSnapshot, JudgeBackend, JudgePolicy,
-    JudgeRule, Judgment, RulesPolicy,
-};
+pub use judge::{DataClass, DataJudge, FileSnapshot, JudgeRule, Judgment};
 pub use manager::{ErmsManager, ErmsTask, TickReport};
 pub use model::ActiveStandbyModel;
 pub use placement::ErmsPlacement;
@@ -76,7 +73,7 @@ pub use thresholds::Thresholds;
 /// example needs without spelling out five crate paths.
 pub mod prelude {
     pub use crate::config::{ConfigError, ErmsConfig, ErmsConfigBuilder};
-    pub use crate::judge::{DataClass, JudgeBackend, JudgeRule};
+    pub use crate::judge::{DataClass, JudgeRule};
     pub use crate::manager::{ErmsManager, ErmsTask, TickReport};
     pub use crate::placement::ErmsPlacement;
     pub use crate::replication::IncreaseStrategy;

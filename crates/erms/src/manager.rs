@@ -26,10 +26,7 @@
 //! rollback plan) and in telemetry events.
 
 use crate::config::{ConfigError, ErmsConfig};
-use crate::judge::{
-    DataClass, DataJudge, FileSnapshot, JudgeBackend, JudgePolicy, Judgment, RewardMeters,
-    RulesPolicy,
-};
+use crate::judge::{DataClass, DataJudge, FileSnapshot, Judgment};
 use crate::model::ActiveStandbyModel;
 use crate::replication::optimal_replication;
 use checkpoint::codec::{unknown, Ck};
@@ -189,11 +186,6 @@ struct Pass {
 pub struct ErmsManager {
     cfg: ErmsConfig,
     judge: DataJudge,
-    /// The decision backend driven through dyn dispatch in the judge
-    /// pass: the paper's rules by default, or a learned judge from the
-    /// `policy` crate (selected by `cfg.judge_backend`). The `judge`
-    /// field above stays the CEP feature plumbing for every backend.
-    policy: Box<dyn JudgePolicy>,
     condor: Scheduler<ErmsTask>,
     model: ActiveStandbyModel,
     matchmaker: Matchmaker,
@@ -213,7 +205,9 @@ pub struct ErmsManager {
     /// manager may be built over a cluster that already has files, so
     /// tick 1 always rescans everything.
     primed: bool,
-    /// Ticks elapsed, for the repair-scan cadence.
+    /// Ticks elapsed; nothing reads it since the repair scan runs every
+    /// tick, but it stays a snapshot field so the format loses only the
+    /// `policy` key.
     tick_count: u64,
     telemetry: TelemetrySink,
     /// Total tasks finished, for harness accounting.
@@ -277,7 +271,6 @@ impl ErmsManager {
         };
         Ok(ErmsManager {
             judge: DataJudge::try_new(cfg.thresholds.clone())?,
-            policy: build_policy(&cfg, cluster.config().default_replication),
             condor,
             model,
             matchmaker: Matchmaker::new(),
@@ -309,10 +302,6 @@ impl ErmsManager {
 
     pub fn judge(&mut self) -> &mut DataJudge {
         &mut self.judge
-    }
-    /// Which decision backend this manager was built with.
-    pub fn judge_backend(&self) -> JudgeBackend {
-        self.policy.backend()
     }
     pub fn model(&self) -> &ActiveStandbyModel {
         &self.model
@@ -355,7 +344,6 @@ impl ErmsManager {
             prof_scope!("audit");
             for file in cluster.drain_deleted_files() {
                 self.files.remove(&file);
-                self.policy.forget_file(file);
             }
             cluster.drain_audit()
         };
@@ -453,10 +441,9 @@ impl ErmsManager {
     }
 
     /// Phase 7: judge and act, file by file in `FileId` order. The
-    /// policy decides from a view of the namespace's own record, the
-    /// judge's CEP windows and the table it froze at `begin_pass`;
-    /// acting on one file touches none of those, so it cannot change the
-    /// next file's verdict.
+    /// judge decides from a view of the namespace's own record and its
+    /// CEP windows; acting on one file touches neither, so it cannot
+    /// change the next file's verdict.
     fn judge_pass(
         &mut self,
         cluster: &ClusterSim,
@@ -467,39 +454,9 @@ impl ErmsManager {
         prof_scope!("judge");
         let default_r = cluster.config().default_replication;
         report.files_judged = pass.visit.len();
-        let meters = self.reward_meters(cluster, default_r);
-        self.policy.begin_pass(now, &meters);
         let ns = cluster.namespace();
         for meta in pass.visit.iter().filter_map(|&id| ns.file(id)) {
             self.judge_file(now, meta, pass, default_r, report);
-        }
-        self.policy.end_pass();
-    }
-
-    /// Reward meters for learning backends — the storage/energy
-    /// accounting the system already keeps, sampled once per tick.
-    /// Skipped entirely for backends that don't want a reward (the
-    /// rules), so the default path does no extra namespace walks.
-    fn reward_meters(&self, cluster: &ClusterSim, default_r: usize) -> RewardMeters {
-        if !self.policy.wants_reward() {
-            return RewardMeters::default();
-        }
-        let logical: u64 = cluster.namespace().files().map(|f| f.size).sum();
-        let ideal = logical as f64 * default_r as f64;
-        let storage_overhead = if ideal > 0.0 {
-            cluster.storage_used() as f64 / ideal
-        } else {
-            1.0
-        };
-        let standby_total = self.model.standby_nodes().count();
-        let standby_on_frac = if standby_total > 0 {
-            self.model.powered_on().len() as f64 / standby_total as f64
-        } else {
-            0.0
-        };
-        RewardMeters {
-            storage_overhead,
-            standby_on_frac,
         }
     }
 
@@ -527,7 +484,7 @@ impl ErmsManager {
         };
         let is_fresh = pass.fresh.contains(&snap.id);
         let is_promoted = pass.promoted.contains(&snap.id);
-        let verdict = self.policy.classify(now, &snap, is_fresh, &mut self.judge);
+        let verdict = self.judge.classify(now, &snap);
         let class = if verdict.class == DataClass::Normal && is_promoted {
             DataClass::Hot
         } else {
@@ -1080,35 +1037,26 @@ impl ErmsManager {
             }
         }
 
-        // (3) periodic namenode repair scan
-        let scan_due = self
-            .tick_count
-            .is_multiple_of(u64::from(self.cfg.repair_scan_ticks));
-        let mut under = 0usize;
-        let mut over = 0usize;
-        if scan_due {
-            under = cluster.repair_under_replicated().len();
-            over = cluster.trim_over_replicated();
-            report.repairs_started += under;
-            report.replicas_trimmed += over;
-        }
+        // (3) namenode repair scan
+        let under = cluster.repair_under_replicated().len();
+        let over = cluster.trim_over_replicated();
+        report.repairs_started += under;
+        report.replicas_trimmed += over;
 
         // (4) reconstruct dark shards of encoded files (immediate
         // priority: a dark block is the namenode's most urgent queue, so
         // this bypasses Condor's idle gating entirely)
         let recon_before = report.reconstructions;
         self.reconstruct_dark_shards(cluster, now, report);
-        if scan_due {
-            trace!(
-                self.telemetry,
-                now,
-                Tel::RepairScan {
-                    under_replicated: under as u64,
-                    over_replicated: over as u64,
-                    dark_shards: (report.reconstructions - recon_before) as u64,
-                }
-            );
-        }
+        trace!(
+            self.telemetry,
+            now,
+            Tel::RepairScan {
+                under_replicated: under as u64,
+                over_replicated: over as u64,
+                dark_shards: (report.reconstructions - recon_before) as u64,
+            }
+        );
     }
 
     /// Time out tasks stuck behind dead endpoints or downed uplinks so
@@ -1314,7 +1262,7 @@ impl ErmsManager {
     /// Phase 9: shut drained standby nodes down.
     fn power(&mut self, cluster: &mut ClusterSim, now: SimTime, report: &mut TickReport) {
         prof_scope!("power");
-        if !self.cfg.enable_standby_shutdown || self.condor.pending() > 0 || !self.jobs.is_empty() {
+        if self.condor.pending() > 0 || !self.jobs.is_empty() {
             return; // replica traffic may still target standby nodes
         }
         for n in self.model.powered_on() {
@@ -1362,32 +1310,6 @@ fn all_blocks(meta: &FileMeta) -> impl Iterator<Item = BlockId> + '_ {
 enum PendingOrDone {
     Done(Outcome),
     AwaitingCopies,
-}
-
-/// Build the configured judge backend. The learned backends share one
-/// discretizer derived from the rule thresholds plus the namespace's
-/// default replication, so their feature fences line up with the
-/// decision boundaries the rules (and the manager's gating) use.
-fn build_policy(cfg: &ErmsConfig, default_replication: usize) -> Box<dyn JudgePolicy> {
-    let t = &cfg.thresholds;
-    let disc = policy::Discretizer {
-        tau_hot: t.tau_hot,
-        block_burst: t.block_burst,
-        block_warm: t.block_warm,
-        tau_cooled: t.tau_cooled,
-        tau_cold: t.tau_cold,
-        window_secs: t.window.as_secs_f64(),
-        cold_age_secs: t.cold_age.as_secs_f64(),
-        default_replication,
-    };
-    match cfg.judge_backend {
-        JudgeBackend::Rules => Box::new(RulesPolicy::new(t.clone())),
-        JudgeBackend::QLearning => Box::new(policy::QLearningJudge::new(
-            policy::QConfig::new(disc),
-            cfg.judge_seed,
-        )),
-        JudgeBackend::Hmm => Box::new(policy::HmmJudge::new(policy::HmmConfig::new(disc))),
-    }
 }
 
 fn class_name(class: DataClass) -> &'static str {
@@ -1469,7 +1391,6 @@ impl checkpoint::Checkpointable for ErmsManager {
     // Records are written as their key followed by their fields.
     checkpoint::ck_fields! {
         judge: state,
-        policy: state,
         condor: state,
         model: state,
         files,
@@ -1907,7 +1828,7 @@ mod tests {
         );
         assert_eq!(
             (h.finish(), json.len()),
-            (0x79d5_0543_ae74_ccc8, 1222),
+            (0x5433_408b_dc0e_c614, 1210),
             "reconstructing-manager snapshot bytes changed"
         );
         let mut scratch = cluster();
@@ -2524,10 +2445,10 @@ mod tests {
             tick: 0,
         });
         snap.insert_section("manager", good.clone());
-        let v2 = snap.to_json();
-        let v1 = v2.replacen("{\"version\":2,", "{\"version\":1,", 1);
-        assert_ne!(v1, v2);
-        Snapshot::from_json(&v2).expect("the current version loads");
+        let current = snap.to_json();
+        let v1 = current.replacen("{\"version\":3,", "{\"version\":1,", 1);
+        assert_ne!(v1, current);
+        Snapshot::from_json(&current).expect("the current version loads");
         let no_sections =
             r#"{"version":1,"meta":{"scenario":"unit","seed":1,"tick":0},"sections":7}"#;
         for json in [v1.as_str(), no_sections] {

@@ -83,32 +83,6 @@ fn resume_at_the_first_and_last_tick_boundaries() {
 }
 
 #[test]
-fn resume_is_equivalent_with_the_qlearning_judge() {
-    // Mid-run state now includes the Q-table (sparse diffs against the
-    // warm-start init), visit counts and the pending reward map; the
-    // byte-identical guard must hold with ε-greedy exploration and
-    // batched end-of-pass updates in flight.
-    assert_equivalent(Scenario::churn_learned_q, 42, 25);
-}
-
-#[test]
-fn resume_is_equivalent_with_the_hmm_judge() {
-    // Per-path posterior beliefs (raw f64 bits) must survive the
-    // snapshot so the forward filter continues from the exact state.
-    assert_equivalent(Scenario::churn_learned_hmm, 42, 25);
-}
-
-#[test]
-fn learned_backends_are_deterministic_per_seed() {
-    for s in [Scenario::churn_learned_q, Scenario::churn_learned_hmm] {
-        let (trace_a, state_a) = straight(s(), 7);
-        let (trace_b, state_b) = straight(s(), 7);
-        assert_eq!(trace_a, trace_b, "{}: same seed, same trace", s().name);
-        assert_eq!(state_a, state_b, "{}: same seed, same state", s().name);
-    }
-}
-
-#[test]
 fn resume_is_equivalent_with_production_traffic_and_encoding() {
     // The tiered scenario drives wave-structured workload traffic
     // (creates + reads regenerated from the seed on resume, never
@@ -236,27 +210,28 @@ fn snapshot_json(scenario: &str, at_tick: u64) -> String {
 
 /// The snapshot wire bytes, pinned per scenario: FNV-1a-64 of the JSON
 /// plus its length. The resume guards above prove a build agrees with
-/// itself; this proves it still writes the format-2 bytes every earlier
-/// build wrote, so a codec refactor that moves a key, a row arity or a
-/// number's encoding fails here.
+/// itself; this proves it still writes the bytes every earlier build of
+/// this format wrote, so a codec refactor that moves a key, a row arity
+/// or a number's encoding fails here. Format 3 is format 2 without the
+/// manager section's `"policy":{}` key, and the lengths say so.
 #[test]
 fn snapshot_digest_is_pinned() {
+    // (scenario, tick, format-3 digest, format-2 length)
     let pinned = [
-        ("churn-small", 40, 0xbdc3_433c_58ce_517f_u64, 26760_usize),
-        ("churn-small-full", 40, 0x53ac_879b_0f2b_659b, 26766),
-        ("churn-learned-q", 35, 0xeb95_789f_05a9_65ee, 27561),
-        ("churn-learned-hmm", 35, 0xf88e_27ea_43e4_1b1d, 27176),
-        ("churn-corrupt", 35, 0x4c9f_b1a3_7e2a_9e67, 37907),
-        ("prod-flashcrowd", 20, 0xdc46_3933_ddbd_c934, 35634),
-        ("prod-tiered", 33, 0x6c8b_664d_41eb_e74e, 84767),
+        ("churn-small", 40, 0x493b_6fef_1b17_1c1c_u64, 26760_usize),
+        ("churn-small-full", 40, 0xb023_54de_d57d_24d0, 26766),
+        ("churn-corrupt", 35, 0x2ad6_6ad9_52ef_d666, 37907),
+        ("prod-flashcrowd", 20, 0xc0c8_a551_3af4_05cf, 35634),
+        ("prod-tiered", 33, 0xcba6_f757_850a_82ff, 84767),
     ];
-    assert_eq!(checkpoint::FORMAT_VERSION, 2);
-    for (scenario, at_tick, digest, len) in pinned {
+    assert_eq!(checkpoint::FORMAT_VERSION, 3);
+    for (scenario, at_tick, digest, format2_len) in pinned {
         let json = snapshot_json(scenario, at_tick);
         let mut h = FnvHasher::default();
         h.write(json.as_bytes());
         let got = (h.finish(), json.len());
         println!("{scenario}@{at_tick}: {:#018x} {}", got.0, got.1);
+        let len = format2_len - "\"policy\":{},".len();
         assert_eq!(got, (digest, len), "{scenario}@{at_tick} snapshot changed");
     }
 }

@@ -10,7 +10,7 @@
 //! trace oracle knows.
 
 use cep::fnv::FnvHasher;
-use erms::{ErmsConfig, ErmsManager, ErmsPlacement, JudgeBackend, Thresholds, TickReport};
+use erms::{ErmsConfig, ErmsManager, ErmsPlacement, Thresholds, TickReport};
 use hdfs_sim::topology::{ClientId, Endpoint};
 use hdfs_sim::{ClusterConfig, ClusterSim, NodeId};
 use simcore::telemetry::TelemetrySink;
@@ -45,14 +45,14 @@ fn rot(c: &mut ClusterSim, path: &str) {
 
 /// One scripted workload — flash crowd, background traffic, a delete, a
 /// node kill, then a long cool-down — driven tick-for-tick identically
-/// regardless of the manager's visit-set mode or judge backend.
+/// regardless of the manager's visit-set mode.
 ///
 /// With `scrub` the scrubber runs too, `/f3` and `/f10` draw crowds of
 /// their own and five replicas rot once the boosts have landed. The
 /// manager orders the scrubber's hot list and its `Repair` submissions
 /// by path, and `/f10` < `/f3` by path but not by id, so a change that
 /// swaps either order moves this trace.
-fn run(full_rescan: bool, backend: JudgeBackend, scrub: bool) -> Run {
+fn run(full_rescan: bool, scrub: bool) -> Run {
     let mut c = ClusterSim::new(
         ClusterConfig::paper_testbed(),
         Box::new(ErmsPlacement::new()),
@@ -64,8 +64,6 @@ fn run(full_rescan: bool, backend: JudgeBackend, scrub: bool) -> Run {
         .scrubber(scrub)
         .scrub_blocks_per_tick(64)
         .full_rescan(full_rescan)
-        .judge_backend(backend)
-        .judge_seed(42)
         .build()
         .unwrap();
     let mut m = ErmsManager::new(cfg, &mut c).unwrap();
@@ -180,8 +178,8 @@ fn actions(r: &TickReport) -> Actions {
 
 #[test]
 fn incremental_and_full_rescan_take_identical_actions() {
-    let inc = run(false, JudgeBackend::Rules, false);
-    let full = run(true, JudgeBackend::Rules, false);
+    let inc = run(false, false);
+    let full = run(true, false);
 
     assert_eq!(inc.reports.len(), full.reports.len());
     for (i, (a, b)) in inc.reports.iter().zip(&full.reports).enumerate() {
@@ -213,38 +211,28 @@ fn incremental_and_full_rescan_take_identical_actions() {
 
 #[test]
 fn incremental_runs_are_deterministic() {
-    let a = run(false, JudgeBackend::Rules, false);
-    let b = run(false, JudgeBackend::Rules, false);
+    let a = run(false, false);
+    let b = run(false, false);
     assert_eq!(a.trace, b.trace, "same-seed traces must be byte-identical");
     assert_eq!(a.files, b.files);
 }
 
-/// The scripted workload's trace, pinned per judge backend: FNV-1a-64 of
-/// the JSONL bytes plus the event count. A refactor of the control loop
-/// that reorders, drops or rewords a single event fails here.
+/// The scripted workload's trace, pinned without and with the scrubber:
+/// FNV-1a-64 of the JSONL bytes plus the event count. A refactor of the
+/// control loop that reorders, drops or rewords a single event fails
+/// here.
 #[test]
 fn trace_digest_is_pinned() {
     let pinned = [
-        (
-            JudgeBackend::Rules,
-            false,
-            0xf6af_fbcb_066b_fd39_u64,
-            1013_usize,
-        ),
-        (JudgeBackend::QLearning, false, 0x3a6c_9320_fe6d_2451, 1315),
-        (JudgeBackend::Hmm, false, 0x6fbd_2805_540c_1505, 1046),
-        (JudgeBackend::Rules, true, 0x1f00_4695_bd09_cf8b, 1422),
+        (false, 0xf6af_fbcb_066b_fd39_u64, 1013_usize),
+        (true, 0x1f00_4695_bd09_cf8b, 1422),
     ];
-    for (backend, scrub, digest, events) in pinned {
-        let trace = run(false, backend, scrub).trace;
+    for (scrub, digest, events) in pinned {
+        let trace = run(false, scrub).trace;
         let mut h = FnvHasher::default();
         h.write(trace.as_bytes());
         let got = (h.finish(), trace.lines().count());
-        println!("{backend} scrub={scrub}: {:#018x} {}", got.0, got.1);
-        assert_eq!(
-            got,
-            (digest, events),
-            "{backend} scrub={scrub} trace changed"
-        );
+        println!("scrub={scrub}: {:#018x} {}", got.0, got.1);
+        assert_eq!(got, (digest, events), "scrub={scrub} trace changed");
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 3,
+//!   "version": 4,
 //!   "meta": { "scenario": "faults-small", "seed": 42, "tick": 10 },
 //!   "sections": { "cluster": { ... }, "manager": { ... }, ... }
 //! }
@@ -12,8 +12,10 @@
 //!
 //! `version` is checked *first* on load: a snapshot written by any
 //! other format — newer, the retired version 1 (per-file state keyed
-//! by path, not `FileId`) or version 2 (whose `manager` section carried
-//! a `policy` key for the since-deleted learned judges) — fails with
+//! by path, not `FileId`), version 2 (whose `manager` section carried
+//! a `policy` key for the since-deleted learned judges) or version 3
+//! (whose manager records carried an `active` flag and a `cold_due`
+//! cell, and which saved a `tick_count`) — fails with
 //! [`CheckpointError::UnknownVersion`] before anything else is touched —
 //! never a panic. `meta` names the scenario and seed
 //! the snapshot belongs to; the runner rebuilds the static configuration
@@ -28,7 +30,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The snapshot format this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Identity of the run a snapshot belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,12 +199,26 @@ mod tests {
                 got => panic!("expected UnknownVersion for {other}, got {got:?}"),
             }
         }
-        // the retired version 2 (its manager section had a `policy` key)
+        let retired = |found: u32| {
+            let old = s
+                .to_json()
+                .replace(&current, &format!("\"version\":{found}"));
+            Snapshot::from_json(&old).unwrap_err()
+        };
+        // version 2 (its manager section had a `policy` key)
         assert_eq!(
-            Snapshot::from_json(&s.to_json().replace(&current, "\"version\":2")).unwrap_err(),
+            retired(2),
             CheckpointError::UnknownVersion {
                 found: 2,
-                supported: 3
+                supported: 4
+            }
+        );
+        // version 3 (manager records with `active` and `cold_due`)
+        assert_eq!(
+            retired(3),
+            CheckpointError::UnknownVersion {
+                found: 3,
+                supported: 4
             }
         );
     }

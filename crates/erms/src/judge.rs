@@ -195,9 +195,6 @@ impl DataJudge {
     pub fn thresholds(&self) -> &Thresholds {
         &self.thresholds
     }
-    pub fn thresholds_mut(&mut self) -> &mut Thresholds {
-        &mut self.thresholds
-    }
     pub fn parse_errors(&self) -> usize {
         self.parse_errors
     }

@@ -26,7 +26,7 @@
 //! rollback plan) and in telemetry events.
 
 use crate::config::{ConfigError, ErmsConfig};
-use crate::judge::{DataClass, DataJudge, FileSnapshot, Judgment};
+use crate::judge::{DataClass, DataJudge, FileSnapshot};
 use crate::model::ActiveStandbyModel;
 use crate::replication::optimal_replication;
 use checkpoint::codec::{unknown, Ck};
@@ -63,13 +63,16 @@ pub enum ErmsTask {
 /// Number of [`ErmsTask`] variants: the in-flight slots of a [`FileCtl`].
 const TASK_KINDS: usize = 5;
 
+/// The in-flight slot of `Encode` tasks.
+const ENCODE: usize = 2;
+
 impl ErmsTask {
     /// Index of the task's in-flight slot.
     fn kind(&self) -> usize {
         match self {
             ErmsTask::Increase { .. } => 0,
             ErmsTask::Decrease { .. } => 1,
-            ErmsTask::Encode { .. } => 2,
+            ErmsTask::Encode { .. } => ENCODE,
             ErmsTask::Decode { .. } => 3,
             ErmsTask::Repair { .. } => 4,
         }
@@ -110,6 +113,8 @@ impl ErmsTask {
 /// What one control-loop pass did.
 #[derive(Debug, Clone, Default)]
 pub struct TickReport {
+    /// Files classified this tick. Settled-Cold files are counted in
+    /// `cold` without being classified (see [`Visit::Cold`]).
     pub files_judged: usize,
     pub hot: usize,
     pub cooled: usize,
@@ -145,18 +150,39 @@ struct FileCtl {
     /// Consecutive Cooled verdicts (hysteresis); any other verdict
     /// resets it.
     cooled_streak: u32,
-    /// Must be re-judged every tick: the last verdict was not "Normal
-    /// with zero windowed demand and no task in flight". A stable file
-    /// is revisited only when the cluster marks it dirty (see
-    /// [`ClusterSim::drain_dirty_files`]) or `cold_due` arrives.
-    active: bool,
-    /// Stable unencoded file: the `last_access` recorded when it went
-    /// stable. Once `now - last_access` exceeds the judge's `cold_age`
-    /// it must be revisited so Formula (6) can fire.
-    cold_due: Option<SimTime>,
+    /// When the judge pass must look at the file again.
+    visit: Visit,
     /// The queued or running job of each task kind (indexed by
     /// [`ErmsTask::kind`]), deduplicating resubmission.
     inflight: [Option<JobId>; TASK_KINDS],
+}
+
+/// When the judge pass revisits a file, besides whenever the cluster
+/// marks it dirty (see [`ClusterSim::drain_dirty_files`]) or it is a
+/// Formula (4) or freshness hit.
+///
+/// A file is *settled* when its verdict has reached a fixed point. The
+/// cluster marks a file dirty with every audit or client-trace line it
+/// logs for it and with every replication or encoding change, so while
+/// it stays clean its window counts only decay: Formulas (1)–(3) can
+/// only stop firing, (5) needs `boosted` (which only a finishing task
+/// changes), and (6) is time-driven.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Visit {
+    /// Re-judge every tick.
+    Every,
+    /// Settled with no deadline: an encoded Normal file, or a file
+    /// without a record.
+    #[default]
+    Settled,
+    /// Settled Normal and unencoded, with this `last_access`: revisited
+    /// once `now - last_access` exceeds the judge's `cold_age`, so
+    /// Formula (6) can fire.
+    ColdDue(SimTime),
+    /// Settled Cold: with encoding off or an `Encode` already queued,
+    /// judging it again would only add one to `TickReport::cold`, so
+    /// `select` counts it instead.
+    Cold,
 }
 
 /// A dispatched job waiting on the replica copies it started.
@@ -180,6 +206,9 @@ struct Pass {
     promoted: BTreeSet<FileId>,
     /// Freshness pre-warm candidates (create → open correlation).
     fresh: BTreeSet<FileId>,
+    /// Settled-Cold files outside `visit`: Cold verdicts counted, not
+    /// recomputed.
+    settled_cold: usize,
 }
 
 /// The elastic replication manager.
@@ -205,10 +234,6 @@ pub struct ErmsManager {
     /// manager may be built over a cluster that already has files, so
     /// tick 1 always rescans everything.
     primed: bool,
-    /// Ticks elapsed; nothing reads it since the repair scan runs every
-    /// tick, but it stays a snapshot field so the format loses only the
-    /// `policy` key.
-    tick_count: u64,
     telemetry: TelemetrySink,
     /// Total tasks finished, for harness accounting.
     pub total_completed: u64,
@@ -283,7 +308,6 @@ impl ErmsManager {
             reconstruct_copies: BTreeMap::new(),
             reconstructing: BTreeSet::new(),
             primed: false,
-            tick_count: 0,
             telemetry: TelemetrySink::disabled(),
             total_completed: 0,
             total_failed: 0,
@@ -318,7 +342,6 @@ impl ErmsManager {
     pub fn tick(&mut self, cluster: &mut ClusterSim, now: SimTime) -> TickReport {
         prof_scope!("tick");
         let mut report = TickReport::default();
-        self.tick_count += 1;
         self.observe(cluster);
         self.advertise(cluster);
         self.settle_copies(cluster, now, &mut report);
@@ -387,14 +410,14 @@ impl ErmsManager {
 
     /// Phase 6: the judge pass's visit set. By default it is
     /// incremental: files touched by audit/replica traffic since the
-    /// last tick (the cluster's dirty set), files still under management
-    /// (`active` records), Formula (4) promotions, freshness-pattern
-    /// hits, and files whose cold-age deadline has arrived. Files
-    /// skipped are exactly those a full rescan would judge Normal with
-    /// zero windowed demand and no task in flight, which produce no
-    /// verdict counts and no tasks — so the two modes yield identical
-    /// actions (see DESIGN.md, "Scaling the control loop"; `full_rescan`
-    /// forces the exhaustive walk, as does the first tick).
+    /// last tick (the cluster's dirty set), records to re-judge every
+    /// tick, Formula (4) promotions, freshness-pattern hits, and files
+    /// whose cold-age deadline has arrived. Every other file is settled
+    /// (see [`Visit`]): a full rescan would give it the verdict it last
+    /// had and act on none, so only the settled-Cold ones need counting
+    /// and the two modes yield identical actions (see DESIGN.md,
+    /// "Scaling the control loop"; `full_rescan` forces the exhaustive
+    /// walk, as does the first tick).
     fn select(&mut self, cluster: &mut ClusterSim, now: SimTime) -> Pass {
         prof_scope!("select");
         let overloaded = self.judge.overloaded_nodes(now);
@@ -413,6 +436,7 @@ impl ErmsManager {
         };
         let full = self.cfg.full_rescan || !self.primed;
         self.primed = true;
+        let mut settled_cold = 0;
         let visit: Vec<FileId> = if full {
             ns.files().map(|meta| meta.id).collect()
         } else {
@@ -422,13 +446,16 @@ impl ErmsManager {
                 .collect();
             visit.extend(promoted.iter().chain(&fresh));
             let cold_age = self.judge.thresholds().cold_age;
-            for (&file, ctl) in &mut self.files {
-                let due = ctl.cold_due.is_some_and(|last| now.since(last) > cold_age);
-                if due {
-                    ctl.cold_due = None;
-                }
-                if ctl.active || due {
-                    visit.insert(file);
+            for (&file, ctl) in &self.files {
+                match ctl.visit {
+                    Visit::Every => {
+                        visit.insert(file);
+                    }
+                    Visit::ColdDue(last) if now.since(last) > cold_age => {
+                        visit.insert(file);
+                    }
+                    Visit::Cold if !visit.contains(&file) => settled_cold += 1,
+                    _ => {}
                 }
             }
             visit.into_iter().collect()
@@ -437,6 +464,7 @@ impl ErmsManager {
             visit,
             promoted,
             fresh,
+            settled_cold,
         }
     }
 
@@ -454,6 +482,7 @@ impl ErmsManager {
         prof_scope!("judge");
         let default_r = cluster.config().default_replication;
         report.files_judged = pass.visit.len();
+        report.cold += pass.settled_cold;
         let ns = cluster.namespace();
         for meta in pass.visit.iter().filter_map(|&id| ns.file(id)) {
             self.judge_file(now, meta, pass, default_r, report);
@@ -568,7 +597,7 @@ impl ErmsManager {
                 }
             }
         }
-        self.note_visit(&snap, class, &verdict, streak);
+        self.note_visit(&snap, class, streak);
     }
 
     /// Submit an `Increase` to `target` and trace the boost if it was
@@ -607,33 +636,29 @@ impl ErmsManager {
     }
 
     /// Maintain the file's record after judging it: the Cooled streak
-    /// and the incremental visit state.
+    /// and when to judge it next.
     ///
-    /// A file is *stable* when it was judged Normal with zero windowed
-    /// demand while unboosted and with no task in flight. Nothing about
-    /// such a file can change except through events that mark it dirty
-    /// in the cluster — or the silent passage of time carrying it past
-    /// Formula (6)'s cold age, which `cold_due` schedules explicitly.
-    fn note_visit(
-        &mut self,
-        snap: &FileSnapshot<'_>,
-        class: DataClass,
-        verdict: &Judgment,
-        cooled_streak: u32,
-    ) {
+    /// An unboosted file settles (see [`Visit`]) when it is judged
+    /// Normal with no task in flight, or Cold with no task in flight but
+    /// a queued `Encode` and nothing left to submit. Windowed demand may
+    /// still be non-zero: it can only decay. Time alone can carry an
+    /// unencoded Normal file past Formula (6)'s cold age, so its
+    /// deadline is kept; encoded files never re-enter Cold.
+    fn note_visit(&mut self, snap: &FileSnapshot<'_>, class: DataClass, cooled_streak: u32) {
+        let encode = self.cfg.enable_encode;
         let ctl = self.files.entry(snap.id).or_default();
         ctl.cooled_streak = cooled_streak;
-        let stable = class == DataClass::Normal
-            && !snap.boosted
-            && ctl.inflight.iter().all(Option::is_none)
-            && verdict.n_d == 0.0
-            && verdict.n_b_max == 0.0;
-        ctl.active = !stable;
-        // Encoded files never re-enter Cold; only traffic (which dirties
-        // them) can change their class. For the rest τ_m > 0
-        // (validated), so zero demand always satisfies Formula (6)'s
-        // rate clause once the file is old enough.
-        ctl.cold_due = (stable && !snap.encoded).then_some(snap.last_access);
+        let mut slots = ctl.inflight.iter().enumerate();
+        let others_idle = slots.all(|(kind, job)| kind == ENCODE || job.is_none());
+        let encode_queued = ctl.inflight[ENCODE].is_some();
+        ctl.visit = match class {
+            _ if snap.boosted || !others_idle => Visit::Every,
+            DataClass::Normal if encode_queued => Visit::Every,
+            DataClass::Normal if snap.encoded => Visit::Settled,
+            DataClass::Normal => Visit::ColdDue(snap.last_access),
+            DataClass::Cold if encode_queued || !encode => Visit::Cold,
+            DataClass::Hot | DataClass::Cooled | DataClass::Cold => Visit::Every,
+        };
         self.prune(snap.id);
     }
 
@@ -732,6 +757,11 @@ impl ErmsManager {
         let slot = &mut ctl.inflight[task.kind()];
         if *slot == Some(job) && self.condor.state(job) != Some(JobState::Queued) {
             *slot = None;
+            // a full rescan may act on a Cold file again once a slot
+            // frees (resubmit an `Encode` that failed for good)
+            if ctl.visit == Visit::Cold {
+                ctl.visit = Visit::Every;
+            }
         }
         if ok {
             match task {
@@ -1329,25 +1359,40 @@ checkpoint::ck_tagged!(ErmsTask, "kind" {
     "repair" => Repair { path },
 });
 
-/// `[boosted, cooled_streak, active, cold_due | null, [[kind, job]…]]` —
-/// of the in-flight slots, the ones that hold a job, by task kind.
-type FileCtlRow = (bool, u32, bool, Option<SimTime>, Vec<(usize, JobId)>);
+/// `"every"`, `null` (settled), the `ColdDue` time, or `"cold"`.
+impl Ck for Visit {
+    fn put(&self) -> Value {
+        match self {
+            Visit::Every => Value::Str("every".into()),
+            Visit::Settled => Value::Null,
+            Visit::ColdDue(last_access) => last_access.put(),
+            Visit::Cold => Value::Str("cold".into()),
+        }
+    }
+    fn take(v: &Value, at: &str) -> Result<Self, CheckpointError> {
+        match v {
+            Value::Null => Ok(Visit::Settled),
+            Value::Str(s) if s == "every" => Ok(Visit::Every),
+            Value::Str(s) if s == "cold" => Ok(Visit::Cold),
+            Value::Str(s) => Err(unknown(at, "visit", s)),
+            v => SimTime::take(v, at).map(Visit::ColdDue),
+        }
+    }
+}
+
+/// `[boosted, cooled_streak, visit, [[kind, job]…]]` — of the in-flight
+/// slots, the ones that hold a job, by task kind.
+type FileCtlRow = (bool, u32, Visit, Vec<(usize, JobId)>);
 
 impl FileCtl {
     fn row(&self) -> FileCtlRow {
         let slots = self.inflight.iter().enumerate();
         let held = slots.filter_map(|(kind, job)| Some((kind, (*job)?)));
-        (
-            self.boosted,
-            self.cooled_streak,
-            self.active,
-            self.cold_due,
-            held.collect(),
-        )
+        (self.boosted, self.cooled_streak, self.visit, held.collect())
     }
 
     fn from_row(row: FileCtlRow, at: &str) -> Result<Self, CheckpointError> {
-        let (boosted, cooled_streak, active, cold_due, held) = row;
+        let (boosted, cooled_streak, visit, held) = row;
         let mut inflight = [None; TASK_KINDS];
         for (kind, job) in held {
             let slot = inflight.get_mut(kind);
@@ -1356,8 +1401,7 @@ impl FileCtl {
         Ok(FileCtl {
             boosted,
             cooled_streak,
-            active,
-            cold_due,
+            visit,
             inflight,
         })
     }
@@ -1399,7 +1443,6 @@ impl checkpoint::Checkpointable for ErmsManager {
         reconstruct_copies,
         reconstructing,
         primed,
-        tick_count,
         total_completed,
         total_failed;
         then check_loaded
@@ -1828,7 +1871,7 @@ mod tests {
         );
         assert_eq!(
             (h.finish(), json.len()),
-            (0x5433_408b_dc0e_c614, 1210),
+            (0x2a90_cfcf_b5a3_bd4a, 1171),
             "reconstructing-manager snapshot bytes changed"
         );
         let mut scratch = cluster();
@@ -1994,6 +2037,7 @@ mod tests {
         let cfg = ErmsConfig::builder()
             .thresholds(t)
             .standby([])
+            .encode(false)
             .build()
             .unwrap();
         let mut m = ErmsManager::new(cfg, &mut c).unwrap();
@@ -2002,26 +2046,64 @@ mod tests {
         let now = c.now();
         let r1 = m.tick(&mut c, now);
         assert_eq!(r1.files_judged, 1, "first tick is a full scan");
-        assert!(m.files[&f].active, "creation traffic is still windowed");
-        // past the CEP window (creation line expired), well short of cold
-        c.run_until(c.now() + SimDuration::from_secs(700));
-        let now = c.now();
-        let r2 = m.tick(&mut c, now);
-        assert_eq!(r2.files_judged, 1, "active until observed stable");
-        let stable = FileCtl {
-            cold_due: Some(c.namespace().file(f).unwrap().last_access),
+        let settled = FileCtl {
+            visit: Visit::ColdDue(c.namespace().file(f).unwrap().last_access),
             ..FileCtl::default()
         };
-        assert_eq!(m.files[&f], stable, "only the cold deadline remains");
+        assert_eq!(
+            m.files[&f], settled,
+            "creation traffic is still windowed, but it can only decay"
+        );
         let now = c.now();
-        let r3 = m.tick(&mut c, now);
-        assert_eq!(r3.files_judged, 0, "stable file skipped");
-        // touching it puts it back under observation
+        assert_eq!(m.tick(&mut c, now).files_judged, 0, "settled file skipped");
+        // past the cold age: judged Cold once, then only counted
+        c.run_until(c.now() + SimDuration::from_secs(7300));
+        for tick in 0..3 {
+            let now = c.now();
+            let r = m.tick(&mut c, now);
+            let judged = usize::from(tick == 0);
+            assert_eq!((r.files_judged, r.cold), (judged, 1), "tick {tick}");
+        }
+        assert_eq!(m.files[&f].visit, Visit::Cold);
+        // touching it puts it back in the visit set
         c.open_read(Endpoint::Client(ClientId(7)), "/idle").unwrap();
         c.run_until_quiescent();
         let now = c.now();
-        let r4 = m.tick(&mut c, now);
-        assert_eq!(r4.files_judged, 1, "dirty file revisited");
+        let r = m.tick(&mut c, now);
+        assert_eq!((r.files_judged, r.cold), (1, 0), "dirty file revisited");
+    }
+
+    /// A settled-Cold file whose queued `Encode` fails for good is judged
+    /// again on the next tick even though nothing dirtied it, so the
+    /// `Encode` is resubmitted when a full rescan would resubmit it.
+    #[test]
+    fn a_settled_cold_file_is_rejudged_once_its_encode_fails_for_good() {
+        let mut c = cluster();
+        let cfg = ErmsConfig::builder()
+            .thresholds(fast_thresholds())
+            .standby([])
+            .max_task_attempts(1)
+            .build()
+            .unwrap();
+        let mut m = ErmsManager::new(cfg, &mut c).unwrap();
+        let f = c.create_file("/cold", 64 * MB, 3, None).unwrap();
+        c.run_until(c.now() + SimDuration::from_secs(4000));
+        // judge without dispatching, so the Encode stays queued
+        let now = c.now();
+        let mut report = TickReport::default();
+        let pass = m.select(&mut c, now);
+        m.judge_pass(&c, now, &pass, &mut report);
+        assert_eq!((report.cold, report.tasks_submitted), (1, 1));
+        assert_eq!(m.files[&f].visit, Visit::Cold);
+
+        let [(job, task)] = &m.condor.dispatch(now, true)[..] else {
+            panic!("one Encode queued");
+        };
+        let failure = Outcome::Failure("no parity placement target".into());
+        m.finish(&c, now, *job, task, failure, &mut report);
+        assert_eq!(m.files[&f].visit, Visit::Every);
+        let r = m.tick(&mut c, now);
+        assert_eq!((r.files_judged, r.cold, r.tasks_submitted), (1, 1, 1));
     }
 
     #[test]
@@ -2050,14 +2132,14 @@ mod tests {
             m.files[&f].cooled_streak > 0,
             "precondition: streak accruing"
         );
-        assert!(m.files[&f].active);
+        assert_eq!(m.files[&f].visit, Visit::Every);
 
         assert!(c.delete_file("/doomed"));
         let now = c.now();
         m.tick(&mut c, now);
         assert!(
             !m.files.contains_key(&f),
-            "boost, streak, visit flag, cold deadline and dedup slots pruned"
+            "boost, streak, visit state and dedup slots pruned"
         );
         // a new file at the same path starts with a clean slate
         let f2 = c.create_file("/doomed", 64 * MB, 3, None).unwrap();
@@ -2134,7 +2216,7 @@ mod tests {
         // the record fields this short scenario does not reach
         let ctl = m.files.get_mut(&quiet).unwrap();
         ctl.cooled_streak = 2;
-        ctl.cold_due = Some(SimTime::from_secs(7));
+        ctl.visit = Visit::ColdDue(SimTime::from_secs(7));
         let job = m.jobs.values_mut().next().expect("an increase in flight");
         job.failed_copy = true;
 
@@ -2151,7 +2233,6 @@ mod tests {
         assert_eq!(fresh.reconstruct_copies, m.reconstruct_copies);
         assert_eq!(fresh.reconstructing, m.reconstructing);
         assert_eq!(fresh.primed, m.primed);
-        assert_eq!(fresh.tick_count, m.tick_count);
         assert_eq!(fresh.total_completed, m.total_completed);
         assert_eq!(fresh.total_failed, m.total_failed);
         assert_eq!(fresh.judge.events_seen(), m.judge.events_seen());
@@ -2446,7 +2527,8 @@ mod tests {
         });
         snap.insert_section("manager", good.clone());
         let current = snap.to_json();
-        let v1 = current.replacen("{\"version\":3,", "{\"version\":1,", 1);
+        let version = format!("{{\"version\":{},", checkpoint::FORMAT_VERSION);
+        let v1 = current.replacen(&version, "{\"version\":1,", 1);
         assert_ne!(v1, current);
         Snapshot::from_json(&current).expect("the current version loads");
         let no_sections =

@@ -212,26 +212,24 @@ fn snapshot_json(scenario: &str, at_tick: u64) -> String {
 /// plus its length. The resume guards above prove a build agrees with
 /// itself; this proves it still writes the bytes every earlier build of
 /// this format wrote, so a codec refactor that moves a key, a row arity
-/// or a number's encoding fails here. Format 3 is format 2 without the
-/// manager section's `"policy":{}` key, and the lengths say so.
+/// or a number's encoding fails here.
 #[test]
 fn snapshot_digest_is_pinned() {
-    // (scenario, tick, format-3 digest, format-2 length)
+    // (scenario, tick, format-4 digest, format-4 length)
     let pinned = [
-        ("churn-small", 40, 0x493b_6fef_1b17_1c1c_u64, 26760_usize),
-        ("churn-small-full", 40, 0xb023_54de_d57d_24d0, 26766),
-        ("churn-corrupt", 35, 0x2ad6_6ad9_52ef_d666, 37907),
-        ("prod-flashcrowd", 20, 0xc0c8_a551_3af4_05cf, 35634),
-        ("prod-tiered", 33, 0xcba6_f757_850a_82ff, 84767),
+        ("churn-small", 40, 0xafc6_ff65_a815_be37_u64, 26693_usize),
+        ("churn-small-full", 40, 0x0949_3d2e_3189_8438, 26699),
+        ("churn-corrupt", 35, 0x62f8_6dd6_fdb3_151b, 37846),
+        ("prod-flashcrowd", 20, 0x820e_8122_2dad_974f, 35541),
+        ("prod-tiered", 33, 0x0bef_05d0_b86c_4891, 84721),
     ];
-    assert_eq!(checkpoint::FORMAT_VERSION, 3);
-    for (scenario, at_tick, digest, format2_len) in pinned {
+    assert_eq!(checkpoint::FORMAT_VERSION, 4);
+    for (scenario, at_tick, digest, len) in pinned {
         let json = snapshot_json(scenario, at_tick);
         let mut h = FnvHasher::default();
         h.write(json.as_bytes());
         let got = (h.finish(), json.len());
         println!("{scenario}@{at_tick}: {:#018x} {}", got.0, got.1);
-        let len = format2_len - "\"policy\":{},".len();
         assert_eq!(got, (digest, len), "{scenario}@{at_tick} snapshot changed");
     }
 }

@@ -1,6 +1,7 @@
 //! Equivalence guard for the incremental control loop.
 //!
-//! `ErmsManager::tick` normally judges only the dirty/active visit set;
+//! `ErmsManager::tick` normally judges only dirty files and files not yet
+//! settled, and counts settled Cold files without judging them;
 //! `full_rescan` forces the old exhaustive namespace walk. The two modes
 //! must be *action-for-action* identical: same verdict counts, same
 //! tasks at the same ticks, same commissioning and healing decisions,
@@ -12,7 +13,7 @@
 use cep::fnv::FnvHasher;
 use erms::{ErmsConfig, ErmsManager, ErmsPlacement, Thresholds, TickReport};
 use hdfs_sim::topology::{ClientId, Endpoint};
-use hdfs_sim::{ClusterConfig, ClusterSim, NodeId};
+use hdfs_sim::{ClusterConfig, ClusterSim, NodeId, PlacementContext, PlacementPolicy};
 use simcore::telemetry::TelemetrySink;
 use simcore::units::MB;
 use simcore::SimDuration;
@@ -43,6 +44,38 @@ fn rot(c: &mut ClusterSim, path: &str) {
     assert!(c.corrupt_replica(node, pick as u64, false), "{path} rotted");
 }
 
+/// What becomes of the cold files the cool-down produces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Encode {
+    /// Encoding is off, as on `control-manyfiles`: a Cold verdict acts on
+    /// nothing.
+    Off,
+    /// Cold files are encoded.
+    On,
+    /// No node takes a parity block and a failed task is not retried, so
+    /// every `Encode` fails for good ("no parity placement target") and
+    /// is rolled back.
+    FailsForGood,
+}
+
+/// Algorithm 1 for data blocks, but no parity target anywhere.
+struct NoParity(ErmsPlacement);
+
+impl PlacementPolicy for NoParity {
+    fn choose_targets(&self, ctx: &PlacementContext<'_>, want: usize) -> Vec<NodeId> {
+        self.0.choose_targets(ctx, want)
+    }
+    fn choose_removals(&self, ctx: &PlacementContext<'_>, count: usize) -> Vec<NodeId> {
+        self.0.choose_removals(ctx, count)
+    }
+    fn choose_parity_target(&self, _: &PlacementContext<'_>) -> Option<NodeId> {
+        None
+    }
+    fn name(&self) -> &'static str {
+        "no-parity"
+    }
+}
+
 /// One scripted workload — flash crowd, background traffic, a delete, a
 /// node kill, then a long cool-down — driven tick-for-tick identically
 /// regardless of the manager's visit-set mode.
@@ -52,20 +85,24 @@ fn rot(c: &mut ClusterSim, path: &str) {
 /// manager orders the scrubber's hot list and its `Repair` submissions
 /// by path, and `/f10` < `/f3` by path but not by id, so a change that
 /// swaps either order moves this trace.
-fn run(full_rescan: bool, scrub: bool) -> Run {
-    let mut c = ClusterSim::new(
-        ClusterConfig::paper_testbed(),
-        Box::new(ErmsPlacement::new()),
-    );
-    let cfg = ErmsConfig::builder()
+fn run(full_rescan: bool, scrub: bool, encode: Encode) -> Run {
+    let placement: Box<dyn PlacementPolicy> = match encode {
+        Encode::FailsForGood => Box::new(NoParity(ErmsPlacement::new())),
+        Encode::Off | Encode::On => Box::new(ErmsPlacement::new()),
+    };
+    let mut c = ClusterSim::new(ClusterConfig::paper_testbed(), placement);
+    let mut cfg = ErmsConfig::builder()
         .thresholds(thresholds())
         .standby((10..18).map(NodeId))
         .self_healing(true)
         .scrubber(scrub)
         .scrub_blocks_per_tick(64)
-        .full_rescan(full_rescan)
-        .build()
-        .unwrap();
+        .encode(encode != Encode::Off)
+        .full_rescan(full_rescan);
+    if encode == Encode::FailsForGood {
+        cfg = cfg.max_task_attempts(1);
+    }
+    let cfg = cfg.build().unwrap();
     let mut m = ErmsManager::new(cfg, &mut c).unwrap();
     let sink = TelemetrySink::recording();
     c.set_telemetry(sink.clone());
@@ -176,10 +213,11 @@ fn actions(r: &TickReport) -> Actions {
     }
 }
 
-#[test]
-fn incremental_and_full_rescan_take_identical_actions() {
-    let inc = run(false, false);
-    let full = run(true, false);
+/// Run the workload in both modes and assert they act identically;
+/// returns the incremental run.
+fn identical_actions(encode: Encode) -> Run {
+    let inc = run(false, false, encode);
+    let full = run(true, false, encode);
 
     assert_eq!(inc.reports.len(), full.reports.len());
     for (i, (a, b)) in inc.reports.iter().zip(&full.reports).enumerate() {
@@ -207,12 +245,42 @@ fn incremental_and_full_rescan_take_identical_actions() {
         let (text, violations) = check(trace, OracleConfig::default()).expect("trace parses");
         assert!(violations.is_empty(), "{label} trace dirty:\n{text}");
     }
+    inc
+}
+
+#[test]
+fn incremental_and_full_rescan_take_identical_actions() {
+    identical_actions(Encode::On);
+}
+
+/// Every cold file settles and is counted, not judged, as on
+/// `control-manyfiles`.
+#[test]
+fn incremental_and_full_rescan_agree_with_encoding_off() {
+    let inc = identical_actions(Encode::Off);
+    assert!(
+        inc.reports.iter().any(|r| r.cold > r.files_judged),
+        "no tick counted a settled Cold file"
+    );
+}
+
+/// Every `Encode` of a settled-Cold file fails for good and is rolled
+/// back, and the file is judged again when a full rescan would resubmit
+/// the `Encode`. (Here the failed encode also dirties the file; the
+/// manager's unit test `a_settled_cold_file_is_rejudged_once_its_encode_fails_for_good`
+/// checks the re-activation alone.)
+#[test]
+fn incremental_and_full_rescan_agree_when_encodes_fail_for_good() {
+    let inc = identical_actions(Encode::FailsForGood);
+    let failed: usize = inc.reports.iter().map(|r| r.tasks_failed).sum();
+    assert!(failed > 0, "no Encode failed");
+    assert!(inc.files.iter().all(|(_, _, encoded)| !encoded));
 }
 
 #[test]
 fn incremental_runs_are_deterministic() {
-    let a = run(false, false);
-    let b = run(false, false);
+    let a = run(false, false, Encode::On);
+    let b = run(false, false, Encode::On);
     assert_eq!(a.trace, b.trace, "same-seed traces must be byte-identical");
     assert_eq!(a.files, b.files);
 }
@@ -224,11 +292,11 @@ fn incremental_runs_are_deterministic() {
 #[test]
 fn trace_digest_is_pinned() {
     let pinned = [
-        (false, 0xf6af_fbcb_066b_fd39_u64, 1013_usize),
-        (true, 0x1f00_4695_bd09_cf8b, 1422),
+        (false, 0x43d1_bcdf_7415_5e56_u64, 434_usize),
+        (true, 0x6678_0a4b_c5ac_e317, 945),
     ];
     for (scrub, digest, events) in pinned {
-        let trace = run(false, scrub).trace;
+        let trace = run(false, scrub, Encode::On).trace;
         let mut h = FnvHasher::default();
         h.write(trace.as_bytes());
         let got = (h.finish(), trace.lines().count());

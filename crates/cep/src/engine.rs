@@ -13,6 +13,7 @@ use checkpoint::Checkpointable;
 use simcore::telemetry::{Event as TelemetryEvent, TelemetrySink};
 use simcore::{trace, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Handle to a registered query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -166,6 +167,14 @@ impl CepEngine {
             .get_mut(&id)
             .map(|q| q.rows(now))
             .unwrap_or_default()
+    }
+
+    /// Visit the current grouped rows of a query at `now` in no
+    /// particular order (see [`QueryState::for_each_row`]).
+    pub fn for_each_row(&mut self, id: QueryId, now: SimTime, visit: impl FnMut(&Arc<str>, f64)) {
+        if let Some(q) = self.queries.get_mut(&id) {
+            q.for_each_row(now, visit);
+        }
     }
 
     /// Current aggregate for one group of a query. Polled reads are the

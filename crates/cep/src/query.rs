@@ -589,9 +589,32 @@ impl QueryState {
     /// Evaluate grouped aggregates at `now`, applying HAVING.
     /// Rows come out sorted by group key for determinism.
     pub fn rows(&mut self, now: SimTime) -> Vec<GroupRow> {
-        self.decay(now);
         let mut rows = Vec::new();
+        self.for_each_row(now, |key, value| {
+            rows.push(GroupRow {
+                key: key.clone(),
+                value,
+            })
+        });
+        // An incremental query visits its hash map in arbitrary order;
+        // sort to keep the documented deterministic row order.
+        rows.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        rows
+    }
+
+    /// Visit the rows [`rows`](Self::rows) would return, in no
+    /// particular order: the window decays to `now` and HAVING applies,
+    /// but an incremental grouped query neither sorts nor clones a key.
+    /// Meant for folds whose result does not depend on visit order.
+    pub fn for_each_row(&mut self, now: SimTime, mut visit: impl FnMut(&Arc<str>, f64)) {
+        self.decay(now);
         let incremental = self.spec.aggregate.is_incremental();
+        let having = self.spec.having;
+        let mut emit = |key: &Arc<str>, v: f64| {
+            if having.is_none_or(|h| h.test(v)) {
+                visit(key, v);
+            }
+        };
         match &self.spec.group_by {
             None => {
                 let v = if incremental {
@@ -599,26 +622,12 @@ impl QueryState {
                 } else {
                     self.spec.aggregate.apply(self.window().iter())
                 };
-                if self.spec.having.is_none_or(|h| h.test(v)) {
-                    rows.push(GroupRow {
-                        key: Arc::from(""),
-                        value: v,
-                    });
-                }
+                emit(&Arc::from(""), v);
             }
             Some(_) if incremental => {
                 for (key, agg) in self.groups.iter() {
-                    let v = agg.value(&self.spec.aggregate);
-                    if self.spec.having.is_none_or(|h| h.test(v)) {
-                        rows.push(GroupRow {
-                            key: key.clone(),
-                            value: v,
-                        });
-                    }
+                    emit(key, agg.value(&self.spec.aggregate));
                 }
-                // The hash map iterates in arbitrary order; sort to keep
-                // the documented deterministic row order.
-                rows.sort_unstable_by(|a, b| a.key.cmp(&b.key));
             }
             Some(field) => {
                 let mut groups: BTreeMap<String, Vec<&Event>> = BTreeMap::new();
@@ -629,16 +638,10 @@ impl QueryState {
                 }
                 for (key, events) in groups {
                     let v = self.spec.aggregate.apply(events.into_iter());
-                    if self.spec.having.is_none_or(|h| h.test(v)) {
-                        rows.push(GroupRow {
-                            key: Arc::from(key.as_str()),
-                            value: v,
-                        });
-                    }
+                    emit(&Arc::from(key.as_str()), v);
                 }
             }
         }
-        rows
     }
 
     /// Aggregate value for one specific group key at `now` (no HAVING).

@@ -17,7 +17,7 @@ pub const REQUIREMENTS: &str = "Requirements";
 pub const RANK: &str = "Rank";
 
 /// A registry of named machine ads plus matching logic.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Matchmaker {
     machines: BTreeMap<String, (ClassAd, Option<Expr>)>,
 }

@@ -312,27 +312,36 @@ impl DataJudge {
     /// with the file contributing the most accesses on each ("ERMS could
     /// choose the data D that contributes the largest access to DN").
     ///
-    /// One pass over the `(dn|file)` rows folds every overloaded node's
-    /// maximum — largest count, ties to the smallest key — and the result
-    /// comes out in `q_node` row order (sorted by node name).
+    /// One unordered pass over the `(dn|file)` rows folds every
+    /// overloaded node's maximum — largest count, ties to the smallest
+    /// key. That is a strict total order over rows (keys are unique), so
+    /// the visit order cannot change the result, and the result comes
+    /// out in `q_node` row order (sorted by node name).
     pub fn overloaded_nodes(&mut self, now: SimTime) -> Vec<(String, String, f64)> {
         let hot_nodes = self.hot_nodes(now);
         if hot_nodes.is_empty() {
             return Vec::new();
         }
         let mut top: Vec<Option<cep::query::GroupRow>> = vec![None; hot_nodes.len()];
-        for row in self.engine.rows(self.q_node_file, now) {
-            // node names never contain '|', so the first one ends the node
-            let Some((dn, _)) = row.key.split_once('|') else {
-                continue;
-            };
-            let Ok(i) = hot_nodes.binary_search_by(|(name, _)| (**name).cmp(dn)) else {
-                continue;
-            };
-            if top[i].as_ref().is_none_or(|best| outranks(&row, best)) {
-                top[i] = Some(row);
-            }
-        }
+        self.engine
+            .for_each_row(self.q_node_file, now, |key, value| {
+                // node names never contain '|', so the first one ends the node
+                let Some((dn, _)) = key.split_once('|') else {
+                    return;
+                };
+                let Ok(i) = hot_nodes.binary_search_by(|(name, _)| (**name).cmp(dn)) else {
+                    return;
+                };
+                if top[i]
+                    .as_ref()
+                    .is_none_or(|best| outranks(key, value, best))
+                {
+                    top[i] = Some(cep::query::GroupRow {
+                        key: key.clone(),
+                        value,
+                    });
+                }
+            });
         hot_nodes
             .into_iter()
             .zip(top)
@@ -382,8 +391,8 @@ impl DataJudge {
 
 /// Formula (4)'s "largest access": the larger count wins, equal counts
 /// go to the smaller key.
-fn outranks(row: &cep::query::GroupRow, best: &cep::query::GroupRow) -> bool {
-    row.value > best.value || (row.value == best.value && row.key < best.key)
+fn outranks(key: &str, value: f64, best: &cep::query::GroupRow) -> bool {
+    value > best.value || (value == best.value && key < &*best.key)
 }
 
 impl checkpoint::Checkpointable for DataJudge {
@@ -680,6 +689,43 @@ mod tests {
             }
         }
         assert!(overloaded_seen > 100, "the cases must overload nodes");
+
+        // equal top counts on one node: the tie goes to the smaller key
+        let mut j = judge();
+        let lines: Vec<String> = (0..10)
+            .map(|i| block_line(1 + i, i, 3, if i % 2 == 0 { "/y" } else { "/x" }))
+            .collect();
+        j.observe_lines(lines.iter().map(String::as_str));
+        let now = SimTime::from_secs(30);
+        let got = j.overloaded_nodes(now);
+        assert_eq!(got, j.overloaded_nodes_reference(now));
+        assert_eq!(got, [("dn3".to_string(), "/x".to_string(), 10.0)]);
+
+        // scale: 12 nodes × 100 files, one to three reads per pair, so
+        // 1 200 live (dn|file) groups with many tied top counts
+        let mut j = judge();
+        let mut lines = Vec::new();
+        for k in 0..3u64 {
+            for f in 0..100u64 {
+                for dn in 0..12u32 {
+                    if k <= (f + u64::from(dn)) % 3 {
+                        lines.push(block_line(1 + k, f, dn, &format!("/f{f}")));
+                    }
+                }
+            }
+        }
+        j.observe_lines(lines.iter().map(String::as_str));
+        assert_eq!(
+            j.engine.rows(j.q_node_file, SimTime::from_secs(30)).len(),
+            1200
+        );
+        // the window holding every read, then losing the first second's
+        for now in [30, 302] {
+            let now = SimTime::from_secs(now);
+            let got = j.overloaded_nodes(now);
+            assert_eq!(got.len(), 12, "every node is overloaded");
+            assert_eq!(got, j.overloaded_nodes_reference(now));
+        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! Tasks execute against the [`ClusterSim`]; replica movement completes
 //! asynchronously (real simulated bytes), and a task only reports
 //! success to Condor once every copy it started has landed — so the
-//! journal honestly reflects cluster state, rollbacks included. Node
-//! ads are refreshed in the ClassAds matchmaker every tick, which is
-//! also how commissioning picks its standby node.
+//! journal honestly reflects cluster state, rollbacks included. Every
+//! tick snapshots the datanodes; commissioning publishes the snapshot
+//! as ClassAds and picks its standby node by matchmaking against them
+//! (see `NodeAds`).
 //!
 //! What the loop remembers lives in two record maps: one `FileCtl` per
 //! file under management, keyed by `FileId` (ids are never reused, so a
@@ -37,6 +38,7 @@ use condor::scheduler::{JobId, JobState, Outcome, Priority, Scheduler};
 use condor::{ClassAd, Expr};
 use hdfs_sim::cluster::CopyId;
 use hdfs_sim::namespace::{FileMeta, StorageMode};
+use hdfs_sim::placement::NodeView;
 use hdfs_sim::{BlockId, ClusterSim, FileId, NodeId};
 use simcore::telemetry::{Event as Tel, TelemetrySink};
 use simcore::{prof_scope, trace, SimTime};
@@ -114,7 +116,7 @@ impl ErmsTask {
 #[derive(Debug, Clone, Default)]
 pub struct TickReport {
     /// Files classified this tick. Settled-Cold files are counted in
-    /// `cold` without being classified (see [`Visit::Cold`]).
+    /// `cold` without being classified (see `Visit::Cold`).
     pub files_judged: usize,
     pub hot: usize,
     pub cooled: usize,
@@ -211,13 +213,132 @@ struct Pass {
     settled_cold: usize,
 }
 
+/// The datanodes' ClassAds, built only when matchmaking reads them.
+///
+/// `advertise` snapshots every node each tick; the tick's first
+/// matchmaking publishes that snapshot, advertising or withdrawing every
+/// node exactly as a full re-advertisement at the top of the tick would.
+/// That is exact because the matchmaker is a name-keyed map that a full
+/// pass overwrites node by node: what it holds depends only on the
+/// latest snapshot and the `PoweredOn` patches made after it.
+#[derive(Default)]
+struct NodeAds {
+    matchmaker: Matchmaker,
+    /// This tick's snapshot, until it is published.
+    pending: Vec<NodeAd>,
+    /// The matchmaker as advertising every node every tick keeps it,
+    /// checked against the published one at every matchmaking.
+    #[cfg(test)]
+    eager: Matchmaker,
+    /// How many matchmakings the check above has covered.
+    #[cfg(test)]
+    checks: usize,
+}
+
+/// One node as `advertise` saw it.
+struct NodeAd {
+    view: NodeView,
+    dead: bool,
+    blocks: usize,
+}
+
+impl NodeAds {
+    /// Take this tick's snapshot of every node.
+    fn snapshot(&mut self, cluster: &ClusterSim) {
+        let nodes = cluster.node_views(None).into_iter().map(|view| NodeAd {
+            dead: matches!(
+                cluster.node_state(view.id),
+                hdfs_sim::datanode::NodeState::Dead
+            ),
+            blocks: cluster.node_block_count(view.id),
+            view,
+        });
+        self.pending.clear();
+        self.pending.extend(nodes);
+        #[cfg(test)]
+        advertise_eagerly(&mut self.eager, cluster);
+    }
+
+    /// The matchmaker, with this tick's snapshot published.
+    fn published(&mut self) -> &mut Matchmaker {
+        for NodeAd { view, dead, blocks } in self.pending.drain(..) {
+            let name = view.id.to_string();
+            if dead {
+                self.matchmaker.withdraw(&name);
+                continue;
+            }
+            // FreeDisk is advertised in bytes: truncating to whole MiB
+            // made a node with any sub-MiB remainder (or less than 1 MiB
+            // total) advertise 0 and lose every rank tie despite having
+            // genuinely more room.
+            let ad = ClassAd::new()
+                .with("Rack", i64::from(view.rack.0))
+                .with("FreeDisk", view.free as i64)
+                .with("Standby", view.standby_pool)
+                .with("PoweredOn", view.serving)
+                .with("Load", view.load as i64)
+                .with("Blocks", blocks as i64);
+            self.matchmaker.advertise(name, ad, None);
+        }
+        #[cfg(test)]
+        {
+            assert_eq!(
+                self.matchmaker, self.eager,
+                "lazy ads differ from eager ones"
+            );
+            self.checks += 1;
+        }
+        &mut self.matchmaker
+    }
+
+    /// Patch `name`'s published ad to powered on, so the tick's next
+    /// match skips it.
+    fn power_on(&mut self, name: String) {
+        #[cfg(test)]
+        patch_powered_on(&mut self.eager, name.clone());
+        patch_powered_on(&mut self.matchmaker, name);
+    }
+}
+
+fn patch_powered_on(matchmaker: &mut Matchmaker, name: String) {
+    let mut ad = matchmaker.get(&name).cloned().unwrap_or_default();
+    ad.set("PoweredOn", true);
+    matchmaker.advertise(name, ad, None);
+}
+
+/// The ad refresh `NodeAds` replaced: re-advertise every node from
+/// cluster state. Kept as the reference the published ads are checked
+/// against.
+#[cfg(test)]
+fn advertise_eagerly(matchmaker: &mut Matchmaker, cluster: &ClusterSim) {
+    for view in cluster.node_views(None) {
+        let name = view.id.to_string();
+        let dead = matches!(
+            cluster.node_state(view.id),
+            hdfs_sim::datanode::NodeState::Dead
+        );
+        if dead {
+            matchmaker.withdraw(&name);
+            continue;
+        }
+        let ad = ClassAd::new()
+            .with("Rack", i64::from(view.rack.0))
+            .with("FreeDisk", view.free as i64)
+            .with("Standby", view.standby_pool)
+            .with("PoweredOn", view.serving)
+            .with("Load", view.load as i64)
+            .with("Blocks", cluster.node_block_count(view.id) as i64);
+        matchmaker.advertise(name, ad, None);
+    }
+}
+
 /// The elastic replication manager.
 pub struct ErmsManager {
     cfg: ErmsConfig,
     judge: DataJudge,
     condor: Scheduler<ErmsTask>,
     model: ActiveStandbyModel,
-    matchmaker: Matchmaker,
+    ads: NodeAds,
     commission_req: Expr,
     commission_rank: Expr,
     /// Per-file control state, for files that have any.
@@ -298,7 +419,7 @@ impl ErmsManager {
             judge: DataJudge::try_new(cfg.thresholds.clone())?,
             condor,
             model,
-            matchmaker: Matchmaker::new(),
+            ads: NodeAds::default(),
             commission_req: parse_expr("target.Standby == true && target.PoweredOn == false")
                 .expect("static expression parses"),
             commission_rank: parse_expr("target.FreeDisk").expect("static expression parses"),
@@ -374,33 +495,12 @@ impl ErmsManager {
         self.judge.observe_lines(lines.iter().map(String::as_str));
     }
 
-    /// Phase 2: refresh the ClassAds (node state detection) and note
-    /// which commissioned standby nodes have finished booting.
+    /// Phase 2: snapshot the nodes for this tick's ClassAds (node state
+    /// detection; see `NodeAds`) and note which commissioned standby
+    /// nodes have finished booting.
     fn advertise(&mut self, cluster: &ClusterSim) {
         prof_scope!("advertise");
-        for view in cluster.node_views(None, None) {
-            let name = view.id.to_string();
-            let dead = matches!(
-                cluster.node_state(view.id),
-                hdfs_sim::datanode::NodeState::Dead
-            );
-            if dead {
-                self.matchmaker.withdraw(&name);
-                continue;
-            }
-            // FreeDisk is advertised in bytes: truncating to whole MiB
-            // made a node with any sub-MiB remainder (or less than 1 MiB
-            // total) advertise 0 and lose every rank tie despite having
-            // genuinely more room.
-            let ad = ClassAd::new()
-                .with("Rack", i64::from(view.rack.0))
-                .with("FreeDisk", view.free as i64)
-                .with("Standby", view.standby_pool)
-                .with("PoweredOn", view.serving)
-                .with("Load", view.load as i64)
-                .with("Blocks", cluster.node_block_count(view.id) as i64);
-            self.matchmaker.advertise(name, ad, None);
-        }
+        self.ads.snapshot(cluster);
         for n in self.model.powered_on() {
             if matches!(cluster.node_state(n), hdfs_sim::datanode::NodeState::Active) {
                 self.model.mark_booted(n);
@@ -995,7 +1095,8 @@ impl ErmsManager {
         let request = ClassAd::new();
         while need > 0 {
             let Some(name) = self
-                .matchmaker
+                .ads
+                .published()
                 .best_match(&request, &self.commission_req, Some(&self.commission_rank))
                 .map(str::to_string)
             else {
@@ -1007,10 +1108,7 @@ impl ErmsManager {
                     .expect("node ad names are dnN"),
             );
             if self.model.request_boot(id, now) && cluster.commission(id) {
-                // refresh the ad so the next match skips this node
-                let mut ad = self.matchmaker.get(&name).cloned().unwrap_or_default();
-                ad.set("PoweredOn", true);
-                self.matchmaker.advertise(name, ad, None);
+                self.ads.power_on(name);
                 report.commissioned.push(id);
                 need -= 1;
             } else {
@@ -1050,7 +1148,8 @@ impl ErmsManager {
 
         // (2) crashed commissioned standby nodes: bank their energy,
         // return them to Off, and let the next capacity request pick a
-        // healthy replacement (their ad was withdrawn in advertise_nodes)
+        // healthy replacement (their ad is withdrawn when matchmaking
+        // publishes the tick's snapshot)
         for n in self.model.powered_on() {
             if matches!(cluster.node_state(n), hdfs_sim::datanode::NodeState::Dead)
                 && self.model.mark_failed(n, now)
@@ -1267,7 +1366,7 @@ impl ErmsManager {
             // target: the serving node with the most free disk that is
             // not a source (ties break toward the lower id)
             let target = cluster
-                .node_views(Some(shard.block), None)
+                .node_views(Some(shard.block))
                 .into_iter()
                 .filter(|v| v.serving && !v.holds_block && !shard.sources.contains(&v.id))
                 .max_by_key(|v| (v.free, std::cmp::Reverse(v.id.0)))
@@ -1429,9 +1528,10 @@ impl checkpoint::Checkpointable for ErmsManager {
     // Rebuild-then-hydrate: a restored manager is built by
     // `ErmsManager::new` with the same config first, then hydrated. The
     // config, the static commissioning expressions, the telemetry sink
-    // and the matchmaker (whose ads are re-advertised wholesale from
-    // cluster state at the top of every tick) are construction/derived
-    // state; everything the control loop itself mutates is captured.
+    // and the node ads (snapshotted from cluster state every tick, and
+    // published over every node before any match reads them) are
+    // construction/derived state; everything the control loop itself
+    // mutates is captured.
     // Records are written as their key followed by their fields.
     checkpoint::ck_fields! {
         judge: state,
@@ -1613,6 +1713,48 @@ mod tests {
         // extras landed on standby-pool nodes
         let on_standby = (10..18).map(NodeId).filter(|&n| c.node_holds(n, b)).count();
         assert!(on_standby > 0, "extras parked on standby nodes");
+    }
+
+    /// Every matchmaking reads what re-advertising every node at the top
+    /// of the tick would have built, plus the tick's earlier `PoweredOn`
+    /// patches: `NodeAds::published` asserts it against
+    /// `advertise_eagerly`. Covered here: a same-tick double commission,
+    /// then a later tick that commissions again over the patched ads
+    /// after the standby node that would rank first has died.
+    #[test]
+    fn lazy_ads_match_eager_ones_at_every_match() {
+        let mut c = cluster();
+        let mut m = manager(&mut c, (10..18).map(NodeId).collect());
+        c.create_file("/hot", 64 * MB, 3, None).unwrap();
+        hammer(&mut c, "/hot", 20);
+        let now = c.now();
+        let first = m.tick(&mut c, now).commissioned;
+        // equally empty standby nodes tie on FreeDisk, and the tie goes
+        // to the smaller name
+        let n = first.len() as u32;
+        assert!(n >= 2, "same-tick double commission");
+        assert_eq!(first, (10..10 + n).map(NodeId).collect::<Vec<_>>());
+        let checks = m.ads.checks;
+        assert!(checks >= 2, "one check per match");
+
+        // let them boot; the next in line dies with its ad published as
+        // commissionable
+        c.run_until(c.now() + SimDuration::from_secs(60));
+        let dead = NodeId(10 + n);
+        assert!(m.ads.published().is_advertised(&dead.to_string()));
+        assert!(c.crash_node(dead));
+        c.create_file("/hot2", 64 * MB, 3, None).unwrap();
+        hammer(&mut c, "/hot2", 32); // more extras than serve now
+        let mut later = Vec::new();
+        for _ in 0..4 {
+            let now = c.now();
+            later.extend(m.tick(&mut c, now).commissioned);
+            c.run_until(c.now() + SimDuration::from_secs(30));
+        }
+        assert_eq!(later.first(), Some(&NodeId(11 + n)), "{later:?}");
+        assert!(!later.contains(&dead), "{later:?}");
+        assert!(!m.ads.published().is_advertised(&dead.to_string()));
+        assert!(m.ads.checks > checks);
     }
 
     #[test]
@@ -2167,8 +2309,10 @@ mod tests {
         c.run_until_quiescent();
         let now = c.now();
         m.tick(&mut c, now);
-        for view in c.node_views(None, None) {
-            let ad = m.matchmaker.get(&view.id.to_string()).expect("node ad");
+        // the ads matchmaking would read: this tick's snapshot, published
+        let ads = m.ads.published();
+        for view in c.node_views(None) {
+            let ad = ads.get(&view.id.to_string()).expect("node ad");
             let advertised = ad.get("FreeDisk").unwrap().as_f64().unwrap();
             assert_eq!(advertised, view.free as f64, "FreeDisk is in bytes");
             if view.free > 0 && view.free < 1 << 20 {
@@ -2176,7 +2320,7 @@ mod tests {
             }
         }
         let holders = c
-            .node_views(None, None)
+            .node_views(None)
             .into_iter()
             .filter(|v| v.free == 512)
             .count();

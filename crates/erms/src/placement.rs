@@ -30,19 +30,17 @@ impl ErmsPlacement {
         Self::default()
     }
 
-    /// Standby-pool candidates, replica-rack-colocated first, then by
-    /// (load, id).
-    fn standby_candidates(ctx: &PlacementContext<'_>, chosen: &[NodeId]) -> Vec<NodeId> {
+    /// The best standby-pool candidate: replica-rack-colocated first,
+    /// then by (load, most free, id).
+    fn standby_candidate(ctx: &PlacementContext<'_>, chosen: &[NodeId]) -> Option<NodeId> {
         let replica_racks: &[RackId] = ctx.replica_racks;
-        let mut cands: Vec<&NodeView> = ctx
-            .eligible()
+        ctx.eligible()
             .filter(|v| v.standby_pool && !chosen.contains(&v.id))
-            .collect();
-        cands.sort_by_key(|v| {
-            let colocated = replica_racks.contains(&v.rack);
-            (!colocated, v.load, std::cmp::Reverse(v.free), v.id)
-        });
-        cands.into_iter().map(|v| v.id).collect()
+            .min_by_key(|v| {
+                let colocated = replica_racks.contains(&v.rack);
+                (!colocated, v.load, std::cmp::Reverse(v.free), v.id)
+            })
+            .map(|v| v.id)
     }
 }
 
@@ -58,15 +56,12 @@ impl PlacementPolicy for ErmsPlacement {
         }
         while chosen.len() < want {
             // extra replica: standby first, active as a last resort
-            let pick = Self::standby_candidates(ctx, &chosen)
-                .into_iter()
-                .next()
-                .or_else(|| {
-                    ctx.eligible()
-                        .filter(|v| !chosen.contains(&v.id))
-                        .min_by_key(|v| (v.load, std::cmp::Reverse(v.free), v.id))
-                        .map(|v| v.id)
-                });
+            let pick = Self::standby_candidate(ctx, &chosen).or_else(|| {
+                ctx.eligible()
+                    .filter(|v| !chosen.contains(&v.id))
+                    .min_by_key(|v| (v.load, std::cmp::Reverse(v.free), v.id))
+                    .map(|v| v.id)
+            });
             match pick {
                 Some(id) => chosen.push(id),
                 None => break,
@@ -214,6 +209,28 @@ mod tests {
         let c = ctx(&views, &[], &[]);
         let t = ErmsPlacement::new().choose_parity_target(&c).unwrap();
         assert_eq!(t, NodeId(2), "fewest same-file blocks among active");
+    }
+
+    /// Through the cluster, which counts each node's blocks of the file
+    /// from their replica lists only when placing a parity.
+    #[test]
+    fn cluster_parity_placement_avoids_the_files_holders() {
+        use hdfs_sim::{ClusterConfig, ClusterSim};
+        use simcore::units::MB;
+        let mut c = ClusterSim::new(
+            ClusterConfig::paper_testbed(),
+            Box::new(ErmsPlacement::new()),
+        );
+        // 8 single-replica blocks on 18 nodes: most hold none
+        let f = c.create_file("/cold", 8 * 64 * MB, 1, None).unwrap();
+        let meta = c.namespace().file(f).unwrap();
+        let holders: Vec<NodeId> = meta
+            .blocks
+            .iter()
+            .map(|&b| c.blockmap().replica_nodes(b)[0])
+            .collect();
+        let (_, node) = c.place_parity_block(f, 0, 64 * MB).unwrap();
+        assert!(!holders.contains(&node), "{node} in {holders:?}");
     }
 
     #[test]

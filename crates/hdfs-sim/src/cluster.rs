@@ -586,18 +586,10 @@ impl ClusterSim {
             && self.ready_copies.is_empty()
     }
 
-    /// Placement snapshot for a block of `file`.
-    pub fn node_views(&self, block: Option<BlockId>, file: Option<FileId>) -> Vec<NodeView> {
-        let file_blocks: Vec<BlockId> = file
-            .and_then(|f| self.namespace.file(f))
-            .map(|m| {
-                let mut all = m.blocks.clone();
-                if let StorageMode::Encoded { parity_blocks } = &m.mode {
-                    all.extend_from_slice(parity_blocks);
-                }
-                all
-            })
-            .unwrap_or_default();
+    /// Placement snapshot for `block`. `file_block_count` is left at 0:
+    /// only parity placement reads it, and
+    /// [`ClusterSim::place_parity_block`] fills it in.
+    pub fn node_views(&self, block: Option<BlockId>) -> Vec<NodeView> {
         self.nodes
             .iter()
             .map(|n| NodeView {
@@ -608,7 +600,7 @@ impl ClusterSim {
                 free: n.free(),
                 load: n.load() + self.copy_load[n.id.0 as usize] as usize,
                 holds_block: block.is_some_and(|b| n.holds(b)),
-                file_block_count: file_blocks.iter().filter(|&&b| n.holds(b)).count(),
+                file_block_count: 0,
             })
             .collect()
     }
@@ -640,7 +632,7 @@ impl ClusterSim {
         for b in blocks {
             self.blockmap.set_target(b, replication);
             let len = self.namespace.block(b).expect("block exists").len;
-            let views = self.node_views(Some(b), Some(id));
+            let views = self.node_views(Some(b));
             let ctx = PlacementContext {
                 views: &views,
                 replica_locations: &[],
@@ -728,11 +720,10 @@ impl ClusterSim {
             return;
         };
         let writer = req.writer;
-        let file = req.file;
         let replication = req.replication;
         let len = self.block_len_or_zero(block);
         // choose the pipeline targets for this block
-        let views = self.node_views(Some(block), Some(file));
+        let views = self.node_views(Some(block));
         let ctx = PlacementContext {
             views: &views,
             replica_locations: &[],
@@ -1285,7 +1276,7 @@ impl ClusterSim {
         };
         let locs = self.blockmap.replica_nodes(block);
         let racks: Vec<RackId> = locs.iter().map(|&n| self.topology.rack_of(n)).collect();
-        let views = self.node_views(Some(block), Some(info.file));
+        let views = self.node_views(Some(block));
         let ctx = PlacementContext {
             views: &views,
             replica_locations: locs,
@@ -1326,7 +1317,7 @@ impl ClusterSim {
         };
         let locs = self.blockmap.replica_nodes(block);
         let racks: Vec<RackId> = locs.iter().map(|&n| self.topology.rack_of(n)).collect();
-        let views = self.node_views(Some(block), Some(info.file));
+        let views = self.node_views(Some(block));
         let ctx = PlacementContext {
             views: &views,
             replica_locations: locs,
@@ -1380,7 +1371,20 @@ impl ClusterSim {
         let block = self.namespace.allocate_parity_block(file, index, len);
         self.blockmap.set_target(block, 1);
         self.mark_dirty(file);
-        let views = self.node_views(Some(block), Some(file));
+        let mut views = self.node_views(Some(block));
+        // Algorithm 1's parity rule: how many of the file's blocks each
+        // node holds, counted from their replica lists
+        if let Some(meta) = self.namespace.file(file) {
+            let parity: &[BlockId] = match &meta.mode {
+                StorageMode::Encoded { parity_blocks } => parity_blocks,
+                StorageMode::Replicated { .. } => &[],
+            };
+            for &b in meta.blocks.iter().chain(parity) {
+                for n in self.blockmap.replica_nodes(b) {
+                    views[n.0 as usize].file_block_count += 1;
+                }
+            }
+        }
         let ctx = PlacementContext {
             views: &views,
             replica_locations: &[],

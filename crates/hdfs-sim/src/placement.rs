@@ -26,7 +26,8 @@ pub struct NodeView {
     /// Whether this node already holds the block being placed.
     pub holds_block: bool,
     /// How many blocks of the same *file* this node holds (drives the
-    /// parity-placement rule of Algorithm 1).
+    /// parity-placement rule of Algorithm 1). Counted only for parity
+    /// placement; 0 in every other view.
     pub file_block_count: usize,
 }
 

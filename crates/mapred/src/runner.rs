@@ -302,7 +302,7 @@ impl MapReduceRunner {
         // offer each free slot once per pump, in node order
         for node_idx in 0..self.free_slots.len() {
             while self.free_slots[node_idx] > 0 {
-                if !self.cluster.node_views(None, None)[node_idx].serving {
+                if !self.cluster.node_views(None)[node_idx].serving {
                     break; // standby/dead nodes offer no slots
                 }
                 let pending = self.pending_tasks();

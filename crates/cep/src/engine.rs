@@ -169,12 +169,10 @@ impl CepEngine {
             .unwrap_or_default()
     }
 
-    /// Visit the current grouped rows of a query at `now` in no
-    /// particular order (see [`QueryState::for_each_row`]).
-    pub fn for_each_row(&mut self, id: QueryId, now: SimTime, visit: impl FnMut(&Arc<str>, f64)) {
-        if let Some(q) = self.queries.get_mut(&id) {
-            q.for_each_row(now, visit);
-        }
+    /// The leading `top_by` value of one group of a query at `now` (see
+    /// [`QueryState::top_of`]). Untraced, like [`rows`](Self::rows).
+    pub fn top_of(&mut self, id: QueryId, now: SimTime, key: &str) -> Option<(Arc<str>, f64)> {
+        self.queries.get_mut(&id)?.top_of(now, key)
     }
 
     /// Current aggregate for one group of a query. Polled reads are the
@@ -377,6 +375,7 @@ mod tests {
             predicates: vec![],
             window: crate::query::WindowSpec::Time(SimDuration::from_secs(60)),
             group_by: None,
+            top_by: None,
             aggregate: crate::query::AggFn::Count,
             having: Some(Comparison::Ge(2.0)),
         };

@@ -15,10 +15,11 @@
 //! distinct keys, but consumes at most one `A` per key — the common
 //! "first match, no reuse" CEP policy).
 
-use crate::event::Event;
+use crate::event::{Event, Value};
 use crate::query::Predicate;
 use simcore::{SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Filter for one leg of a sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,12 +76,51 @@ impl PatternMatch {
     }
 }
 
+/// A correlation value as a hash key: two values share a key exactly
+/// when [`Value::loosely_eq`] holds between them. Numbers compare as
+/// `f64` across `Int` and `Float` (so `-0.0` and `0.0` share a key);
+/// NaN equals nothing, so it has no key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum CorrKey {
+    Num(u64),
+    Str(Arc<str>),
+    Bool(bool),
+}
+
+impl CorrKey {
+    fn of(v: &Value) -> Option<CorrKey> {
+        match v {
+            Value::Str(s) => Some(CorrKey::Str(s.clone())),
+            Value::Bool(b) => Some(CorrKey::Bool(*b)),
+            Value::Int(_) | Value::Float(_) => {
+                let x = v.as_f64()?;
+                let bits = if x == 0.0 { 0 } else { x.to_bits() };
+                (!x.is_nan()).then_some(CorrKey::Num(bits))
+            }
+        }
+    }
+}
+
 /// Incremental matcher for one [`FollowedBy`] pattern.
+///
+/// A `B` finds the oldest live `A` of its key through a key index
+/// instead of scanning every pending `A`, so a long window of waiting
+/// `A`s costs nothing per `B`.
 #[derive(Debug)]
 pub struct PatternState {
     spec: FollowedBy,
-    /// Pending unmatched `A` events, oldest first.
-    pending: VecDeque<Event>,
+    /// Pending `A` events in arrival order. One a `B` consumed stays as
+    /// `None` until it reaches the front; the front is always live.
+    pending: VecDeque<Option<Event>>,
+    /// Arrival number of `pending[0]`.
+    front_seq: u64,
+    /// The live (`Some`) entries of `pending`.
+    live: usize,
+    /// Correlation key → arrival numbers of its live `A`s, oldest first.
+    /// An `A` without a key (field missing, or NaN) is not indexed: no
+    /// `B` can match it. Keys come from the audit stream, so the map
+    /// keeps the default hasher.
+    by_key: HashMap<CorrKey, VecDeque<u64>>,
     matches_emitted: u64,
 }
 
@@ -89,6 +129,9 @@ impl PatternState {
         PatternState {
             spec,
             pending: VecDeque::new(),
+            front_seq: 0,
+            live: 0,
+            by_key: HashMap::new(),
             matches_emitted: 0,
         }
     }
@@ -97,30 +140,60 @@ impl PatternState {
         &self.spec
     }
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
     pub fn matches_emitted(&self) -> u64 {
         self.matches_emitted
     }
 
-    fn expire(&mut self, now: SimTime) {
-        let within = self.spec.within;
-        while let Some(front) = self.pending.front() {
-            if front.time + within < now {
-                self.pending.pop_front();
-            } else {
-                break;
-            }
-        }
+    fn key_of(&self, e: &Event) -> Option<CorrKey> {
+        CorrKey::of(e.get(self.spec.key_field.as_deref()?)?)
     }
 
-    fn keys_equal(&self, a: &Event, b: &Event) -> bool {
-        match &self.spec.key_field {
-            None => true,
-            Some(k) => match (a.get(k), b.get(k)) {
-                (Some(x), Some(y)) => x.loosely_eq(y),
-                _ => false,
-            },
+    /// Queue a pending `A`.
+    fn push(&mut self, a: Event) {
+        if let Some(key) = self.key_of(&a) {
+            let seq = self.front_seq + self.pending.len() as u64;
+            self.by_key.entry(key).or_default().push_back(seq);
+        }
+        self.pending.push_back(Some(a));
+        self.live += 1;
+    }
+
+    /// Unindex the oldest live `A` of `key`; returns its arrival number.
+    fn pop_oldest(&mut self, key: &CorrKey) -> Option<u64> {
+        let seqs = self.by_key.get_mut(key)?;
+        let seq = seqs.pop_front();
+        if seqs.is_empty() {
+            self.by_key.remove(key);
+        }
+        seq
+    }
+
+    /// Take the live `A` with arrival number `seq` out of `pending`.
+    fn take(&mut self, seq: u64) -> Event {
+        let slot = &mut self.pending[(seq - self.front_seq) as usize];
+        let a = slot.take().expect("an indexed A is live");
+        self.live -= 1;
+        while let Some(None) = self.pending.front() {
+            self.pending.pop_front();
+            self.front_seq += 1;
+        }
+        a
+    }
+
+    fn expire(&mut self, now: SimTime) {
+        let within = self.spec.within;
+        while let Some(Some(front)) = self.pending.front() {
+            if front.time + within >= now {
+                break;
+            }
+            // the oldest live A overall is the oldest of its key
+            if let Some(key) = self.key_of(front) {
+                let oldest = self.pop_oldest(&key);
+                debug_assert_eq!(oldest, Some(self.front_seq));
+            }
+            self.take(self.front_seq);
         }
     }
 
@@ -132,8 +205,12 @@ impl PatternState {
         // complete itself (strictly-later semantics would drop same-time
         // matches; we allow same-time-or-later pairs from *earlier* As)
         if self.spec.second.matches(event) {
-            if let Some(pos) = self.pending.iter().position(|a| self.keys_equal(a, event)) {
-                let first = self.pending.remove(pos).expect("position valid");
+            let oldest = match self.spec.key_field {
+                None => (self.live > 0).then_some(self.front_seq),
+                Some(_) => self.key_of(event).and_then(|key| self.pop_oldest(&key)),
+            };
+            if let Some(seq) = oldest {
+                let first = self.take(seq);
                 self.matches_emitted += 1;
                 out.push(PatternMatch {
                     first,
@@ -142,24 +219,184 @@ impl PatternState {
             }
         }
         if self.spec.first.matches(event) {
-            self.pending.push_back(event.clone());
+            self.push(event.clone());
         }
         out
+    }
+
+    /// The waiting `A`s, oldest first — the wire form of the queue.
+    fn save_pending(&self) -> checkpoint::Value {
+        checkpoint::codec::put_seq(self.pending.iter().flatten())
+    }
+
+    fn load_pending(&mut self, v: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
+        use checkpoint::codec::Ck;
+        let waiting = Vec::<Event>::take(v, "pending")?;
+        self.pending.clear();
+        self.by_key.clear();
+        self.front_seq = 0;
+        self.live = 0;
+        for a in waiting {
+            self.push(a);
+        }
+        Ok(())
     }
 }
 
 checkpoint::ck_record!(PatternMatch [first, second]);
 
 impl checkpoint::Checkpointable for PatternState {
-    // The spec is rebuilt by re-registration on restore; only the pending
-    // `A` queue and the emitted-match counter are runtime state.
-    checkpoint::ck_fields!(pending, matches_emitted);
+    // The spec is rebuilt by re-registration on restore; only the waiting
+    // `A`s and the emitted-match counter are runtime state. The key index
+    // is rebuilt from the `A`s.
+    checkpoint::ck_fields!(pending(save_pending, load_pending), matches_emitted);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Value;
+    use checkpoint::codec::Ck;
+
+    /// The matcher the key index replaced: each `B` scans the pending
+    /// `A`s for the first whose key is loosely equal to its own. Kept as
+    /// the reference [`PatternState`] is checked against.
+    struct LinearPattern {
+        spec: FollowedBy,
+        pending: VecDeque<Event>,
+        matches_emitted: u64,
+    }
+
+    impl LinearPattern {
+        fn offer(&mut self, event: &Event) -> Vec<PatternMatch> {
+            let within = self.spec.within;
+            while self
+                .pending
+                .front()
+                .is_some_and(|front| front.time + within < event.time)
+            {
+                self.pending.pop_front();
+            }
+            let keys_equal = |a: &Event| match &self.spec.key_field {
+                None => true,
+                Some(k) => match (a.get(k), event.get(k)) {
+                    (Some(x), Some(y)) => x.loosely_eq(y),
+                    _ => false,
+                },
+            };
+            let mut out = Vec::new();
+            if self.spec.second.matches(event) {
+                if let Some(pos) = self.pending.iter().position(keys_equal) {
+                    let first = self.pending.remove(pos).expect("position valid");
+                    self.matches_emitted += 1;
+                    out.push(PatternMatch {
+                        first,
+                        second: event.clone(),
+                    });
+                }
+            }
+            if self.spec.first.matches(event) {
+                self.pending.push_back(event.clone());
+            }
+            out
+        }
+    }
+
+    impl checkpoint::Checkpointable for LinearPattern {
+        checkpoint::ck_fields!(pending, matches_emitted);
+    }
+
+    fn wire(v: &checkpoint::Value) -> String {
+        serde_json::to_string(v).unwrap()
+    }
+
+    /// Random streams through both matchers: keys that are loosely equal
+    /// across `Int` and `Float` (and `-0.0` against `0.0`), NaN keys,
+    /// events without the key field, strings and bools that look like
+    /// numbers, uncorrelated patterns, out-of-order times and events
+    /// matching both legs. Matches, `pending_len` and snapshot bytes
+    /// agree at every step, across a mid-stream checkpoint round trip.
+    #[test]
+    fn key_index_matches_the_linear_scan() {
+        use checkpoint::Checkpointable;
+        let keys = [
+            Some(Value::Int(0)),
+            Some(Value::Float(-0.0)),
+            Some(Value::Float(0.0)),
+            Some(Value::Int(1)),
+            Some(Value::Float(1.0)),
+            Some(Value::Float(1.5)),
+            Some(Value::Float(f64::NAN)),
+            Some(Value::Int(1 << 53)),
+            Some(Value::Int((1 << 53) + 1)),
+            Some(Value::str("1")),
+            Some(Value::str("a")),
+            Some(Value::Bool(true)),
+            None,
+        ];
+        // "create" is only an A, "open" only a B; "both" and "other"
+        // match both legs, and an event without `cmd` matches neither
+        let cmds = [
+            Some("create"),
+            Some("open"),
+            Some("both"),
+            Some("other"),
+            None,
+        ];
+        let mut rng = simcore::rng::DetRng::new(0x9A77);
+        let mut matched = 0usize;
+        for case in 0..300 {
+            let spec = FollowedBy {
+                first: EventFilter::of_type("ev")
+                    .with(Predicate::Ne("cmd".into(), Value::str("open"))),
+                second: EventFilter::of_type("ev")
+                    .with(Predicate::Ne("cmd".into(), Value::str("create"))),
+                within: SimDuration::from_secs(rng.gen_range(1, 60) as u64),
+                key_field: (case % 5 != 0).then(|| "k".to_string()),
+            };
+            let mut fast = PatternState::new(spec.clone());
+            let mut slow = LinearPattern {
+                spec: spec.clone(),
+                pending: VecDeque::new(),
+                matches_emitted: 0,
+            };
+            let steps = rng.gen_range(1, 200);
+            let restart_at = rng.gen_range(0, steps);
+            let mut clock = 0u64;
+            for step in 0..steps {
+                clock += rng.gen_range(0, 4) as u64;
+                // one event in eight arrives late
+                let t = if rng.gen_range(0, 8) == 0 {
+                    clock.saturating_sub(rng.gen_range(0, 30) as u64)
+                } else {
+                    clock
+                };
+                let mut e = Event::new(SimTime::from_secs(t), "ev");
+                if let Some(cmd) = cmds[rng.gen_range(0, cmds.len())] {
+                    e.set("cmd", cmd);
+                }
+                if let Some(k) = &keys[rng.gen_range(0, keys.len())] {
+                    e.set("k", k.clone());
+                }
+                let (got, want) = (fast.offer(&e), slow.offer(&e));
+                assert_eq!(
+                    wire(&got.put()),
+                    wire(&want.put()),
+                    "case {case} step {step}"
+                );
+                assert_eq!(fast.pending_len(), slow.pending.len(), "case {case}");
+                assert_eq!(wire(&fast.save_state()), wire(&slow.save_state()));
+                matched += got.len();
+                if step == restart_at {
+                    let json = wire(&fast.save_state());
+                    fast = PatternState::new(spec.clone());
+                    fast.load_state(&serde_json::parse_value(&json).unwrap())
+                        .unwrap();
+                    assert_eq!(wire(&fast.save_state()), json);
+                }
+            }
+        }
+        assert!(matched > 1000, "the streams must match often: {matched}");
+    }
 
     fn ev(t: u64, ty: &str, path: &str) -> Event {
         Event::new(SimTime::from_secs(t), ty).with("src", path)

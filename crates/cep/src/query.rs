@@ -1,12 +1,12 @@
 //! Continuous queries.
 //!
 //! A [`QuerySpec`] is the declarative shape
-//! `FROM type(predicates…) .win:… [GROUP BY field] SELECT agg(field)
-//! [HAVING agg ⋄ threshold]`; [`QueryState`] is its incremental runtime:
-//! it owns a window, applies the filter on arrival and computes grouped
-//! aggregates on demand. ERMS's data judge runs a handful of these over
-//! the audit stream (accesses per file, accesses per block, accesses per
-//! datanode).
+//! `FROM type(predicates…) .win:… [GROUP BY field [, top_by]] SELECT
+//! agg(field) [HAVING agg ⋄ threshold]`; [`QueryState`] is its
+//! incremental runtime: it owns a window, applies the filter on arrival
+//! and computes grouped aggregates on demand. ERMS's data judge runs a
+//! handful of these over the audit stream (accesses per file, accesses
+//! per block, accesses per datanode and which file leads each one).
 
 use crate::event::{Event, Value};
 use crate::fnv::FnvBuildHasher;
@@ -18,6 +18,10 @@ use std::sync::Arc;
 /// Group-key → slot-index map, hashed with the cheap FNV hasher —
 /// group probes happen once per accepted event on the ingest hot path.
 type GroupIndex = HashMap<Arc<str>, u32, FnvBuildHasher>;
+
+/// `(group slot, top_by value)` → sub-slot index. The values are audit
+/// paths, so the map keeps the default hasher's collision resistance.
+type SubIndex = HashMap<(u32, Arc<str>), u32>;
 
 /// Window clause of a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,6 +156,12 @@ pub struct QuerySpec {
     pub predicates: Vec<Predicate>,
     pub window: WindowSpec,
     pub group_by: Option<String>,
+    /// A nested count by a second field inside each group (Esper's
+    /// `group by dn, src` when the question is "which `src` leads each
+    /// `dn`"), read with [`QueryState::top_of`]. Only events whose
+    /// `group_by` and `top_by` values are both strings are sub-counted.
+    /// Needs an incremental aggregate.
+    pub top_by: Option<String>,
     pub aggregate: AggFn,
     pub having: Option<Comparison>,
 }
@@ -169,6 +179,7 @@ impl QuerySpec {
             predicates: Vec::new(),
             window: WindowSpec::Time(window),
             group_by: Some(group_field.into()),
+            top_by: None,
             aggregate: AggFn::Count,
             having: None,
         }
@@ -249,6 +260,28 @@ impl GroupAgg {
 struct GroupSlot {
     key: Arc<str>,
     agg: GroupAgg,
+    /// The group's live sub-slots (`top_by` queries), unordered.
+    subs: Vec<u32>,
+}
+
+impl GroupSlot {
+    fn new(key: &Arc<str>) -> Self {
+        GroupSlot {
+            key: key.clone(),
+            agg: GroupAgg::default(),
+            subs: Vec::new(),
+        }
+    }
+}
+
+/// One live `(group, top_by value)` pair and its windowed event count.
+/// A sub-slot dies with its last event, which is never after its
+/// group's last event.
+#[derive(Debug)]
+struct SubSlot {
+    group: u32,
+    key: Arc<str>,
+    count: u64,
 }
 
 /// Pointer-keyed group-probe memo size (power of two). The hot keys on
@@ -259,11 +292,11 @@ const GROUP_MEMO_SLOTS: usize = 16;
 /// Per-query group bookkeeping: dense slots addressed by `u32` index,
 /// a key → index hash map, and a pointer-keyed memo over it.
 ///
-/// Windowed entries remember their group *index*, so eviction — once
-/// per accepted event at steady state — updates counters by direct
-/// indexing instead of rehashing the key string, and holds no `Arc`
-/// refcount per entry. Only a group's death (last event leaving the
-/// window) pays a map removal.
+/// Windowed entries remember their group *index* (and sub-slot index),
+/// so eviction — once per accepted event at steady state — updates
+/// counters by direct indexing instead of rehashing the key string, and
+/// holds no `Arc` refcount per entry. Only a group's (or sub-slot's)
+/// death (last event leaving the window) pays a map removal.
 #[derive(Debug, Default)]
 struct GroupTable {
     index: GroupIndex,
@@ -273,6 +306,10 @@ struct GroupTable {
     /// address. Entries hold the `Arc` so a hit can never alias a
     /// recycled allocation; freeing a slot invalidates its entries.
     memo: Vec<Option<(Arc<str>, u32)>>,
+    /// Nested `top_by` counts, slotted and recycled like the groups.
+    sub_index: SubIndex,
+    sub_slots: Vec<SubSlot>,
+    sub_free: Vec<u32>,
 }
 
 impl GroupTable {
@@ -304,23 +341,83 @@ impl GroupTable {
         }
         let idx = match self.free.pop() {
             Some(idx) => {
-                self.slots[idx as usize] = GroupSlot {
-                    key: key.clone(),
-                    agg: GroupAgg::default(),
-                };
+                self.slots[idx as usize] = GroupSlot::new(key);
                 idx
             }
             None => {
                 let idx = u32::try_from(self.slots.len()).expect("fewer than 2^32 live groups");
-                self.slots.push(GroupSlot {
-                    key: key.clone(),
-                    agg: GroupAgg::default(),
-                });
+                self.slots.push(GroupSlot::new(key));
                 idx
             }
         };
         self.index.insert(key.clone(), idx);
         idx
+    }
+
+    /// Count one arriving event under `key` inside group `group`;
+    /// returns its sub-slot, allocating one for a first-seen pair.
+    fn add_sub(&mut self, group: u32, key: &Arc<str>) -> u32 {
+        let probe = (group, key.clone());
+        let idx = match self.sub_index.get(&probe) {
+            Some(&idx) => idx,
+            None => {
+                let slot = SubSlot {
+                    group,
+                    key: key.clone(),
+                    count: 0,
+                };
+                let idx = match self.sub_free.pop() {
+                    Some(idx) => {
+                        self.sub_slots[idx as usize] = slot;
+                        idx
+                    }
+                    None => {
+                        let idx = u32::try_from(self.sub_slots.len())
+                            .expect("fewer than 2^32 live sub-groups");
+                        self.sub_slots.push(slot);
+                        idx
+                    }
+                };
+                self.sub_index.insert(probe, idx);
+                self.slots[group as usize].subs.push(idx);
+                idx
+            }
+        };
+        self.sub_slots[idx as usize].count += 1;
+        idx
+    }
+
+    /// Reverse one departing event's sub-count; a sub-slot hitting zero
+    /// leaves its group's list and is recycled.
+    fn remove_sub(&mut self, sub: u32) {
+        let slot = &mut self.sub_slots[sub as usize];
+        slot.count = slot.count.saturating_sub(1);
+        if slot.count > 0 {
+            return;
+        }
+        let group = slot.group;
+        self.sub_index.remove(&(group, slot.key.clone()));
+        let subs = &mut self.slots[group as usize].subs;
+        if let Some(at) = subs.iter().position(|&s| s == sub) {
+            subs.swap_remove(at);
+        }
+        self.sub_free.push(sub);
+    }
+
+    fn sub_key(&self, sub: u32) -> &Arc<str> {
+        &self.sub_slots[sub as usize].key
+    }
+
+    /// The sub-slot of group `key` with the largest count, ties to the
+    /// smaller sub-key: a strict total order, so the result does not
+    /// depend on slot order.
+    fn top_of(&self, key: &str) -> Option<&SubSlot> {
+        let &idx = self.index.get(key)?;
+        self.slots[idx as usize]
+            .subs
+            .iter()
+            .map(|&s| &self.sub_slots[s as usize])
+            .max_by(|a, b| a.count.cmp(&b.count).then_with(|| b.key.cmp(&a.key)))
     }
 
     /// Slot index for a key already in the table — no allocation, no
@@ -377,17 +474,21 @@ impl GroupTable {
         self.slots.clear();
         self.free.clear();
         self.memo.clear();
+        self.sub_index.clear();
+        self.sub_slots.clear();
+        self.sub_free.clear();
     }
 }
 
 /// One windowed entry of an incremental query: exactly what eviction
 /// needs to reverse the running aggregates — entry time, group slot
-/// index, aggregate-field sample. A few dozen bytes instead of a
-/// cloned event, and no refcount traffic per entry.
+/// index, sub-slot index, aggregate-field sample. A few dozen bytes
+/// instead of a cloned event, and no refcount traffic per entry.
 #[derive(Debug, Clone)]
 struct SlimEntry {
     time: SimTime,
     group: Option<u32>,
+    sub: Option<u32>,
     num: Option<f64>,
 }
 
@@ -429,6 +530,10 @@ pub struct QueryState {
 
 impl QueryState {
     pub fn new(spec: QuerySpec) -> Self {
+        assert!(
+            spec.top_by.is_none() || spec.aggregate.is_incremental(),
+            "top_by needs an incremental aggregate"
+        );
         let store = if spec.aggregate.is_incremental() {
             if let WindowSpec::Length(n) = spec.window {
                 assert!(n > 0, "length window needs capacity >= 1");
@@ -466,16 +571,19 @@ impl QueryState {
             .aggregate
             .field()
             .and_then(|f| event.get(f).and_then(Value::as_f64));
-        let group = self
-            .spec
-            .group_by
-            .as_deref()
-            .and_then(|f| event.get(f))
-            .map(|v| self.groups.index_of(v));
+        let group_value = self.spec.group_by.as_deref().and_then(|f| event.get(f));
+        let group = group_value.map(|v| self.groups.index_of(v));
         self.total.add(num);
         if let Some(gi) = group {
             self.groups.add(gi, num);
         }
+        let top_value = self.spec.top_by.as_deref().and_then(|f| event.get(f));
+        let sub = match (group, group_value, top_value) {
+            (Some(gi), Some(Value::Str(_)), Some(Value::Str(s))) => {
+                Some(self.groups.add_sub(gi, s))
+            }
+            _ => None,
+        };
         match &mut self.store {
             Store::Events(w) => {
                 let (groups, spec, total) = (&mut self.groups, &self.spec, &mut self.total);
@@ -485,16 +593,18 @@ impl QueryState {
             }
             Store::Slim { spec: wspec, buf } => {
                 let (groups, total) = (&mut self.groups, &mut self.total);
+                let entry = SlimEntry {
+                    time: event.time,
+                    group,
+                    sub,
+                    num,
+                };
                 match wspec {
                     WindowSpec::Time(span) => {
                         // Same boundary rule as Window::push_with: evict
                         // strictly-older-than now - span, keep boundary.
                         let cutoff = event.time.since(SimTime::ZERO);
-                        buf.push_back(SlimEntry {
-                            time: event.time,
-                            group,
-                            num,
-                        });
+                        buf.push_back(entry);
                         while let Some(front) = buf.front() {
                             if front.time.since(SimTime::ZERO) + *span < cutoff {
                                 let e = buf.pop_front().expect("front exists");
@@ -509,11 +619,7 @@ impl QueryState {
                             let e = buf.pop_front().expect("front exists");
                             Self::evict_slim(groups, total, e);
                         }
-                        buf.push_back(SlimEntry {
-                            time: event.time,
-                            group,
-                            num,
-                        });
+                        buf.push_back(entry);
                     }
                 }
             }
@@ -544,6 +650,7 @@ impl QueryState {
             SlimEntry {
                 time: evicted.time,
                 group,
+                sub: None,
                 num,
             },
         );
@@ -552,6 +659,9 @@ impl QueryState {
     /// Decrement the running aggregates for one departing entry.
     fn evict_slim(groups: &mut GroupTable, total: &mut GroupAgg, entry: SlimEntry) {
         total.remove(entry.num);
+        if let Some(sub) = entry.sub {
+            groups.remove_sub(sub);
+        }
         if let Some(gi) = entry.group {
             groups.remove(gi, entry.num);
         }
@@ -589,30 +699,16 @@ impl QueryState {
     /// Evaluate grouped aggregates at `now`, applying HAVING.
     /// Rows come out sorted by group key for determinism.
     pub fn rows(&mut self, now: SimTime) -> Vec<GroupRow> {
-        let mut rows = Vec::new();
-        self.for_each_row(now, |key, value| {
-            rows.push(GroupRow {
-                key: key.clone(),
-                value,
-            })
-        });
-        // An incremental query visits its hash map in arbitrary order;
-        // sort to keep the documented deterministic row order.
-        rows.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        rows
-    }
-
-    /// Visit the rows [`rows`](Self::rows) would return, in no
-    /// particular order: the window decays to `now` and HAVING applies,
-    /// but an incremental grouped query neither sorts nor clones a key.
-    /// Meant for folds whose result does not depend on visit order.
-    pub fn for_each_row(&mut self, now: SimTime, mut visit: impl FnMut(&Arc<str>, f64)) {
         self.decay(now);
         let incremental = self.spec.aggregate.is_incremental();
         let having = self.spec.having;
-        let mut emit = |key: &Arc<str>, v: f64| {
-            if having.is_none_or(|h| h.test(v)) {
-                visit(key, v);
+        let mut rows = Vec::new();
+        let mut emit = |key: &Arc<str>, value: f64| {
+            if having.is_none_or(|h| h.test(value)) {
+                rows.push(GroupRow {
+                    key: key.clone(),
+                    value,
+                });
             }
         };
         match &self.spec.group_by {
@@ -642,6 +738,20 @@ impl QueryState {
                 }
             }
         }
+        // An incremental query visits its hash map in arbitrary order;
+        // sort to keep the documented deterministic row order.
+        rows.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        rows
+    }
+
+    /// The `top_by` value with the most windowed events in group `key`
+    /// at `now`, and that count; equal counts go to the smaller value.
+    /// `None` when the group has no sub-counted event (or the query no
+    /// `top_by`).
+    pub fn top_of(&mut self, now: SimTime, key: &str) -> Option<(Arc<str>, f64)> {
+        self.decay(now);
+        let top = self.groups.top_of(key)?;
+        Some((top.key.clone(), top.count as f64))
     }
 
     /// Aggregate value for one specific group key at `now` (no HAVING).
@@ -704,7 +814,9 @@ impl checkpoint::Checkpointable for QueryState {
     // same registration calls and only hydrates runtime state. The
     // running aggregates ARE serialized (not recomputed from the window)
     // because incremental float sums can drift from a rescan — a restored
-    // run must continue from the drifted values the live run holds.
+    // run must continue from the drifted values the live run holds. The
+    // `top_by` counts are integers, so they are rebuilt from the window:
+    // a `top_by` query writes each entry's sub-key beside `buf`.
     fn save_state(&self) -> checkpoint::Value {
         use checkpoint::codec::{Ck, MapBuilder};
         let window = match &self.store {
@@ -719,7 +831,17 @@ impl checkpoint::Checkpointable for QueryState {
                         (e.time, e.group.is_some(), key.clone(), e.num.is_some(), num)
                     })
                     .collect();
-                MapBuilder::tagged("kind", "slim").put("buf", &rows).build()
+                let section = MapBuilder::tagged("kind", "slim").put("buf", &rows);
+                if self.spec.top_by.is_some() {
+                    let subs: Vec<Option<Arc<str>>> = buf
+                        .iter()
+                        .map(|e| e.sub.map(|s| self.groups.sub_key(s).clone()))
+                        .collect();
+                    section.put("subs", &subs)
+                } else {
+                    section
+                }
+                .build()
             }
         };
         // The group map iterates in hash order; serialize sorted so a
@@ -753,10 +875,33 @@ impl checkpoint::Checkpointable for QueryState {
                     ));
                 }
                 buf.clear();
-                for (time, has_key, key, has_num, num) in get::<Vec<SlimRow>>(window, "buf")? {
+                let rows = get::<Vec<SlimRow>>(window, "buf")?;
+                let subs = match self.spec.top_by {
+                    Some(_) => get::<Vec<Option<Arc<str>>>>(window, "subs")?,
+                    None => vec![None; rows.len()],
+                };
+                if subs.len() != rows.len() {
+                    return Err(checkpoint::CheckpointError::Corrupt(format!(
+                        "{} window entries but {} sub-keys",
+                        rows.len(),
+                        subs.len()
+                    )));
+                }
+                for ((time, has_key, key, has_num, num), sub) in rows.into_iter().zip(subs) {
+                    let group = has_key.then(|| self.groups.index_of_key(&key));
+                    let sub = match (group, sub) {
+                        (Some(gi), Some(s)) => Some(self.groups.add_sub(gi, &s)),
+                        (None, Some(_)) => {
+                            return Err(checkpoint::CheckpointError::Corrupt(
+                                "a sub-keyed window entry has no group".into(),
+                            ))
+                        }
+                        (_, None) => None,
+                    };
                     buf.push_back(SlimEntry {
                         time,
-                        group: has_key.then(|| self.groups.index_of_key(&key)),
+                        group,
+                        sub,
                         num: has_num.then_some(num),
                     });
                 }
@@ -882,6 +1027,7 @@ mod tests {
             predicates: vec![],
             window: WindowSpec::Length(2),
             group_by: None,
+            top_by: None,
             aggregate: AggFn::Count,
             having: None,
         };
@@ -903,6 +1049,7 @@ mod tests {
             predicates: vec![],
             window: WindowSpec::Time(SimDuration::from_secs(100)),
             group_by: None,
+            top_by: None,
             aggregate: AggFn::Count,
             having: None,
         };
@@ -978,6 +1125,7 @@ mod tests {
                 predicates: vec![],
                 window: WindowSpec::Time(SimDuration::from_secs(10)),
                 group_by: Some("k".into()),
+                top_by: None,
                 aggregate: agg.clone(),
                 having: None,
             };
@@ -1013,6 +1161,7 @@ mod tests {
             predicates: vec![],
             window: WindowSpec::Time(SimDuration::from_secs(10)),
             group_by: Some("k".into()),
+            top_by: None,
             aggregate: AggFn::Max("v".into()),
             having: None,
         };
@@ -1030,6 +1179,7 @@ mod tests {
             predicates: vec![],
             window: WindowSpec::Length(2),
             group_by: Some("src".into()),
+            top_by: None,
             aggregate: AggFn::Count,
             having: None,
         };
@@ -1041,6 +1191,118 @@ mod tests {
         assert_eq!(q.value_for(now, "/a"), 1.0);
         assert_eq!(q.value_for(now, "/b"), 1.0);
         assert_eq!(q.group_count(), 2);
+    }
+
+    fn read(t: u64, dn: &str, src: &str) -> Event {
+        Event::new(SimTime::from_secs(t), "block_read")
+            .with("dn", dn)
+            .with("src", src)
+    }
+
+    /// Reads per `dn` over 10 s, each led by its top `src`.
+    fn top_query() -> QueryState {
+        QueryState::new(QuerySpec {
+            top_by: Some("src".into()),
+            ..QuerySpec::count_per_group("block_read", "dn", SimDuration::from_secs(10))
+        })
+    }
+
+    fn top(q: &mut QueryState, now: u64, dn: &str) -> Option<(String, f64)> {
+        q.top_of(SimTime::from_secs(now), dn)
+            .map(|(k, n)| (k.to_string(), n))
+    }
+
+    fn lead(src: &str, n: f64) -> Option<(String, f64)> {
+        Some((src.to_string(), n))
+    }
+
+    #[test]
+    fn top_of_follows_eviction_and_slot_reuse() {
+        let mut q = top_query();
+        for (t, src) in [(0, "/a"), (0, "/a"), (1, "/b"), (5, "/b")] {
+            q.offer(&read(t, "dn1", src));
+        }
+        assert_eq!(top(&mut q, 5, "dn1"), lead("/a", 2.0));
+        // equal counts: the smaller key leads
+        q.offer(&read(6, "dn2", "/z"));
+        q.offer(&read(6, "dn2", "/y"));
+        assert_eq!(top(&mut q, 6, "dn2"), lead("/y", 1.0));
+        // sub-key death: both t=0 reads of /a leave at t=11
+        assert_eq!(top(&mut q, 10, "dn1"), lead("/a", 2.0));
+        assert_eq!(top(&mut q, 11, "dn1"), lead("/b", 2.0));
+        assert_eq!(top(&mut q, 12, "dn1"), lead("/b", 1.0));
+        // group death: dn1's last read leaves at t=16, dn2's at t=17
+        assert_eq!(top(&mut q, 16, "dn1"), None);
+        assert_eq!(q.group_count(), 1);
+        assert_eq!(top(&mut q, 17, "dn2"), None);
+        assert_eq!(q.group_count(), 0);
+        // recycled group and sub slots start from zero
+        q.offer(&read(20, "dn3", "/c"));
+        q.offer(&read(20, "dn1", "/b"));
+        q.offer(&read(21, "dn1", "/a"));
+        q.offer(&read(21, "dn1", "/a"));
+        assert_eq!(top(&mut q, 21, "dn3"), lead("/c", 1.0));
+        assert_eq!(top(&mut q, 21, "dn1"), lead("/a", 2.0));
+        assert_eq!(q.value_for(SimTime::from_secs(21), "dn1"), 3.0);
+        // only string `dn` and `src` values are sub-counted
+        q.offer(&read(22, "dn3", "/c").with("src", 7i64));
+        q.offer(&Event::new(SimTime::from_secs(22), "block_read").with("dn", "dn3"));
+        q.offer(&read(22, "dn4", "/c").with("dn", 4i64));
+        assert_eq!(top(&mut q, 22, "dn3"), lead("/c", 1.0));
+        assert_eq!(q.value_for(SimTime::from_secs(22), "dn3"), 3.0);
+        assert_eq!(q.value_for(SimTime::from_secs(22), "4"), 1.0);
+        assert_eq!(top(&mut q, 22, "4"), None);
+        // a query without `top_by` has no leader
+        let mut plain = QueryState::new(QuerySpec::count_per_group(
+            "block_read",
+            "dn",
+            SimDuration::from_secs(10),
+        ));
+        plain.offer(&read(0, "dn1", "/a"));
+        assert_eq!(top(&mut plain, 0, "dn1"), None);
+    }
+
+    /// Random reads against a recount of the raw `(t, dn, src)` log,
+    /// with a checkpoint round trip in mid-window.
+    #[test]
+    fn top_of_matches_a_recount_across_a_checkpoint() {
+        use checkpoint::Checkpointable;
+        let dns = ["dn1", "dn2", "dn3"];
+        let srcs = ["/a", "/b", "/c", "/d"];
+        let mut rng = simcore::rng::DetRng::new(0x70B);
+        for case in 0..50 {
+            let mut q = top_query();
+            let mut log: Vec<(u64, &str, &str)> = Vec::new();
+            let mut t = 0u64;
+            let restart_at = rng.gen_range(1, 120);
+            for step in 0..150 {
+                t += rng.gen_range(0, 3) as u64;
+                let (dn, src) = (dns[rng.gen_range(0, 3)], srcs[rng.gen_range(0, 4)]);
+                q.offer(&read(t, dn, src));
+                log.push((t, dn, src));
+                for dn in dns {
+                    let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
+                    for &(et, d, s) in &log {
+                        if d == dn && et + 10 >= t {
+                            *counts.entry(s).or_default() += 1;
+                        }
+                    }
+                    // the largest count, ties to the smaller key
+                    let want = counts
+                        .iter()
+                        .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
+                        .map(|(s, &n)| (s.to_string(), n as f64));
+                    assert_eq!(top(&mut q, t, dn), want, "case {case} step {step} {dn}");
+                }
+                if step == restart_at {
+                    let json = serde_json::to_string(&q.save_state()).unwrap();
+                    q = top_query();
+                    q.load_state(&serde_json::parse_value(&json).unwrap())
+                        .unwrap();
+                    assert_eq!(serde_json::to_string(&q.save_state()).unwrap(), json);
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 4,
+//!   "version": 5,
 //!   "meta": { "scenario": "faults-small", "seed": 42, "tick": 10 },
 //!   "sections": { "cluster": { ... }, "manager": { ... }, ... }
 //! }
@@ -13,9 +13,11 @@
 //! `version` is checked *first* on load: a snapshot written by any
 //! other format — newer, the retired version 1 (per-file state keyed
 //! by path, not `FileId`), version 2 (whose `manager` section carried
-//! a `policy` key for the since-deleted learned judges) or version 3
+//! a `policy` key for the since-deleted learned judges), version 3
 //! (whose manager records carried an `active` flag and a `cold_due`
-//! cell, and which saved a `tick_count`) — fails with
+//! cell, and which saved a `tick_count`) or version 4 (whose judge
+//! engine held a fourth query over derived per-(datanode, file)
+//! events) — fails with
 //! [`CheckpointError::UnknownVersion`] before anything else is touched —
 //! never a panic. `meta` names the scenario and seed
 //! the snapshot belongs to; the runner rebuilds the static configuration
@@ -30,7 +32,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The snapshot format this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Identity of the run a snapshot belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,7 +212,7 @@ mod tests {
             retired(2),
             CheckpointError::UnknownVersion {
                 found: 2,
-                supported: 4
+                supported: 5
             }
         );
         // version 3 (manager records with `active` and `cold_due`)
@@ -218,7 +220,16 @@ mod tests {
             retired(3),
             CheckpointError::UnknownVersion {
                 found: 3,
-                supported: 4
+                supported: 5
+            }
+        );
+        // version 4 (a judge engine with the derived per-(node, file)
+        // query)
+        assert_eq!(
+            retired(4),
+            CheckpointError::UnknownVersion {
+                found: 4,
+                supported: 5
             }
         );
     }

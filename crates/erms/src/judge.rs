@@ -7,9 +7,10 @@
 //!
 //! * accesses per file (`N_d`, from namenode `open` records),
 //! * accesses per block (`N_b`, from datanode client-trace records),
-//! * accesses per datanode (Formula (4)'s left-hand side), plus a
-//!   derived per-(datanode,file) stream so an overloaded node can name
-//!   "the data D that contributes the largest access" to it.
+//! * accesses per datanode (Formula (4)'s left-hand side), with a
+//!   nested count per file inside each node's group (`top_by: "src"`)
+//!   so an overloaded node can name "the data D that contributes the
+//!   largest access" to it.
 //!
 //! Classification implements Formulas (1)–(6) verbatim in
 //! [`DataJudge::classify`]; thresholds come from
@@ -114,8 +115,8 @@ pub struct DataJudge {
     engine: CepEngine,
     q_file: cep::QueryId,
     q_block: cep::QueryId,
+    /// Reads per datanode, each node's reads also counted per file.
     q_node: cep::QueryId,
-    q_node_file: cep::QueryId,
     /// `create → open` correlation: fresh data drawing immediate reads.
     p_fresh: cep::engine::PatternId,
     thresholds: Thresholds,
@@ -123,17 +124,10 @@ pub struct DataJudge {
     /// Interning audit-line parser, persistent so field keys and the
     /// recurring path/node strings are shared across the whole stream.
     parser: cep::audit::LineParser,
-    /// Interned type name of the derived (datanode, file) events.
-    ty_node_file: std::sync::Arc<str>,
-    /// Interned key of their composite `dn|src` field.
-    key_dn_src: std::sync::Arc<str>,
     /// Scratch for rendering `BlockId`s to their client-trace names in
     /// [`classify`](Self::classify); excluded from checkpoints.
     blk_key: String,
 }
-
-/// Synthetic event type carrying the (datanode, file) composite key.
-const NODE_FILE_EVENT: &str = "block_read_by_node";
 
 impl DataJudge {
     /// Build a judge, panicking on invalid thresholds. Thin wrapper
@@ -152,8 +146,10 @@ impl DataJudge {
         let mut engine = CepEngine::new();
         let q_file = engine.register(count_query(AUDIT_EVENT, "src", w));
         let q_block = engine.register(count_query(BLOCK_EVENT, "blk", w));
-        let q_node = engine.register(count_query(BLOCK_EVENT, "dn", w));
-        let q_node_file = engine.register(count_query(NODE_FILE_EVENT, "dn_src", w));
+        let q_node = engine.register(QuerySpec {
+            top_by: Some("src".into()),
+            ..count_query(BLOCK_EVENT, "dn", w)
+        });
         // "popularity spikes when the data is freshest": a create followed
         // quickly by an open on the same path flags a fresh-data spike
         let p_fresh = engine.register_pattern(FollowedBy {
@@ -169,7 +165,6 @@ impl DataJudge {
             q_file,
             q_block,
             q_node,
-            q_node_file,
             p_fresh,
             thresholds,
             parse_errors: 0,
@@ -180,8 +175,6 @@ impl DataJudge {
                 p.project(&["blk", "cmd", "dn", "src"]);
                 p
             },
-            ty_node_file: std::sync::Arc::from(NODE_FILE_EVENT),
-            key_dn_src: std::sync::Arc::from("dn_src"),
             blk_key: String::new(),
         })
     }
@@ -208,30 +201,10 @@ impl DataJudge {
     /// keeps the field vector's allocation), so the drain allocates
     /// nothing per line at steady state.
     pub fn observe_lines<'a>(&mut self, lines: impl IntoIterator<Item = &'a str>) {
-        let mut composite = String::new();
-        let mut event =
-            cep::Event::new_interned(simcore::SimTime::ZERO, self.ty_node_file.clone(), 8);
+        let mut event = cep::Event::new_interned(SimTime::ZERO, std::sync::Arc::from(""), 8);
         for line in lines {
             match self.parser.parse_into(line, &mut event) {
-                Ok(()) => {
-                    if event.event_type.as_ref() == BLOCK_EVENT {
-                        if let (Some(dn), Some(src)) = (
-                            event.get("dn").and_then(|v| v.as_str()),
-                            event.get("src").and_then(|v| v.as_str()),
-                        ) {
-                            composite.clear();
-                            composite.push_str(dn);
-                            composite.push('|');
-                            composite.push_str(src);
-                            let key = self.parser.intern(&composite);
-                            let mut derived =
-                                cep::Event::new_interned(event.time, self.ty_node_file.clone(), 1);
-                            derived.set_interned(self.key_dn_src.clone(), cep::Value::Str(key));
-                            self.engine.push(&derived);
-                        }
-                    }
-                    self.engine.push(&event);
-                }
+                Ok(()) => self.engine.push(&event),
                 Err(_) => self.parse_errors += 1,
             }
         }
@@ -312,93 +285,28 @@ impl DataJudge {
     /// with the file contributing the most accesses on each ("ERMS could
     /// choose the data D that contributes the largest access to DN").
     ///
-    /// One unordered pass over the `(dn|file)` rows folds every
-    /// overloaded node's maximum — largest count, ties to the smallest
-    /// key. That is a strict total order over rows (keys are unique), so
-    /// the visit order cannot change the result, and the result comes
-    /// out in `q_node` row order (sorted by node name).
+    /// `q_node` counts each node's reads per file inside the node's
+    /// group, so a node's top file (largest count, ties to the smaller
+    /// path) is one look at that group. The result comes out in `q_node`
+    /// row order (sorted by node name).
     pub fn overloaded_nodes(&mut self, now: SimTime) -> Vec<(String, String, f64)> {
-        let hot_nodes = self.hot_nodes(now);
-        if hot_nodes.is_empty() {
-            return Vec::new();
-        }
-        let mut top: Vec<Option<cep::query::GroupRow>> = vec![None; hot_nodes.len()];
-        self.engine
-            .for_each_row(self.q_node_file, now, |key, value| {
-                // node names never contain '|', so the first one ends the node
-                let Some((dn, _)) = key.split_once('|') else {
-                    return;
-                };
-                let Ok(i) = hot_nodes.binary_search_by(|(name, _)| (**name).cmp(dn)) else {
-                    return;
-                };
-                if top[i]
-                    .as_ref()
-                    .is_none_or(|best| outranks(key, value, best))
-                {
-                    top[i] = Some(cep::query::GroupRow {
-                        key: key.clone(),
-                        value,
-                    });
-                }
-            });
-        hot_nodes
+        let tau = self.thresholds.tau_datanode;
+        let nodes = self.engine.rows(self.q_node, now);
+        nodes
             .into_iter()
-            .zip(top)
-            .filter_map(|((dn, load), row)| {
-                let file = row?.key[dn.len() + 1..].to_string();
-                Some((dn.to_string(), file, load))
+            .filter(|row| row.value > tau)
+            .filter_map(|row| {
+                let (file, _) = self.engine.top_of(self.q_node, now, &row.key)?;
+                Some((row.key.to_string(), file.to_string(), row.value))
             })
             .collect()
     }
-
-    /// `q_node` rows above τ_DN, sorted by node name (the row order).
-    fn hot_nodes(&mut self, now: SimTime) -> Vec<(std::sync::Arc<str>, f64)> {
-        self.engine
-            .rows(self.q_node, now)
-            .into_iter()
-            .filter(|row| row.value > self.thresholds.tau_datanode)
-            .map(|row| (row.key, row.value))
-            .collect()
-    }
-
-    /// The scan [`overloaded_nodes`](Self::overloaded_nodes) replaced:
-    /// take and prefix-filter the `(dn|file)` rows once per overloaded
-    /// node. Kept as the reference the one-pass fold is tested against.
-    #[cfg(test)]
-    fn overloaded_nodes_reference(&mut self, now: SimTime) -> Vec<(String, String, f64)> {
-        let mut out = Vec::new();
-        for (dn, load) in self.hot_nodes(now) {
-            let prefix = format!("{dn}|");
-            let top = self
-                .engine
-                .rows(self.q_node_file, now)
-                .into_iter()
-                .filter(|row| row.key.starts_with(&prefix))
-                .max_by(|a, b| {
-                    a.value
-                        .partial_cmp(&b.value)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| b.key.cmp(&a.key))
-                });
-            if let Some(row) = top {
-                out.push((dn.to_string(), row.key[prefix.len()..].to_string(), load));
-            }
-        }
-        out
-    }
-}
-
-/// Formula (4)'s "largest access": the larger count wins, equal counts
-/// go to the smaller key.
-fn outranks(key: &str, value: f64, best: &cep::query::GroupRow) -> bool {
-    value > best.value || (value == best.value && key < &*best.key)
 }
 
 impl checkpoint::Checkpointable for DataJudge {
     // Thresholds and the query/pattern registrations are constructor
     // config: a restored judge is built by `DataJudge::new` first (which
-    // re-registers the four queries and the freshness pattern in the
+    // re-registers the three queries and the freshness pattern in the
     // same deterministic order, yielding identical ids), then hydrated.
     // Only the CEP engine's runtime state and the parse-error counter
     // are dynamic.
@@ -653,15 +561,81 @@ mod tests {
         assert_eq!(over[0].2, 10.0);
     }
 
-    /// The one-pass fold against the per-node scan it replaced, over
-    /// random windows: few files per node so counts tie, `dn1` beside
-    /// `dn12` and `dn120` so a node name prefixes another, a path that
-    /// itself contains the `|` separator, and node loads on both sides
-    /// of τ_DN.
+    /// Formula (4) recounted from the raw client-trace lines, with no
+    /// CEP involved: split each line on spaces and `=`, keep the reads
+    /// inside the window at `now` (the window has also seen every line,
+    /// so it ends no earlier than the last one), sum each node's reads
+    /// and each `(dn, src)` pair's, and name every node above τ_DN with
+    /// its largest pair (ties to the smaller path), in node-name order.
+    fn overloaded_nodes_recount(
+        lines: &[String],
+        now: SimTime,
+        j: &DataJudge,
+    ) -> Vec<(String, String, f64)> {
+        use std::collections::BTreeMap;
+        let reads: Vec<(f64, &str, &str)> = lines
+            .iter()
+            .filter_map(|line| {
+                let mut words = line.split(' ');
+                let t: f64 = words.next()?.parse().ok()?;
+                if words.next()? != "datanode.clienttrace:" {
+                    return None;
+                }
+                let field = |name: &str| {
+                    line.split(' ')
+                        .find_map(|w| w.split_once('=').filter(|(k, _)| *k == name))
+                        .map(|(_, v)| v)
+                };
+                Some((t, field("dn")?, field("src")?))
+            })
+            .collect();
+        let last = reads.iter().map(|r| r.0).fold(0.0, f64::max);
+        let horizon = now.as_secs_f64().max(last);
+        let window = j.thresholds().window.as_secs_f64();
+        let mut load: BTreeMap<&str, f64> = BTreeMap::new();
+        let mut pairs: BTreeMap<(&str, &str), f64> = BTreeMap::new();
+        for &(t, dn, src) in &reads {
+            if t + window >= horizon {
+                *load.entry(dn).or_default() += 1.0;
+                *pairs.entry((dn, src)).or_default() += 1.0;
+            }
+        }
+        let mut out = Vec::new();
+        for (dn, n) in load {
+            if n <= j.thresholds().tau_datanode {
+                continue;
+            }
+            let mut top: Option<(&str, f64)> = None;
+            for (&(d, src), &count) in &pairs {
+                // pairs iterate by path within a node, so `>` keeps the
+                // smaller path on a tie
+                if d == dn && top.is_none_or(|(_, best)| count > best) {
+                    top = Some((src, count));
+                }
+            }
+            let (src, _) = top.expect("a loaded node has a pair");
+            out.push((dn.to_string(), src.to_string(), n));
+        }
+        out
+    }
+
+    /// `overloaded_nodes` against the raw-line recount over random
+    /// windows: few files per node so counts tie, `dn1` beside `dn12`
+    /// and `dn120` so a node name prefixes another, a node and a path
+    /// that contain `|`, and node loads on both sides of τ_DN.
     #[test]
     fn overloaded_nodes_match_the_per_node_scan() {
-        let nodes = [1u32, 12, 120, 2, 7];
+        let nodes = ["dn1", "dn12", "dn120", "dn2", "dn1|7"];
         let paths = ["/a", "/a|b", "/b", "/dn1", "/z"];
+        let line = |t: u64, blk: u64, dn: &str, path: &str| {
+            format_block_line(
+                SimTime::from_secs(t),
+                &BlockId(blk).to_string(),
+                dn,
+                path,
+                64 << 20,
+            )
+        };
         let mut rng = simcore::rng::DetRng::new(0xF04);
         let mut overloaded_seen = 0usize;
         for case in 0..200 {
@@ -676,7 +650,7 @@ mod tests {
                 .map(|&t| {
                     let dn = nodes[rng.gen_range(0, busy)];
                     let path = paths[rng.gen_range(0, paths.len())];
-                    block_line(t, rng.gen_range(0, 9) as u64, dn, path)
+                    line(t, rng.gen_range(0, 9) as u64, dn, path)
                 })
                 .collect();
             j.observe_lines(lines.iter().map(String::as_str));
@@ -684,11 +658,31 @@ mod tests {
             for now in [250, 500, 650, 790] {
                 let now = SimTime::from_secs(now);
                 let got = j.overloaded_nodes(now);
-                assert_eq!(got, j.overloaded_nodes_reference(now), "case {case}");
+                assert_eq!(
+                    got,
+                    overloaded_nodes_recount(&lines, now, &j),
+                    "case {case}"
+                );
                 overloaded_seen += got.len();
             }
         }
         assert!(overloaded_seen > 100, "the cases must overload nodes");
+
+        // `|` inside a node name and a path: attribution follows the
+        // fields, not a split of a `dn|src` string
+        let mut j = judge();
+        let mut lines = Vec::new();
+        for i in 0..9 {
+            lines.push(line(1 + i, i, "dn1|x", "/p|q"));
+            lines.push(line(1 + i, i, "dn1", "/x|/p"));
+        }
+        lines.push(line(10, 0, "dn1", "/y"));
+        j.observe_lines(lines.iter().map(String::as_str));
+        let now = SimTime::from_secs(30);
+        let got = j.overloaded_nodes(now);
+        assert_eq!(got, overloaded_nodes_recount(&lines, now, &j));
+        let row = |dn: &str, src: &str, n: f64| (dn.to_string(), src.to_string(), n);
+        assert_eq!(got, [row("dn1", "/x|/p", 10.0), row("dn1|x", "/p|q", 9.0)]);
 
         // equal top counts on one node: the tie goes to the smaller key
         let mut j = judge();
@@ -696,35 +690,33 @@ mod tests {
             .map(|i| block_line(1 + i, i, 3, if i % 2 == 0 { "/y" } else { "/x" }))
             .collect();
         j.observe_lines(lines.iter().map(String::as_str));
-        let now = SimTime::from_secs(30);
         let got = j.overloaded_nodes(now);
-        assert_eq!(got, j.overloaded_nodes_reference(now));
-        assert_eq!(got, [("dn3".to_string(), "/x".to_string(), 10.0)]);
+        assert_eq!(got, overloaded_nodes_recount(&lines, now, &j));
+        assert_eq!(got, [row("dn3", "/x", 10.0)]);
 
         // scale: 12 nodes × 100 files, one to three reads per pair, so
-        // 1 200 live (dn|file) groups with many tied top counts
+        // 1 200 live (dn, file) pairs with many tied top counts
         let mut j = judge();
         let mut lines = Vec::new();
+        let mut pairs = std::collections::BTreeSet::new();
         for k in 0..3u64 {
             for f in 0..100u64 {
                 for dn in 0..12u32 {
                     if k <= (f + u64::from(dn)) % 3 {
                         lines.push(block_line(1 + k, f, dn, &format!("/f{f}")));
+                        pairs.insert((dn, f));
                     }
                 }
             }
         }
+        assert_eq!(pairs.len(), 1200);
         j.observe_lines(lines.iter().map(String::as_str));
-        assert_eq!(
-            j.engine.rows(j.q_node_file, SimTime::from_secs(30)).len(),
-            1200
-        );
         // the window holding every read, then losing the first second's
         for now in [30, 302] {
             let now = SimTime::from_secs(now);
             let got = j.overloaded_nodes(now);
             assert_eq!(got.len(), 12, "every node is overloaded");
-            assert_eq!(got, j.overloaded_nodes_reference(now));
+            assert_eq!(got, overloaded_nodes_recount(&lines, now, &j));
         }
     }
 

@@ -187,6 +187,54 @@ enum Visit {
     Cold,
 }
 
+/// The records by [`Visit`], kept beside them so `select` reads only the
+/// files it must revisit instead of walking every record. Every change
+/// of a record's `Visit` goes through [`set`](Self::set).
+#[derive(Debug, Default, PartialEq, Eq)]
+struct VisitIndex {
+    /// `Visit::Every` records.
+    every: BTreeSet<FileId>,
+    /// `Visit::ColdDue` records, by `last_access`.
+    due: BTreeSet<(SimTime, FileId)>,
+    /// `Visit::Cold` records.
+    cold: BTreeSet<FileId>,
+}
+
+impl VisitIndex {
+    /// Index every record (a loaded snapshot's).
+    fn of(files: &BTreeMap<FileId, FileCtl>) -> Self {
+        let mut index = VisitIndex::default();
+        for (&file, ctl) in files {
+            index.enter(file, ctl.visit);
+        }
+        index
+    }
+
+    /// Set `file`'s record to `visit`.
+    fn set(&mut self, file: FileId, ctl: &mut FileCtl, visit: Visit) {
+        if ctl.visit == visit {
+            return;
+        }
+        match ctl.visit {
+            Visit::Every => self.every.remove(&file),
+            Visit::ColdDue(last) => self.due.remove(&(last, file)),
+            Visit::Cold => self.cold.remove(&file),
+            Visit::Settled => true,
+        };
+        self.enter(file, visit);
+        ctl.visit = visit;
+    }
+
+    fn enter(&mut self, file: FileId, visit: Visit) {
+        match visit {
+            Visit::Every => self.every.insert(file),
+            Visit::ColdDue(last) => self.due.insert((last, file)),
+            Visit::Cold => self.cold.insert(file),
+            Visit::Settled => true,
+        };
+    }
+}
+
 /// A dispatched job waiting on the replica copies it started.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct JobCtl {
@@ -343,6 +391,8 @@ pub struct ErmsManager {
     commission_rank: Expr,
     /// Per-file control state, for files that have any.
     files: BTreeMap<FileId, FileCtl>,
+    /// `files` by `Visit`; rebuilt on load, never serialized.
+    visits: VisitIndex,
     /// Jobs waiting on copies.
     jobs: BTreeMap<JobId, JobCtl>,
     /// The job each in-flight task copy belongs to.
@@ -424,6 +474,7 @@ impl ErmsManager {
                 .expect("static expression parses"),
             commission_rank: parse_expr("target.FreeDisk").expect("static expression parses"),
             files: BTreeMap::new(),
+            visits: VisitIndex::default(),
             jobs: BTreeMap::new(),
             pending_copies: BTreeMap::new(),
             reconstruct_copies: BTreeMap::new(),
@@ -487,7 +538,9 @@ impl ErmsManager {
         let lines = {
             prof_scope!("audit");
             for file in cluster.drain_deleted_files() {
-                self.files.remove(&file);
+                if let Some(mut ctl) = self.files.remove(&file) {
+                    self.visits.set(file, &mut ctl, Visit::Settled);
+                }
             }
             cluster.drain_audit()
         };
@@ -536,6 +589,12 @@ impl ErmsManager {
         };
         let full = self.cfg.full_rescan || !self.primed;
         self.primed = true;
+        #[cfg(test)]
+        assert_eq!(
+            self.visits,
+            VisitIndex::of(&self.files),
+            "the visit index differs from the records"
+        );
         let mut settled_cold = 0;
         let visit: Vec<FileId> = if full {
             ns.files().map(|meta| meta.id).collect()
@@ -545,19 +604,19 @@ impl ErmsManager {
                 .filter(|&f| ns.file(f).is_some())
                 .collect();
             visit.extend(promoted.iter().chain(&fresh));
+            visit.extend(&self.visits.every);
+            // the due records are a prefix of `due`: the oldest accesses
             let cold_age = self.judge.thresholds().cold_age;
-            for (&file, ctl) in &self.files {
-                match ctl.visit {
-                    Visit::Every => {
-                        visit.insert(file);
-                    }
-                    Visit::ColdDue(last) if now.since(last) > cold_age => {
-                        visit.insert(file);
-                    }
-                    Visit::Cold if !visit.contains(&file) => settled_cold += 1,
-                    _ => {}
-                }
-            }
+            let due = self.visits.due.iter();
+            let due = due.take_while(|(last, _)| now.since(*last) > cold_age);
+            visit.extend(due.map(|&(_, file)| file));
+            let cold = &self.visits.cold;
+            let revisited = if visit.len() < cold.len() {
+                visit.iter().filter(|f| cold.contains(f)).count()
+            } else {
+                cold.iter().filter(|f| visit.contains(f)).count()
+            };
+            settled_cold = cold.len() - revisited;
             visit.into_iter().collect()
         };
         Pass {
@@ -751,7 +810,7 @@ impl ErmsManager {
         let mut slots = ctl.inflight.iter().enumerate();
         let others_idle = slots.all(|(kind, job)| kind == ENCODE || job.is_none());
         let encode_queued = ctl.inflight[ENCODE].is_some();
-        ctl.visit = match class {
+        let visit = match class {
             _ if snap.boosted || !others_idle => Visit::Every,
             DataClass::Normal if encode_queued => Visit::Every,
             DataClass::Normal if snap.encoded => Visit::Settled,
@@ -759,6 +818,7 @@ impl ErmsManager {
             DataClass::Cold if encode_queued || !encode => Visit::Cold,
             DataClass::Hot | DataClass::Cooled | DataClass::Cold => Visit::Every,
         };
+        self.visits.set(snap.id, ctl, visit);
         self.prune(snap.id);
     }
 
@@ -860,7 +920,7 @@ impl ErmsManager {
             // a full rescan may act on a Cold file again once a slot
             // frees (resubmit an `Encode` that failed for good)
             if ctl.visit == Visit::Cold {
-                ctl.visit = Visit::Every;
+                self.visits.set(file, ctl, Visit::Every);
             }
         }
         if ok {
@@ -1545,15 +1605,18 @@ impl checkpoint::Checkpointable for ErmsManager {
         primed,
         total_completed,
         total_failed;
-        then check_loaded
+        then finish_load
     }
 }
 
 impl ErmsManager {
-    /// `settle_copies` counts a job's record down once per pending copy:
-    /// the two must agree, or a completion would find no record (or a
-    /// count that never reaches zero).
-    fn check_loaded(&self) -> Result<(), CheckpointError> {
+    /// Rebuild the visit index from the loaded records, and check what
+    /// the decoders cannot see: `settle_copies` counts a job's record
+    /// down once per pending copy, so the two must agree, or a
+    /// completion would find no record (or a count that never reaches
+    /// zero).
+    fn finish_load(&mut self) -> Result<(), CheckpointError> {
+        self.visits = VisitIndex::of(&self.files);
         let mut waited: BTreeMap<JobId, usize> = BTreeMap::new();
         for job in self.pending_copies.values() {
             *waited.entry(*job).or_default() += 1;
@@ -2013,7 +2076,7 @@ mod tests {
         );
         assert_eq!(
             (h.finish(), json.len()),
-            (0x2a90_cfcf_b5a3_bd4a, 1171),
+            (0x10d8_ca23_4fe1_87d0, 1113),
             "reconstructing-manager snapshot bytes changed"
         );
         let mut scratch = cluster();
@@ -2360,7 +2423,8 @@ mod tests {
         // the record fields this short scenario does not reach
         let ctl = m.files.get_mut(&quiet).unwrap();
         ctl.cooled_streak = 2;
-        ctl.visit = Visit::ColdDue(SimTime::from_secs(7));
+        m.visits
+            .set(quiet, ctl, Visit::ColdDue(SimTime::from_secs(7)));
         let job = m.jobs.values_mut().next().expect("an increase in flight");
         job.failed_copy = true;
 
@@ -2372,6 +2436,7 @@ mod tests {
 
         assert!(m.files.values().any(|ctl| ctl.boosted), "rich state");
         assert_eq!(fresh.files, m.files);
+        assert_eq!(fresh.visits, m.visits);
         assert_eq!(fresh.jobs, m.jobs);
         assert_eq!(fresh.pending_copies, m.pending_copies);
         assert_eq!(fresh.reconstruct_copies, m.reconstruct_copies);

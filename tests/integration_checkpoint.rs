@@ -215,15 +215,15 @@ fn snapshot_json(scenario: &str, at_tick: u64) -> String {
 /// or a number's encoding fails here.
 #[test]
 fn snapshot_digest_is_pinned() {
-    // (scenario, tick, format-4 digest, format-4 length)
+    // (scenario, tick, format-5 digest, format-5 length)
     let pinned = [
-        ("churn-small", 40, 0xafc6_ff65_a815_be37_u64, 26693_usize),
-        ("churn-small-full", 40, 0x0949_3d2e_3189_8438, 26699),
-        ("churn-corrupt", 35, 0x62f8_6dd6_fdb3_151b, 37846),
-        ("prod-flashcrowd", 20, 0x820e_8122_2dad_974f, 35541),
-        ("prod-tiered", 33, 0x0bef_05d0_b86c_4891, 84721),
+        ("churn-small", 40, 0x26f0_f120_21b0_457f_u64, 24578_usize),
+        ("churn-small-full", 40, 0xfc45_9116_a65a_b36a, 24584),
+        ("churn-corrupt", 35, 0x3823_3e39_0b29_249a, 35809),
+        ("prod-flashcrowd", 20, 0x9b35_ce86_f92f_322f, 34076),
+        ("prod-tiered", 33, 0xeabb_b1ed_f8ef_4a09, 80062),
     ];
-    assert_eq!(checkpoint::FORMAT_VERSION, 4);
+    assert_eq!(checkpoint::FORMAT_VERSION, 5);
     for (scenario, at_tick, digest, len) in pinned {
         let json = snapshot_json(scenario, at_tick);
         let mut h = FnvHasher::default();

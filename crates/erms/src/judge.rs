@@ -14,7 +14,10 @@
 //!
 //! Classification implements Formulas (1)–(6) verbatim in
 //! [`DataJudge::classify`]; thresholds come from
-//! [`crate::thresholds::Thresholds`].
+//! [`crate::thresholds::Thresholds`]. Each [`Judgment`] also carries the
+//! demand a hot file's replicas must sustain, `max(N_d, N_b,max)`, which
+//! sizes its boost: one replica holds one block, so the busiest block
+//! sets the factor, not the per-block average `N_d`.
 
 use crate::config::ConfigError;
 use crate::thresholds::Thresholds;
@@ -106,6 +109,11 @@ pub struct Judgment {
     /// Largest windowed per-block count `N_b` seen while classifying
     /// (0 when Formula (1) short-circuited before the block scan).
     pub n_b_max: f64,
+    /// The accesses a hot file's replicas must sustain,
+    /// `max(N_d, N_b,max)`: one replica holds one block, so the busiest
+    /// block the scan saw, not the per-block average, sizes the factor
+    /// (see [`optimal_replication`](crate::optimal_replication)).
+    pub demand: f64,
     /// Which formula produced the verdict.
     pub rule: JudgeRule,
 }
@@ -322,6 +330,7 @@ fn judgment(class: DataClass, n_d: f64, n_b_max: f64, rule: JudgeRule) -> Judgme
         class,
         n_d,
         n_b_max,
+        demand: n_d.max(n_b_max),
         rule,
     }
 }

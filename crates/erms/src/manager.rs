@@ -4,9 +4,12 @@
 //! Fig. 1: drain the audit logs into the CEP-backed judge, classify every
 //! file, and turn the verdicts into Condor tasks —
 //!
-//! * hot → `Increase` to the computed optimum (**immediate** priority;
-//!   commissioning standby nodes first when the extras need somewhere
-//!   to land),
+//! * hot → `Increase` straight to the computed optimum
+//!   `⌈max(N_d, N_b,max) / τ_M⌉` (**immediate** priority; commissioning
+//!   standby nodes first when the extras need somewhere to land). A
+//!   file promoted by Formula (4) alone gets at least r_D + 1, never
+//!   "one more than now", so a file at its target submits nothing
+//!   however long its node stays overloaded,
 //! * hot-but-encoded → `Decode` (**immediate**),
 //! * cooled → `Decrease` back to the default factor (**when idle**),
 //! * cold → `Encode` with the configured stripe layout (**when idle**).
@@ -697,15 +700,17 @@ impl ErmsManager {
         match class {
             DataClass::Hot => {
                 report.hot += 1;
-                // the pre-boost bump for predicted files must not
-                // escape the cap Formula (1)'s target respects
+                // one jump to the factor the file's own demand needs; a
+                // Formula (4) promotion only guarantees r_D + 1, so an
+                // overloaded node's stale window count cannot ratchet
+                // its top file up one replica per tick
                 let target = optimal_replication(
-                    verdict.n_d,
+                    verdict.demand,
                     self.cfg.thresholds.tau_hot,
                     default_r,
                     self.cfg.max_replication,
                 )
-                .max(if is_promoted { snap.replication + 1 } else { 0 })
+                .max(if is_promoted { default_r + 1 } else { 0 })
                 .min(self.cfg.max_replication.max(default_r));
                 if snap.encoded {
                     // `DecodeCold` is traced when the rewrite lands
@@ -716,7 +721,7 @@ impl ErmsManager {
                     };
                     self.submit(now, snap.id, task, Priority::Immediate, report);
                 } else if target > snap.replication {
-                    self.boost(now, &snap, target, verdict.n_d, report);
+                    self.boost(now, &snap, target, verdict.demand, report);
                 }
             }
             DataClass::Cooled => {
@@ -1015,14 +1020,22 @@ impl ErmsManager {
         path: &str,
         target: usize,
     ) -> PendingOrDone {
-        cluster.mark_decoded(file, target);
-        trace!(
-            self.telemetry,
-            now,
-            Tel::DecodeCold {
-                path: path.to_string(),
-            }
-        );
+        // a retry (its first attempt's copies failed) finds the file
+        // decoded already, and only restores the replicas
+        if cluster
+            .namespace()
+            .file(file)
+            .is_some_and(FileMeta::is_encoded)
+        {
+            cluster.mark_decoded(file, target);
+            trace!(
+                self.telemetry,
+                now,
+                Tel::DecodeCold {
+                    path: path.to_string(),
+                }
+            );
+        }
         let copies = cluster.set_file_replication(file, target);
         if copies.is_empty() {
             return PendingOrDone::Done(Outcome::Success);
@@ -1953,6 +1966,173 @@ mod tests {
         );
     }
 
+    /// Every `Increase` submitted so far, in submission order.
+    fn increases(m: &ErmsManager) -> Vec<ErmsTask> {
+        use condor::journal::JournalEvent;
+        let entries = m.condor.journal().entries().iter();
+        entries
+            .filter_map(|e| match &e.event {
+                JournalEvent::Submitted {
+                    payload: task @ ErmsTask::Increase { .. },
+                    ..
+                } => Some(task.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A whole-file read is one `open` but one read of every block, so a
+    /// 4-block file read by 20 clients has `N_d` ≈ 5 and `N_b` = 20 on
+    /// every block. Formula (2) fires (20 / 3 > M_M = 6), and the one
+    /// `Increase` goes straight to ⌈N_b,max / τ_M⌉ = ⌈20 / 4⌉ = 5: not to
+    /// ⌈N_d / τ_M⌉ (which is r_D), nor one replica at a time.
+    #[test]
+    fn hot_boost_jumps_to_the_busiest_block_optimum() {
+        let mut c = cluster();
+        let mut m = manager(&mut c, Vec::new());
+        let sink = TelemetrySink::recording();
+        m.set_telemetry(sink.clone());
+        let f = c.create_file("/wide", 256 * MB, 3, None).unwrap();
+        assert_eq!(c.namespace().file(f).unwrap().blocks.len(), 4);
+        hammer(&mut c, "/wide", 20);
+        for _ in 0..8 {
+            let now = c.now();
+            m.tick(&mut c, now);
+            c.run_until(c.now() + SimDuration::from_secs(30));
+        }
+        let to5 = ErmsTask::Increase {
+            path: "/wide".into(),
+            target: 5,
+        };
+        assert_eq!(increases(&m), [to5]);
+        assert_eq!(c.namespace().file(f).unwrap().replication(), 5);
+        let boosts: Vec<(u32, u32, f64)> = sink
+            .drain_events()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                Tel::ReplicationBoost {
+                    from, to, sessions, ..
+                } => Some((from, to, sessions)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(boosts, [(3, 5, 20.0)], "sized from the busiest block");
+    }
+
+    /// Formula (4) alone promotes a file, once, to r_D + 1. Nine opens of
+    /// `/top` and nine reads of its block from one holder, fed straight
+    /// to the judge, keep that node over τ_DN = 8 for the 20 ticks they
+    /// stay windowed, and `/top` is its top file. The file's own demand
+    /// leaves it Normal at r_D (N_b / r = 3, not above M_m = 3; N_d / r
+    /// ≈ 3.3 with the `create`, not above τ_M = 4) and short of Cooled at
+    /// r_D + 1 (N_d / r ≥ τ_d = 2), so only the promotion can act on it.
+    #[test]
+    fn formula4_promotion_does_not_ratchet() {
+        use cep::audit::{format_audit_line, format_block_line};
+        let mut c = cluster();
+        let mut t = fast_thresholds();
+        t.cold_age = SimDuration::from_secs(7200);
+        let cfg = ErmsConfig::builder()
+            .thresholds(t)
+            .standby([])
+            .build()
+            .unwrap();
+        let mut m = ErmsManager::new(cfg, &mut c).unwrap();
+        let f = c.create_file("/top", 64 * MB, 3, None).unwrap();
+        c.run_until_quiescent();
+        let b = c.namespace().file(f).unwrap().blocks[0];
+        let dn = c.blockmap().replica_nodes(b)[0];
+        let at = c.now();
+        let lines: Vec<String> = (0..9)
+            .flat_map(|_| {
+                [
+                    format_audit_line(at, "u", "/10.0.0.1", "open", "/top", None),
+                    format_block_line(at, &b.to_string(), &dn.to_string(), "/top", 64 * MB),
+                ]
+            })
+            .collect();
+        m.judge.observe_lines(lines.iter().map(String::as_str));
+        for tick in 0..20 {
+            let now = c.now();
+            let over = m.judge.overloaded_nodes(now);
+            assert_eq!(
+                over,
+                [(dn.to_string(), "/top".to_string(), 9.0)],
+                "tick {tick}"
+            );
+            let r = m.tick(&mut c, now);
+            assert_eq!((r.hot, r.cooled), (1, 0), "tick {tick}");
+            c.run_until(c.now() + SimDuration::from_secs(30));
+        }
+        let to4 = ErmsTask::Increase {
+            path: "/top".into(),
+            target: 4,
+        };
+        assert_eq!(increases(&m), [to4]);
+        assert_eq!(c.blockmap().replica_count(b), 4);
+    }
+
+    /// A `Decode` whose copies all fail is retried by Condor, and the
+    /// retry finds the file decoded already. It restores the replicas
+    /// without tracing a second `DecodeCold`, which the oracle reads as
+    /// decoding a file that was not encoded.
+    #[test]
+    fn a_retried_decode_traces_decode_cold_once() {
+        use simcore::spans::oracle::{OracleConfig, TraceOracle};
+        let mut c = cluster();
+        let mut m = manager(&mut c, Vec::new());
+        let sink = TelemetrySink::recording();
+        c.set_telemetry(sink.clone());
+        m.set_telemetry(sink.clone());
+        let f = c.create_file("/revived", 64 * MB, 3, None).unwrap();
+        c.run_until(c.now() + SimDuration::from_secs(4000));
+        for _ in 0..2 {
+            let now = c.now();
+            m.tick(&mut c, now);
+        }
+        assert!(c.namespace().file(f).unwrap().is_encoded());
+
+        // demand returns: the tick dispatches the Decode, whose copies
+        // wait out the replication monitor's scan delay; every copy
+        // target goes down before its copy can start, then comes back
+        hammer(&mut c, "/revived", 30);
+        let now = c.now();
+        m.tick(&mut c, now);
+        assert!(!c.namespace().file(f).unwrap().is_encoded());
+        let b = c.namespace().file(f).unwrap().blocks[0];
+        let nodes: Vec<NodeId> = c.topology().nodes().collect();
+        let targets: Vec<NodeId> = nodes
+            .into_iter()
+            .filter(|&n| !c.blockmap().holds(b, n))
+            .collect();
+        for &n in &targets {
+            assert!(c.crash_node(n));
+        }
+        c.run_until(c.now() + SimDuration::from_secs(10));
+        for &n in &targets {
+            c.restart_node(n);
+        }
+        let mut failed = 0;
+        for _ in 0..8 {
+            let now = c.now();
+            failed += m.tick(&mut c, now).tasks_failed;
+            c.run_until(c.now() + SimDuration::from_secs(60));
+        }
+        let now = c.now();
+        m.tick(&mut c, now);
+        assert!(failed >= 1, "the first attempt's copies failed");
+        assert!(c.blockmap().replica_count(b) >= 3, "the retry landed");
+
+        let events = sink.drain_events();
+        let decodes = events
+            .iter()
+            .filter(|e| matches!(e.event, Tel::DecodeCold { .. }))
+            .count();
+        assert_eq!(decodes, 1);
+        let violations = TraceOracle::check(&events, OracleConfig::default());
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
     fn healing_manager(cluster: &mut ClusterSim, standby: Vec<NodeId>) -> ErmsManager {
         let cfg = ErmsConfig::builder()
             .thresholds(fast_thresholds())
@@ -2413,11 +2593,27 @@ mod tests {
         let mut c = cluster();
         let mut m = manager(&mut c, standby.clone());
         c.create_file("/hot", 64 * MB, 3, None).unwrap();
+        c.create_file("/hot2", 64 * MB, 3, None).unwrap();
         let quiet = c.create_file("/quiet", 64 * MB, 3, None).unwrap();
         hammer(&mut c, "/hot", 40);
-        for _ in 0..6 {
+        // a boost lands in one task, so a boosted record and a job
+        // awaiting copies coexist only across two files: tick until
+        // `/hot` is boosted, then until `/hot2`'s boost is in flight
+        for _ in 0..12 {
+            if m.files.values().any(|ctl| ctl.boosted) {
+                break;
+            }
             let now = c.now();
             m.tick(&mut c, now);
+            c.run_until(c.now() + SimDuration::from_secs(30));
+        }
+        hammer(&mut c, "/hot2", 40);
+        for _ in 0..12 {
+            let now = c.now();
+            m.tick(&mut c, now);
+            if !m.jobs.is_empty() {
+                break;
+            }
             c.run_until(c.now() + SimDuration::from_secs(30));
         }
         // the record fields this short scenario does not reach

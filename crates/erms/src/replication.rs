@@ -1,8 +1,10 @@
 //! Optimal replication factors and increase strategies.
 //!
-//! Given a hot file's windowed demand `N_d` and the per-replica capacity
-//! `τ_M`, the number of replicas that brings per-replica pressure back
-//! under the threshold is `⌈N_d / τ_M⌉`. Figure 7 compares raising the
+//! Given a hot file's windowed demand and the per-replica capacity `τ_M`,
+//! the number of replicas that brings per-replica pressure back under the
+//! threshold is `⌈demand / τ_M⌉`. The manager passes the judge's
+//! `max(N_d, N_b,max)` ([`crate::Judgment::demand`]): one replica holds
+//! one block, so the busiest block needs the most. Figure 7 compares raising the
 //! factor **directly** to that optimum against raising it one step at a
 //! time and finds direct "is a better choice"; both strategies are
 //! implemented so the figure (and the ablation bench) can reproduce the

@@ -221,7 +221,7 @@ fn snapshot_digest_is_pinned() {
         ("churn-small-full", 40, 0xfc45_9116_a65a_b36a, 24584),
         ("churn-corrupt", 35, 0x3823_3e39_0b29_249a, 35809),
         ("prod-flashcrowd", 20, 0x9b35_ce86_f92f_322f, 34076),
-        ("prod-tiered", 33, 0xeabb_b1ed_f8ef_4a09, 80062),
+        ("prod-tiered", 33, 0xe20d_3ced_532f_d633, 73639),
     ];
     assert_eq!(checkpoint::FORMAT_VERSION, 5);
     for (scenario, at_tick, digest, len) in pinned {

@@ -139,10 +139,14 @@ proptest! {
     /// Whatever the schedule — crashes mid-copy, kills during boosts,
     /// rack outages over repairs — the recorded trace satisfies every
     /// oracle invariant. The oracle is the same one `trace-tools check`
-    /// runs in CI, so a regression here is a regression there.
+    /// runs in CI, so a regression here is a regression there. Half the
+    /// cases encode cold files, as `ingest-tiered-faults` does, so a
+    /// reheated file's `Decode` can lose its copies to a crash and be
+    /// retried.
     #[test]
     fn random_fault_schedules_yield_oracle_clean_traces(
-        ops in prop::collection::vec(op_strategy(), 1..40)
+        ops in prop::collection::vec(op_strategy(), 1..40),
+        encode in any::<bool>(),
     ) {
         let mut c = ClusterSim::new(
             ClusterConfig::paper_testbed(),
@@ -156,7 +160,7 @@ proptest! {
         let ecfg = ErmsConfig::builder()
             .thresholds(thresholds)
             .standby([])
-            .encode(false)
+            .encode(encode)
             .self_healing(true)
             .scrubber(true)
             .scrub_blocks_per_tick(24)

@@ -593,7 +593,7 @@ mod tests {
     #[test]
     fn feeds_cep_engine_end_to_end() {
         use crate::engine::CepEngine;
-        use crate::query::{Predicate, QuerySpec};
+        use crate::query::QuerySpec;
         use simcore::SimDuration;
         // The exact pipeline of the paper: audit text → parser → CEP.
         let mut log = String::new();
@@ -611,10 +611,11 @@ mod tests {
         let (events, bad) = parse_log(&log);
         assert_eq!(bad, 0);
         let mut eng = CepEngine::new();
-        let q = eng.register(QuerySpec {
-            predicates: vec![Predicate::Eq("cmd".into(), Value::str("open"))],
-            ..QuerySpec::count_per_group("audit", "src", SimDuration::from_secs(60))
-        });
+        let q = eng.register(QuerySpec::count_per_group(
+            "audit",
+            "src",
+            SimDuration::from_secs(60),
+        ));
         for e in &events {
             eng.push(e);
         }

@@ -16,39 +16,39 @@
 //! "first match, no reuse" CEP policy).
 
 use crate::event::{Event, Value};
-use crate::query::Predicate;
 use simcore::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Filter for one leg of a sequence.
+/// Filter for one leg of a sequence: an event type and the fields the
+/// event must carry with given values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventFilter {
-    /// Event type; `None` matches any.
-    pub event_type: Option<String>,
-    pub predicates: Vec<Predicate>,
+    pub event_type: String,
+    /// `(field, value)` pairs, each compared with [`Value::loosely_eq`].
+    pub equals: Vec<(String, Value)>,
 }
 
 impl EventFilter {
     pub fn of_type(t: impl Into<String>) -> Self {
         EventFilter {
-            event_type: Some(t.into()),
-            predicates: Vec::new(),
+            event_type: t.into(),
+            equals: Vec::new(),
         }
     }
 
-    pub fn with(mut self, p: Predicate) -> Self {
-        self.predicates.push(p);
+    /// Also require `field` to equal `value`.
+    pub fn with(mut self, field: impl Into<String>, value: impl Into<Value>) -> Self {
+        self.equals.push((field.into(), value.into()));
         self
     }
 
     pub fn matches(&self, e: &Event) -> bool {
-        if let Some(t) = &self.event_type {
-            if e.event_type.as_ref() != t {
-                return false;
-            }
-        }
-        self.predicates.iter().all(|p| p.matches(e))
+        e.event_type.as_ref() == self.event_type
+            && self
+                .equals
+                .iter()
+                .all(|(k, v)| e.get(k).is_some_and(|x| x.loosely_eq(v)))
     }
 }
 
@@ -58,9 +58,8 @@ pub struct FollowedBy {
     pub first: EventFilter,
     pub second: EventFilter,
     pub within: SimDuration,
-    /// Field whose value must be equal on both events; `None` correlates
-    /// any A with any B.
-    pub key_field: Option<String>,
+    /// Field whose value must be equal on both events.
+    pub key_field: String,
 }
 
 /// A completed sequence.
@@ -68,12 +67,6 @@ pub struct FollowedBy {
 pub struct PatternMatch {
     pub first: Event,
     pub second: Event,
-}
-
-impl PatternMatch {
-    pub fn gap(&self) -> SimDuration {
-        self.second.time.since(self.first.time)
-    }
 }
 
 /// A correlation value as a hash key: two values share a key exactly
@@ -121,7 +114,6 @@ pub struct PatternState {
     /// `B` can match it. Keys come from the audit stream, so the map
     /// keeps the default hasher.
     by_key: HashMap<CorrKey, VecDeque<u64>>,
-    matches_emitted: u64,
 }
 
 impl PatternState {
@@ -132,22 +124,16 @@ impl PatternState {
             front_seq: 0,
             live: 0,
             by_key: HashMap::new(),
-            matches_emitted: 0,
         }
     }
 
-    pub fn spec(&self) -> &FollowedBy {
-        &self.spec
-    }
+    /// Live waiting `A`s (ROADMAP item 6's `health` reports them).
     pub fn pending_len(&self) -> usize {
         self.live
     }
-    pub fn matches_emitted(&self) -> u64 {
-        self.matches_emitted
-    }
 
     fn key_of(&self, e: &Event) -> Option<CorrKey> {
-        CorrKey::of(e.get(self.spec.key_field.as_deref()?)?)
+        CorrKey::of(e.get(&self.spec.key_field)?)
     }
 
     /// Queue a pending `A`.
@@ -205,13 +191,9 @@ impl PatternState {
         // complete itself (strictly-later semantics would drop same-time
         // matches; we allow same-time-or-later pairs from *earlier* As)
         if self.spec.second.matches(event) {
-            let oldest = match self.spec.key_field {
-                None => (self.live > 0).then_some(self.front_seq),
-                Some(_) => self.key_of(event).and_then(|key| self.pop_oldest(&key)),
-            };
+            let oldest = self.key_of(event).and_then(|key| self.pop_oldest(&key));
             if let Some(seq) = oldest {
                 let first = self.take(seq);
-                self.matches_emitted += 1;
                 out.push(PatternMatch {
                     first,
                     second: event.clone(),
@@ -247,9 +229,8 @@ checkpoint::ck_record!(PatternMatch [first, second]);
 
 impl checkpoint::Checkpointable for PatternState {
     // The spec is rebuilt by re-registration on restore; only the waiting
-    // `A`s and the emitted-match counter are runtime state. The key index
-    // is rebuilt from the `A`s.
-    checkpoint::ck_fields!(pending(save_pending, load_pending), matches_emitted);
+    // `A`s are runtime state. The key index is rebuilt from them.
+    checkpoint::ck_fields!(pending(save_pending, load_pending));
 }
 
 #[cfg(test)]
@@ -263,7 +244,6 @@ mod tests {
     struct LinearPattern {
         spec: FollowedBy,
         pending: VecDeque<Event>,
-        matches_emitted: u64,
     }
 
     impl LinearPattern {
@@ -276,18 +256,15 @@ mod tests {
             {
                 self.pending.pop_front();
             }
-            let keys_equal = |a: &Event| match &self.spec.key_field {
-                None => true,
-                Some(k) => match (a.get(k), event.get(k)) {
-                    (Some(x), Some(y)) => x.loosely_eq(y),
-                    _ => false,
-                },
+            let k = &self.spec.key_field;
+            let keys_equal = |a: &Event| match (a.get(k), event.get(k)) {
+                (Some(x), Some(y)) => x.loosely_eq(y),
+                _ => false,
             };
             let mut out = Vec::new();
             if self.spec.second.matches(event) {
                 if let Some(pos) = self.pending.iter().position(keys_equal) {
                     let first = self.pending.remove(pos).expect("position valid");
-                    self.matches_emitted += 1;
                     out.push(PatternMatch {
                         first,
                         second: event.clone(),
@@ -302,7 +279,7 @@ mod tests {
     }
 
     impl checkpoint::Checkpointable for LinearPattern {
-        checkpoint::ck_fields!(pending, matches_emitted);
+        checkpoint::ck_fields!(pending);
     }
 
     fn wire(v: &checkpoint::Value) -> String {
@@ -312,9 +289,10 @@ mod tests {
     /// Random streams through both matchers: keys that are loosely equal
     /// across `Int` and `Float` (and `-0.0` against `0.0`), NaN keys,
     /// events without the key field, strings and bools that look like
-    /// numbers, uncorrelated patterns, out-of-order times and events
-    /// matching both legs. Matches, `pending_len` and snapshot bytes
-    /// agree at every step, across a mid-stream checkpoint round trip.
+    /// numbers, out-of-order times, and events matching the A leg only,
+    /// the B leg only, both legs or neither. Matches, `pending_len` and
+    /// snapshot bytes agree at every step, across a mid-stream
+    /// checkpoint round trip.
     #[test]
     fn key_index_matches_the_linear_scan() {
         use checkpoint::Checkpointable;
@@ -333,31 +311,24 @@ mod tests {
             Some(Value::Bool(true)),
             None,
         ];
-        // "create" is only an A, "open" only a B; "both" and "other"
-        // match both legs, and an event without `cmd` matches neither
-        let cmds = [
-            Some("create"),
-            Some("open"),
-            Some("both"),
-            Some("other"),
-            None,
-        ];
+        // A is `a = 1`, B is `b = 1`; each field is 1, 0 or missing
+        let legs = [Some(1i64), Some(0), None];
+        let spec_with = |within| FollowedBy {
+            first: EventFilter::of_type("ev").with("a", 1i64),
+            second: EventFilter::of_type("ev").with("b", 1i64),
+            within,
+            key_field: "k".to_string(),
+        };
         let mut rng = simcore::rng::DetRng::new(0x9A77);
         let mut matched = 0usize;
+        // events matching [neither, A only, B only, both] legs
+        let mut seen = [0usize; 4];
         for case in 0..300 {
-            let spec = FollowedBy {
-                first: EventFilter::of_type("ev")
-                    .with(Predicate::Ne("cmd".into(), Value::str("open"))),
-                second: EventFilter::of_type("ev")
-                    .with(Predicate::Ne("cmd".into(), Value::str("create"))),
-                within: SimDuration::from_secs(rng.gen_range(1, 60) as u64),
-                key_field: (case % 5 != 0).then(|| "k".to_string()),
-            };
+            let spec = spec_with(SimDuration::from_secs(rng.gen_range(1, 60) as u64));
             let mut fast = PatternState::new(spec.clone());
             let mut slow = LinearPattern {
                 spec: spec.clone(),
                 pending: VecDeque::new(),
-                matches_emitted: 0,
             };
             let steps = rng.gen_range(1, 200);
             let restart_at = rng.gen_range(0, steps);
@@ -371,12 +342,16 @@ mod tests {
                     clock
                 };
                 let mut e = Event::new(SimTime::from_secs(t), "ev");
-                if let Some(cmd) = cmds[rng.gen_range(0, cmds.len())] {
-                    e.set("cmd", cmd);
+                for field in ["a", "b"] {
+                    if let Some(x) = legs[rng.gen_range(0, legs.len())] {
+                        e.set(field, x);
+                    }
                 }
                 if let Some(k) = &keys[rng.gen_range(0, keys.len())] {
                     e.set("k", k.clone());
                 }
+                let (is_a, is_b) = (spec.first.matches(&e), spec.second.matches(&e));
+                seen[usize::from(is_a) + 2 * usize::from(is_b)] += 1;
                 let (got, want) = (fast.offer(&e), slow.offer(&e));
                 assert_eq!(
                     wire(&got.put()),
@@ -396,6 +371,10 @@ mod tests {
             }
         }
         assert!(matched > 1000, "the streams must match often: {matched}");
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every leg category occurs: {seen:?}"
+        );
     }
 
     fn ev(t: u64, ty: &str, path: &str) -> Event {
@@ -404,12 +383,10 @@ mod tests {
 
     fn create_then_open(within: u64) -> PatternState {
         PatternState::new(FollowedBy {
-            first: EventFilter::of_type("audit")
-                .with(Predicate::Eq("cmd".into(), Value::str("create"))),
-            second: EventFilter::of_type("audit")
-                .with(Predicate::Eq("cmd".into(), Value::str("open"))),
+            first: EventFilter::of_type("audit").with("cmd", "create"),
+            second: EventFilter::of_type("audit").with("cmd", "open"),
             within: SimDuration::from_secs(within),
-            key_field: Some("src".into()),
+            key_field: "src".into(),
         })
     }
 
@@ -423,8 +400,8 @@ mod tests {
         assert!(p.offer(&audit(0, "create", "/a")).is_empty());
         let m = p.offer(&audit(30, "open", "/a"));
         assert_eq!(m.len(), 1);
-        assert_eq!(m[0].gap(), SimDuration::from_secs(30));
-        assert_eq!(p.matches_emitted(), 1);
+        assert_eq!(m[0].first.time, SimTime::ZERO);
+        assert_eq!(m[0].second.time, SimTime::from_secs(30));
         assert_eq!(p.pending_len(), 0, "A consumed by its match");
     }
 
@@ -466,19 +443,6 @@ mod tests {
         assert_eq!(m2.len(), 1);
         assert_eq!(m2[0].first.time, SimTime::from_secs(5));
         assert!(p.offer(&audit(30, "open", "/a")).is_empty(), "no As left");
-    }
-
-    #[test]
-    fn uncorrelated_pattern_matches_any_pair() {
-        let mut p = PatternState::new(FollowedBy {
-            first: EventFilter::of_type("node_down"),
-            second: EventFilter::of_type("read_failed"),
-            within: SimDuration::from_secs(300),
-            key_field: None,
-        });
-        p.offer(&Event::new(SimTime::from_secs(0), "node_down").with("dn", "dn3"));
-        let m = p.offer(&Event::new(SimTime::from_secs(9), "read_failed").with("blk", "blk_1"));
-        assert_eq!(m.len(), 1);
     }
 
     #[test]
@@ -529,7 +493,6 @@ mod tests {
             assert_eq!(m.first.time, SimTime::from_secs(0), "oldest A per key");
         }
         assert_eq!(p.pending_len(), 3, "second A of each key still waits");
-        assert_eq!(p.matches_emitted(), 3);
     }
 
     #[test]
@@ -539,13 +502,12 @@ mod tests {
         p.offer(&audit(0, "create", "/a"));
         p.offer(&audit(5, "create", "/b"));
         p.offer(&audit(10, "open", "/a"));
-        assert_eq!((p.pending_len(), p.matches_emitted()), (1, 1));
+        assert_eq!(p.pending_len(), 1);
 
         let saved = p.save_state();
         let mut restored = create_then_open(600);
         restored.load_state(&saved).unwrap();
         assert_eq!(restored.pending_len(), 1);
-        assert_eq!(restored.matches_emitted(), 1);
 
         // both matchers see the same future and produce identical output
         let m_live = p.offer(&audit(20, "open", "/b"));
@@ -563,13 +525,11 @@ mod tests {
             first: filt.clone(),
             second: filt,
             within: SimDuration::from_secs(100),
-            key_field: None,
+            key_field: "src".into(),
         });
-        assert!(p
-            .offer(&Event::new(SimTime::from_secs(0), "tick"))
-            .is_empty());
+        assert!(p.offer(&ev(0, "tick", "/a")).is_empty());
         // the second tick pairs with the first
-        let m = p.offer(&Event::new(SimTime::from_secs(1), "tick"));
+        let m = p.offer(&ev(1, "tick", "/a"));
         assert_eq!(m.len(), 1);
         assert_eq!(p.pending_len(), 1, "second tick now waits as an A");
     }

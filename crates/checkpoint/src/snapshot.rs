@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The snapshot format this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Identity of the run a snapshot belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,7 +212,7 @@ mod tests {
             retired(2),
             CheckpointError::UnknownVersion {
                 found: 2,
-                supported: 5
+                supported: 6
             }
         );
         // version 3 (manager records with `active` and `cold_due`)
@@ -220,7 +220,7 @@ mod tests {
             retired(3),
             CheckpointError::UnknownVersion {
                 found: 3,
-                supported: 5
+                supported: 6
             }
         );
         // version 4 (a judge engine with the derived per-(node, file)
@@ -229,7 +229,15 @@ mod tests {
             retired(4),
             CheckpointError::UnknownVersion {
                 found: 4,
-                supported: 5
+                supported: 6
+            }
+        );
+        // version 5 (query windows beside serialized group aggregates)
+        assert_eq!(
+            retired(5),
+            CheckpointError::UnknownVersion {
+                found: 5,
+                supported: 6
             }
         );
     }

@@ -2,11 +2,8 @@
 //!
 //! Besides decoding, ERMS needs to *plan* recoveries: when a stripe
 //! degrades, the Condor substrate schedules a decode task whose I/O cost
-//! depends on how many surviving shards must be read. For Reed–Solomon
-//! any `k` survivors do; for XOR-based codes Khan et al. (FAST'12, the
-//! paper's reference \[10\]) showed reading a well-chosen subset minimises
-//! recovery I/O — [`crate::xor`] implements that planner and this module
-//! carries the shared vocabulary.
+//! depends on how many surviving shards must be read. For Reed–Solomon,
+//! the only code ERMS runs, any `k` survivors do.
 
 use serde::{Deserialize, Serialize};
 

@@ -23,8 +23,7 @@ use crate::config::ConfigError;
 use crate::thresholds::Thresholds;
 use cep::audit::{AUDIT_EVENT, BLOCK_EVENT};
 use cep::pattern::{EventFilter, FollowedBy};
-use cep::query::Predicate;
-use cep::{CepEngine, QuerySpec, Value};
+use cep::{CepEngine, QuerySpec};
 use simcore::telemetry::TelemetrySink;
 use simcore::{SimDuration, SimTime};
 
@@ -161,12 +160,10 @@ impl DataJudge {
         // "popularity spikes when the data is freshest": a create followed
         // quickly by an open on the same path flags a fresh-data spike
         let p_fresh = engine.register_pattern(FollowedBy {
-            first: EventFilter::of_type(AUDIT_EVENT)
-                .with(Predicate::Eq("cmd".into(), Value::str("create"))),
-            second: EventFilter::of_type(AUDIT_EVENT)
-                .with(Predicate::Eq("cmd".into(), Value::str("open"))),
+            first: EventFilter::of_type(AUDIT_EVENT).with("cmd", "create"),
+            second: EventFilter::of_type(AUDIT_EVENT).with("cmd", "open"),
             within: w,
-            key_field: Some("src".into()),
+            key_field: "src".into(),
         });
         Ok(DataJudge {
             engine,

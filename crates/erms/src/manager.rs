@@ -2256,7 +2256,7 @@ mod tests {
         );
         assert_eq!(
             (h.finish(), json.len()),
-            (0x10d8_ca23_4fe1_87d0, 1113),
+            (0x01ed_74d1_f7b2_57fa, 910),
             "reconstructing-manager snapshot bytes changed"
         );
         let mut scratch = cluster();

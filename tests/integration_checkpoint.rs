@@ -215,15 +215,15 @@ fn snapshot_json(scenario: &str, at_tick: u64) -> String {
 /// or a number's encoding fails here.
 #[test]
 fn snapshot_digest_is_pinned() {
-    // (scenario, tick, format-5 digest, format-5 length)
+    // (scenario, tick, format-6 digest, format-6 length)
     let pinned = [
-        ("churn-small", 40, 0x26f0_f120_21b0_457f_u64, 24578_usize),
-        ("churn-small-full", 40, 0xfc45_9116_a65a_b36a, 24584),
-        ("churn-corrupt", 35, 0x3823_3e39_0b29_249a, 35809),
-        ("prod-flashcrowd", 20, 0x9b35_ce86_f92f_322f, 34076),
-        ("prod-tiered", 33, 0xe20d_3ced_532f_d633, 73639),
+        ("churn-small", 40, 0x1d1d_fe36_aacf_2574_u64, 24371_usize),
+        ("churn-small-full", 40, 0x476c_5d38_2a4f_a5dd, 24377),
+        ("churn-corrupt", 35, 0xc374_10a3_6d06_5485, 35594),
+        ("prod-flashcrowd", 20, 0xf31a_921e_339f_18ea, 32192),
+        ("prod-tiered", 33, 0x5b51_7c6a_4e26_77ec, 69967),
     ];
-    assert_eq!(checkpoint::FORMAT_VERSION, 5);
+    assert_eq!(checkpoint::FORMAT_VERSION, 6);
     for (scenario, at_tick, digest, len) in pinned {
         let json = snapshot_json(scenario, at_tick);
         let mut h = FnvHasher::default();

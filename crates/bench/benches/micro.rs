@@ -1,7 +1,5 @@
 //! Component micro-benchmarks: the hot paths of every substrate.
 
-use condor::parser::parse_expr;
-use condor::{ClassAd, Matchmaker};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use erasure::gf256;
 use erasure::ReedSolomon;
@@ -114,38 +112,6 @@ fn bench_cep(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_classads(c: &mut Criterion) {
-    let mut g = c.benchmark_group("classads");
-    let expr = parse_expr(
-        "target.Standby == true && target.FreeDisk > my.Need * 10 && target.Rack == my.Rack",
-    )
-    .expect("parses");
-    let mut mm = Matchmaker::new();
-    for i in 0..100 {
-        mm.advertise(
-            format!("dn{i}"),
-            ClassAd::new()
-                .with("Rack", i64::from(i % 3))
-                .with("FreeDisk", 1000 - i64::from(i) * 7)
-                .with("Standby", i % 2 == 0),
-            None,
-        );
-    }
-    let request = ClassAd::new().with("Need", 5i64).with("Rack", 1i64);
-    g.bench_function("parse_requirements", |b| {
-        b.iter(|| {
-            parse_expr(black_box(
-                "target.Standby == true && target.FreeDisk > my.Need * 10",
-            ))
-            .expect("parses")
-        });
-    });
-    g.bench_function("match_100_ads", |b| {
-        b.iter(|| mm.matches(black_box(&request), &expr, None).len());
-    });
-    g.finish();
-}
-
 fn bench_placement(c: &mut Criterion) {
     let mut g = c.benchmark_group("placement");
     let views: Vec<NodeView> = (0..18u32)
@@ -217,7 +183,6 @@ criterion_group!(
     bench_gf256,
     bench_reed_solomon,
     bench_cep,
-    bench_classads,
     bench_placement,
     bench_flownet
 );

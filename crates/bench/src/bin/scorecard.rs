@@ -17,8 +17,8 @@
 //! Exits non-zero when the phase scopes of `ErmsManager::tick` account
 //! for under 95 % of the `tick` scope in any scenario (`attr %`,
 //! `tick_attributed_pct` in the wall-clock metrics) — a phase has gone
-//! dark. Scenarios with ticks too short to resolve are exempt, see
-//! [`scorecard::MIN_GATED_TICK_MS`].
+//! dark. Scenarios whose ticks do too little work to resolve are exempt,
+//! by a deterministic rule: see [`scorecard::MIN_GATED_EVENTS_PER_TICK`].
 
 use bench::common::{results_dir, write_json};
 use bench::scorecard::{self, Case, Scorecard};
@@ -114,7 +114,7 @@ fn main() -> ExitCode {
         let det = |k: &str| s.deterministic.get(k).copied().unwrap_or(0.0);
         let wall = |k: &str| s.wallclock.get(k).copied().unwrap_or(0.0);
         let attributed = wall("tick_attributed_pct");
-        if wall("mean_tick_ms") >= scorecard::MIN_GATED_TICK_MS
+        if scorecard::attribution_gated(&s.deterministic)
             && attributed < scorecard::MIN_TICK_ATTRIBUTED_PCT
         {
             dark.push(s.name.clone());

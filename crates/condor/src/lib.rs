@@ -1,12 +1,14 @@
 //! `condor` — the task-execution substrate ERMS schedules through.
 //!
-//! The paper uses Condor for three things (Section III.A/B):
+//! The paper uses Condor for three things (Section III.A/B). This crate
+//! implements the last two:
 //!
-//! 1. **ClassAds** represent "the characteristics and constraints of nodes
-//!    and replicas" and detect datanode commission/decommission — module
-//!    [`classad`] (attribute sets + a boolean/arithmetic expression
-//!    language with `my.`/`target.` scoping) and [`matchmaker`]
-//!    (symmetric requirements matching with rank ordering).
+//! 1. **Node detection**: Condor's attribute ads represent "the
+//!    characteristics and constraints of nodes and replicas" and detect
+//!    datanode commission/decommission. ERMS asks one such question, "a
+//!    powered-off standby node", so it asks it as a typed query over the
+//!    simulator's node state instead (`erms::manager`); there is no
+//!    expression language here.
 //! 2. **Scheduling**: replica-increase and erasure-*decode* tasks run
 //!    immediately, replica-decrease and erasure-*encode* tasks run "when
 //!    the HDFS cluster is idle" — module [`scheduler`].
@@ -36,13 +38,8 @@
 //! assert_eq!(sched.journal().len(), 4);
 //! ```
 
-pub mod classad;
 pub mod journal;
-pub mod matchmaker;
-pub mod parser;
 pub mod scheduler;
 
-pub use classad::{CVal, ClassAd, Expr};
 pub use journal::{Journal, JournalEntry, JournalEvent};
-pub use matchmaker::Matchmaker;
 pub use scheduler::{JobId, JobState, Outcome, Priority, Scheduler};

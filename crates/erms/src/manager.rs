@@ -17,10 +17,10 @@
 //! Tasks execute against the [`ClusterSim`]; replica movement completes
 //! asynchronously (real simulated bytes), and a task only reports
 //! success to Condor once every copy it started has landed — so the
-//! journal honestly reflects cluster state, rollbacks included. Every
-//! tick snapshots the datanodes; commissioning publishes the snapshot
-//! as ClassAds and picks its standby node by matchmaking against them
-//! (see `NodeAds`).
+//! journal honestly reflects cluster state, rollbacks included.
+//! Commissioning picks its standby nodes by a typed query over cluster
+//! node state, where the paper matches Condor ads (see
+//! `ErmsManager::ensure_standby_capacity`).
 //!
 //! What the loop remembers lives in two record maps: one `FileCtl` per
 //! file under management, keyed by `FileId` (ids are never reused, so a
@@ -35,13 +35,9 @@ use crate::model::ActiveStandbyModel;
 use crate::replication::optimal_replication;
 use checkpoint::codec::{unknown, Ck};
 use checkpoint::{CheckpointError, Value};
-use condor::matchmaker::Matchmaker;
-use condor::parser::parse_expr;
 use condor::scheduler::{JobId, JobState, Outcome, Priority, Scheduler};
-use condor::{ClassAd, Expr};
 use hdfs_sim::cluster::CopyId;
 use hdfs_sim::namespace::{FileMeta, StorageMode};
-use hdfs_sim::placement::NodeView;
 use hdfs_sim::{BlockId, ClusterSim, FileId, NodeId};
 use simcore::telemetry::{Event as Tel, TelemetrySink};
 use simcore::{prof_scope, trace, SimTime};
@@ -264,134 +260,12 @@ struct Pass {
     settled_cold: usize,
 }
 
-/// The datanodes' ClassAds, built only when matchmaking reads them.
-///
-/// `advertise` snapshots every node each tick; the tick's first
-/// matchmaking publishes that snapshot, advertising or withdrawing every
-/// node exactly as a full re-advertisement at the top of the tick would.
-/// That is exact because the matchmaker is a name-keyed map that a full
-/// pass overwrites node by node: what it holds depends only on the
-/// latest snapshot and the `PoweredOn` patches made after it.
-#[derive(Default)]
-struct NodeAds {
-    matchmaker: Matchmaker,
-    /// This tick's snapshot, until it is published.
-    pending: Vec<NodeAd>,
-    /// The matchmaker as advertising every node every tick keeps it,
-    /// checked against the published one at every matchmaking.
-    #[cfg(test)]
-    eager: Matchmaker,
-    /// How many matchmakings the check above has covered.
-    #[cfg(test)]
-    checks: usize,
-}
-
-/// One node as `advertise` saw it.
-struct NodeAd {
-    view: NodeView,
-    dead: bool,
-    blocks: usize,
-}
-
-impl NodeAds {
-    /// Take this tick's snapshot of every node.
-    fn snapshot(&mut self, cluster: &ClusterSim) {
-        let nodes = cluster.node_views(None).into_iter().map(|view| NodeAd {
-            dead: matches!(
-                cluster.node_state(view.id),
-                hdfs_sim::datanode::NodeState::Dead
-            ),
-            blocks: cluster.node_block_count(view.id),
-            view,
-        });
-        self.pending.clear();
-        self.pending.extend(nodes);
-        #[cfg(test)]
-        advertise_eagerly(&mut self.eager, cluster);
-    }
-
-    /// The matchmaker, with this tick's snapshot published.
-    fn published(&mut self) -> &mut Matchmaker {
-        for NodeAd { view, dead, blocks } in self.pending.drain(..) {
-            let name = view.id.to_string();
-            if dead {
-                self.matchmaker.withdraw(&name);
-                continue;
-            }
-            // FreeDisk is advertised in bytes: truncating to whole MiB
-            // made a node with any sub-MiB remainder (or less than 1 MiB
-            // total) advertise 0 and lose every rank tie despite having
-            // genuinely more room.
-            let ad = ClassAd::new()
-                .with("Rack", i64::from(view.rack.0))
-                .with("FreeDisk", view.free as i64)
-                .with("Standby", view.standby_pool)
-                .with("PoweredOn", view.serving)
-                .with("Load", view.load as i64)
-                .with("Blocks", blocks as i64);
-            self.matchmaker.advertise(name, ad, None);
-        }
-        #[cfg(test)]
-        {
-            assert_eq!(
-                self.matchmaker, self.eager,
-                "lazy ads differ from eager ones"
-            );
-            self.checks += 1;
-        }
-        &mut self.matchmaker
-    }
-
-    /// Patch `name`'s published ad to powered on, so the tick's next
-    /// match skips it.
-    fn power_on(&mut self, name: String) {
-        #[cfg(test)]
-        patch_powered_on(&mut self.eager, name.clone());
-        patch_powered_on(&mut self.matchmaker, name);
-    }
-}
-
-fn patch_powered_on(matchmaker: &mut Matchmaker, name: String) {
-    let mut ad = matchmaker.get(&name).cloned().unwrap_or_default();
-    ad.set("PoweredOn", true);
-    matchmaker.advertise(name, ad, None);
-}
-
-/// The ad refresh `NodeAds` replaced: re-advertise every node from
-/// cluster state. Kept as the reference the published ads are checked
-/// against.
-#[cfg(test)]
-fn advertise_eagerly(matchmaker: &mut Matchmaker, cluster: &ClusterSim) {
-    for view in cluster.node_views(None) {
-        let name = view.id.to_string();
-        let dead = matches!(
-            cluster.node_state(view.id),
-            hdfs_sim::datanode::NodeState::Dead
-        );
-        if dead {
-            matchmaker.withdraw(&name);
-            continue;
-        }
-        let ad = ClassAd::new()
-            .with("Rack", i64::from(view.rack.0))
-            .with("FreeDisk", view.free as i64)
-            .with("Standby", view.standby_pool)
-            .with("PoweredOn", view.serving)
-            .with("Load", view.load as i64)
-            .with("Blocks", cluster.node_block_count(view.id) as i64);
-        matchmaker.advertise(name, ad, None);
-    }
-}
-
 /// The elastic replication manager.
 pub struct ErmsManager {
     cfg: ErmsConfig,
     judge: DataJudge,
     condor: Scheduler<ErmsTask>,
     model: ActiveStandbyModel,
-    ads: NodeAds,
-    commission_req: Expr,
-    commission_rank: Expr,
     /// Per-file control state, for files that have any.
     files: BTreeMap<FileId, FileCtl>,
     /// `files` by `Visit`; rebuilt on load, never serialized.
@@ -472,10 +346,6 @@ impl ErmsManager {
             judge: DataJudge::try_new(cfg.thresholds.clone())?,
             condor,
             model,
-            ads: NodeAds::default(),
-            commission_req: parse_expr("target.Standby == true && target.PoweredOn == false")
-                .expect("static expression parses"),
-            commission_rank: parse_expr("target.FreeDisk").expect("static expression parses"),
             files: BTreeMap::new(),
             visits: VisitIndex::default(),
             jobs: BTreeMap::new(),
@@ -518,12 +388,12 @@ impl ErmsManager {
         prof_scope!("tick");
         let mut report = TickReport::default();
         self.observe(cluster);
-        self.advertise(cluster);
+        self.note_booted(cluster);
         self.settle_copies(cluster, now, &mut report);
         self.heal(cluster, now, &mut report);
         self.scrub_pass(cluster, now, &mut report);
         let pass = self.select(cluster, now);
-        self.judge_pass(cluster, now, &pass, &mut report);
+        self.judge_pass(cluster, now, pass, &mut report);
         self.dispatch(cluster, now, &mut report);
         self.power(cluster, now, &mut report);
         self.flush(&report);
@@ -549,14 +419,14 @@ impl ErmsManager {
         };
         prof_scope!("cep_drain");
         self.judge.observe_lines(lines.iter().map(String::as_str));
+        // freed inside the scope, not after it
+        drop(lines);
     }
 
-    /// Phase 2: snapshot the nodes for this tick's ClassAds (node state
-    /// detection; see `NodeAds`) and note which commissioned standby
-    /// nodes have finished booting.
-    fn advertise(&mut self, cluster: &ClusterSim) {
-        prof_scope!("advertise");
-        self.ads.snapshot(cluster);
+    /// Phase 2: note which commissioned standby nodes have finished
+    /// booting.
+    fn note_booted(&mut self, cluster: &ClusterSim) {
+        prof_scope!("boot");
         for n in self.model.powered_on() {
             if matches!(cluster.node_state(n), hdfs_sim::datanode::NodeState::Active) {
                 self.model.mark_booted(n);
@@ -638,7 +508,7 @@ impl ErmsManager {
         &mut self,
         cluster: &ClusterSim,
         now: SimTime,
-        pass: &Pass,
+        pass: Pass,
         report: &mut TickReport,
     ) {
         prof_scope!("judge");
@@ -647,8 +517,10 @@ impl ErmsManager {
         report.cold += pass.settled_cold;
         let ns = cluster.namespace();
         for meta in pass.visit.iter().filter_map(|&id| ns.file(id)) {
-            self.judge_file(now, meta, pass, default_r, report);
+            self.judge_file(now, meta, &pass, default_r, report);
         }
+        // freed inside the scope, not at the end of `tick`
+        drop(pass);
     }
 
     /// Classify one file and turn the verdict into a task.
@@ -1144,6 +1016,21 @@ impl ErmsManager {
     /// Commission standby nodes until `extra` serving standby nodes are
     /// available (or the pool is exhausted). Returns whether enough
     /// capacity is already serving.
+    ///
+    /// The candidates are the standby-pool nodes the cluster holds
+    /// powered off (`NodeState::Standby`) that this tick has not already
+    /// commissioned, tried in `NodeId` order. The pick stops at the
+    /// first one the model still has booting from an earlier tick (its
+    /// boot request is refused), so a jump larger than the serving pool
+    /// waits on that boot rather than commissioning past it.
+    ///
+    /// The paper picks by matching Condor ads; this is the same query,
+    /// typed. Ranking by free disk never separates two candidates:
+    /// powering a node off empties it, and every node has the
+    /// configured `disk_capacity`. The ads broke that tie by name
+    /// (`"dn10" < "dn9"`), which agrees with `NodeId` order on every
+    /// pool within one digit count (10..18, 15..18, 150..180); a pool
+    /// spanning 9 and 10 now picks `NodeId(9)` first.
     fn ensure_standby_capacity(
         &mut self,
         cluster: &mut ClusterSim,
@@ -1162,31 +1049,25 @@ impl ErmsManager {
         if serving_standby >= extra {
             return true;
         }
-        // Not enough: commission more via ClassAds matchmaking, ranked by
-        // free disk. The boot takes time; retry the task later.
-        let mut need = extra - serving_standby;
-        let request = ClassAd::new();
-        while need > 0 {
-            let Some(name) = self
-                .ads
-                .published()
-                .best_match(&request, &self.commission_req, Some(&self.commission_rank))
-                .map(str::to_string)
-            else {
-                break; // pool exhausted; extras will fall back to active
-            };
-            let id = NodeId(
-                name.trim_start_matches("dn")
-                    .parse()
-                    .expect("node ad names are dnN"),
-            );
-            if self.model.request_boot(id, now) && cluster.commission(id) {
-                self.ads.power_on(name);
-                report.commissioned.push(id);
-                need -= 1;
-            } else {
+        // Not enough: commission more. The boot takes time; retry the
+        // task later.
+        let candidates: Vec<NodeId> = self
+            .model
+            .standby_nodes()
+            .filter(|&n| {
+                matches!(
+                    cluster.node_state(n),
+                    hdfs_sim::datanode::NodeState::Standby
+                )
+            })
+            .filter(|n| !report.commissioned.contains(n))
+            .collect();
+        for n in candidates.into_iter().take(extra - serving_standby) {
+            // refused: still booting from an earlier tick, so stop here
+            if !(self.model.request_boot(n, now) && cluster.commission(n)) {
                 break;
             }
+            report.commissioned.push(n);
         }
         // if no commissionable node remains (pool exhausted, or only
         // crashed nodes left — those can never boot), let placement fall
@@ -1221,8 +1102,7 @@ impl ErmsManager {
 
         // (2) crashed commissioned standby nodes: bank their energy,
         // return them to Off, and let the next capacity request pick a
-        // healthy replacement (their ad is withdrawn when matchmaking
-        // publishes the tick's snapshot)
+        // healthy replacement (a dead node is never a candidate)
         for n in self.model.powered_on() {
             if matches!(cluster.node_state(n), hdfs_sim::datanode::NodeState::Dead)
                 && self.model.mark_failed(n, now)
@@ -1600,11 +1480,8 @@ checkpoint::ck_record!(JobCtl [waiting, failed_copy, started]);
 impl checkpoint::Checkpointable for ErmsManager {
     // Rebuild-then-hydrate: a restored manager is built by
     // `ErmsManager::new` with the same config first, then hydrated. The
-    // config, the static commissioning expressions, the telemetry sink
-    // and the node ads (snapshotted from cluster state every tick, and
-    // published over every node before any match reads them) are
-    // construction/derived state; everything the control loop itself
-    // mutates is captured.
+    // config and the telemetry sink are construction state; everything
+    // the control loop itself mutates is captured.
     // Records are written as their key followed by their fields.
     checkpoint::ck_fields! {
         judge: state,
@@ -1791,33 +1668,24 @@ mod tests {
         assert!(on_standby > 0, "extras parked on standby nodes");
     }
 
-    /// Every matchmaking reads what re-advertising every node at the top
-    /// of the tick would have built, plus the tick's earlier `PoweredOn`
-    /// patches: `NodeAds::published` asserts it against
-    /// `advertise_eagerly`. Covered here: a same-tick double commission,
-    /// then a later tick that commissions again over the patched ads
-    /// after the standby node that would rank first has died.
+    /// Commissioning takes powered-off standby nodes in `NodeId` order:
+    /// a same-tick double commission, then a later tick that commissions
+    /// again after the node next in line has died.
     #[test]
-    fn lazy_ads_match_eager_ones_at_every_match() {
+    fn commissioning_picks_standby_nodes_in_id_order_skipping_the_dead() {
         let mut c = cluster();
         let mut m = manager(&mut c, (10..18).map(NodeId).collect());
         c.create_file("/hot", 64 * MB, 3, None).unwrap();
         hammer(&mut c, "/hot", 20);
         let now = c.now();
         let first = m.tick(&mut c, now).commissioned;
-        // equally empty standby nodes tie on FreeDisk, and the tie goes
-        // to the smaller name
         let n = first.len() as u32;
         assert!(n >= 2, "same-tick double commission");
         assert_eq!(first, (10..10 + n).map(NodeId).collect::<Vec<_>>());
-        let checks = m.ads.checks;
-        assert!(checks >= 2, "one check per match");
 
-        // let them boot; the next in line dies with its ad published as
-        // commissionable
+        // let them boot; the next in line dies
         c.run_until(c.now() + SimDuration::from_secs(60));
         let dead = NodeId(10 + n);
-        assert!(m.ads.published().is_advertised(&dead.to_string()));
         assert!(c.crash_node(dead));
         c.create_file("/hot2", 64 * MB, 3, None).unwrap();
         hammer(&mut c, "/hot2", 32); // more extras than serve now
@@ -1829,8 +1697,53 @@ mod tests {
         }
         assert_eq!(later.first(), Some(&NodeId(11 + n)), "{later:?}");
         assert!(!later.contains(&dead), "{later:?}");
-        assert!(!m.ads.published().is_advertised(&dead.to_string()));
-        assert!(m.ads.checks > checks);
+    }
+
+    /// A second capacity request in the same tick passes over the nodes
+    /// the first one commissioned (still `Standby` in the cluster until
+    /// they boot) instead of stopping at them.
+    #[test]
+    fn a_second_request_in_a_tick_skips_that_ticks_commissions() {
+        let mut c = cluster();
+        let mut m = manager(&mut c, (10..18).map(NodeId).collect());
+        let now = c.now();
+        let mut report = TickReport::default();
+        assert!(!m.ensure_standby_capacity(&mut c, now, 2, &mut report));
+        assert!(!m.ensure_standby_capacity(&mut c, now, 3, &mut report));
+        assert_eq!(
+            report.commissioned,
+            (10..15).map(NodeId).collect::<Vec<_>>()
+        );
+    }
+
+    /// The pick stops at a node still booting from an earlier tick: it
+    /// commissions the nodes before it and none after it.
+    #[test]
+    fn commissioning_stops_at_a_node_still_booting() {
+        let mut c = cluster();
+        let mut m = manager(&mut c, (10..18).map(NodeId).collect());
+        let now = c.now();
+        assert!(m.model.request_boot(NodeId(11), now) && c.commission(NodeId(11)));
+        let mut report = TickReport::default();
+        assert!(!m.ensure_standby_capacity(&mut c, now, 4, &mut report));
+        assert_eq!(report.commissioned, vec![NodeId(10)]);
+        assert_eq!(
+            m.model.state_of(NodeId(12)),
+            Some(crate::model::StandbyState::Off)
+        );
+    }
+
+    /// Candidates go in `NodeId` order, not by the name `dnN`: a pool
+    /// spanning 9 and 10 picks `NodeId(9)` first, where the ads'
+    /// tie-break on names (`"dn10" < "dn9"`) picked `NodeId(10)`.
+    #[test]
+    fn a_pool_spanning_nine_and_ten_picks_nine_first() {
+        let mut c = cluster();
+        let mut m = manager(&mut c, (9..12).map(NodeId).collect());
+        let now = c.now();
+        let mut report = TickReport::default();
+        m.ensure_standby_capacity(&mut c, now, 1, &mut report);
+        assert_eq!(report.commissioned, vec![NodeId(9)]);
     }
 
     #[test]
@@ -2477,7 +2390,7 @@ mod tests {
         let now = c.now();
         let mut report = TickReport::default();
         let pass = m.select(&mut c, now);
-        m.judge_pass(&c, now, &pass, &mut report);
+        m.judge_pass(&c, now, pass, &mut report);
         assert_eq!((report.cold, report.tasks_submitted), (1, 1));
         assert_eq!(m.files[&f].visit, Visit::Cold);
 
@@ -2533,41 +2446,6 @@ mod tests {
         assert_ne!(f2, f);
         assert!(!m.is_boosted(f2));
         assert_eq!(m.files[&f2].cooled_streak, 0);
-    }
-
-    #[test]
-    fn advertised_free_disk_is_bytes_not_truncated_mib() {
-        use hdfs_sim::ClusterConfig;
-
-        // 4-node cluster where every node ends up with 512 bytes free:
-        // whole-MiB truncation would advertise FreeDisk = 0 for all of
-        // them and starve rank-by-free-disk matchmaking of any signal.
-        let cfg = ClusterConfig {
-            disk_capacity: 64 * MB + 512,
-            ..ClusterConfig::tiny()
-        };
-        let mut c = ClusterSim::new(cfg, Box::new(crate::placement::ErmsPlacement::new()));
-        let mut m = manager(&mut c, Vec::new());
-        c.create_file("/fill", 64 * MB, 4, None).unwrap();
-        c.run_until_quiescent();
-        let now = c.now();
-        m.tick(&mut c, now);
-        // the ads matchmaking would read: this tick's snapshot, published
-        let ads = m.ads.published();
-        for view in c.node_views(None) {
-            let ad = ads.get(&view.id.to_string()).expect("node ad");
-            let advertised = ad.get("FreeDisk").unwrap().as_f64().unwrap();
-            assert_eq!(advertised, view.free as f64, "FreeDisk is in bytes");
-            if view.free > 0 && view.free < 1 << 20 {
-                assert!(advertised > 0.0, "sub-MiB free must not advertise 0");
-            }
-        }
-        let holders = c
-            .node_views(None)
-            .into_iter()
-            .filter(|v| v.free == 512)
-            .count();
-        assert!(holders > 0, "at least one node is down to 512 free bytes");
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn boost_survives_node_failure_with_retry() {
 }
 
 #[test]
-fn standby_commissioning_goes_through_classads() {
+fn standby_commissioning_boots_serving_nodes() {
     let (mut cluster, mut manager) = erms_cluster((10..18).map(NodeId).collect());
     assert_eq!(cluster.serving_nodes(), 10);
     cluster.create_file("/hot", 64 * MB, 3, None).unwrap();
@@ -126,7 +126,7 @@ fn standby_commissioning_goes_through_classads() {
     let report = manager.tick(&mut cluster, now);
     assert!(
         !report.commissioned.is_empty(),
-        "matchmaker should commission standby nodes"
+        "a hot file should commission standby nodes"
     );
     for n in &report.commissioned {
         assert!(manager.model().is_standby(*n));

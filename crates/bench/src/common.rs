@@ -1,4 +1,5 @@
-//! Shared experiment plumbing: cluster variants and result output.
+//! Shared experiment plumbing: cluster variants, durability counts and
+//! result output.
 
 use erms::{ErmsConfig, ErmsManager, ErmsPlacement, Thresholds};
 use hdfs_sim::{ClusterConfig, ClusterSim, DefaultRackAware, NodeId};
@@ -68,6 +69,21 @@ pub fn build_manager(
         .build()
         .expect("valid bench config");
     Some(ErmsManager::new(cfg, cluster).expect("valid bench manager"))
+}
+
+/// Blocks currently short of their file's target replication, counting
+/// dark (zero-replica) blocks the blockmap no longer lists.
+pub fn count_under_replicated(c: &ClusterSim) -> usize {
+    let mut short = 0usize;
+    for meta in c.namespace().files() {
+        let want = meta.replication();
+        for &b in &meta.blocks {
+            if c.blockmap().replica_count(b) < want {
+                short += 1;
+            }
+        }
+    }
+    short
 }
 
 /// Where figure JSON lands (`<workspace>/results`).

@@ -14,6 +14,7 @@
 //! injected/detected/repaired counts, mean time-to-detect, scan volume,
 //! leftover latent rot — and is a pure function of the seed.
 
+use crate::common::count_under_replicated;
 use erms::{ErmsConfig, ErmsManager};
 use hdfs_sim::faults::{FaultConfig, FaultInjector, FaultPlan};
 use hdfs_sim::topology::{ClientId, Endpoint};
@@ -260,20 +261,6 @@ fn run_variant(
         tasks_timed_out,
     };
     (scorecard, trace)
-}
-
-/// Blocks currently short of their file's target replication.
-fn count_under_replicated(c: &ClusterSim) -> usize {
-    let mut short = 0usize;
-    for meta in c.namespace().files() {
-        let want = meta.replication();
-        for &b in &meta.blocks {
-            if c.blockmap().replica_count(b) < want {
-                short += 1;
-            }
-        }
-    }
-    short
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //! a pure function of the seed: two runs with the same seed produce
 //! byte-identical JSON.
 
+use crate::common::count_under_replicated;
 use erms::{ErmsConfig, ErmsManager};
 use hdfs_sim::faults::{FaultConfig, FaultInjector, FaultPlan};
 use hdfs_sim::topology::{ClientId, Endpoint};
@@ -300,21 +301,6 @@ fn run_variant(
         tasks_timed_out,
         standby_evicted,
     }
-}
-
-/// Blocks currently short of their file's target replication, counting
-/// dark (zero-replica) blocks the blockmap no longer lists.
-fn count_under_replicated(c: &ClusterSim) -> usize {
-    let mut short = 0usize;
-    for meta in c.namespace().files() {
-        let want = meta.replication();
-        for &b in &meta.blocks {
-            if c.blockmap().replica_count(b) < want {
-                short += 1;
-            }
-        }
-    }
-    short
 }
 
 #[cfg(test)]

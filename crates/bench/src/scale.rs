@@ -253,12 +253,28 @@ pub fn scale_erms_config(cfg: &ScaleConfig, full_rescan: bool) -> ErmsConfig {
 /// eviction rule keeps the boundary) so those events age out, then let
 /// one untimed tick drain the creation dirty set. Both modes get the
 /// identical warm-up, so the incremental/full comparison is unskewed.
-fn settle_bootstrap(cfg: &ScaleConfig, c: &mut ClusterSim, m: &mut ErmsManager) {
+pub(crate) fn settle_bootstrap(cfg: &ScaleConfig, c: &mut ClusterSim, m: &mut ErmsManager) {
     c.run_until(c.now() + cfg.window + cfg.tick_step);
     c.run_until_quiescent();
     let now = c.now();
     let _ = m.tick(c, now);
     c.run_until(c.now() + cfg.tick_step);
+    c.run_until_quiescent();
+}
+
+/// The storm's reads before tick `tick`: while the storm lasts, each of
+/// `readers_per_hot` clients opens every hot file once, then the cluster
+/// settles. Client ids are unique per (tick, file, reader).
+pub(crate) fn storm_reads(cfg: &ScaleConfig, c: &mut ClusterSim, tick: usize) {
+    if tick >= cfg.storm_ticks {
+        return;
+    }
+    for h in 0..cfg.hot_files.min(cfg.files) {
+        for r in 0..cfg.readers_per_hot {
+            let id = (tick as u32) * 100_000 + (h as u32) * 1_000 + r;
+            let _ = c.open_read(Endpoint::Client(ClientId(id)), &format!("/scale/f{h}"));
+        }
+    }
     c.run_until_quiescent();
 }
 
@@ -300,15 +316,7 @@ pub fn run_mode_checkpointed(
     let mut idle_total = 0.0f64;
     let mut judged = 0usize;
     for tick in 0..cfg.ticks() {
-        if tick < cfg.storm_ticks {
-            for h in 0..cfg.hot_files.min(cfg.files) {
-                for r in 0..cfg.readers_per_hot {
-                    let id = (tick as u32) * 100_000 + (h as u32) * 1_000 + r;
-                    let _ = c.open_read(Endpoint::Client(ClientId(id)), &format!("/scale/f{h}"));
-                }
-            }
-            c.run_until_quiescent();
-        }
+        storm_reads(cfg, &mut c, tick);
         let now = c.now();
         let start = Instant::now();
         let report = m.tick(&mut c, now);
@@ -486,15 +494,7 @@ fn tick_allocs(cfg: &ScaleConfig, telemetry: bool, sample: &dyn Fn() -> u64) -> 
 
     let mut total = 0u64;
     for tick in 0..cfg.ticks() {
-        if tick < cfg.storm_ticks {
-            for h in 0..cfg.hot_files.min(cfg.files) {
-                for r in 0..cfg.readers_per_hot {
-                    let id = (tick as u32) * 100_000 + (h as u32) * 1_000 + r;
-                    let _ = c.open_read(Endpoint::Client(ClientId(id)), &format!("/scale/f{h}"));
-                }
-            }
-            c.run_until_quiescent();
-        }
+        storm_reads(cfg, &mut c, tick);
         let now = c.now();
         let a0 = sample();
         let _ = m.tick(&mut c, now);

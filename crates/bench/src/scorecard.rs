@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use erms::ErmsManager;
-use hdfs_sim::topology::{ClientId, Endpoint};
 use hdfs_sim::ClusterSim;
 use serde::Value;
 use simcore::profiler::{self, ProfileNode};
@@ -36,7 +35,7 @@ use simcore::units::MB;
 use simcore::TelemetryEvent;
 
 use crate::checkpointing::{ResumableRun, Scenario};
-use crate::scale::{scale_cluster, scale_erms_config, ScaleConfig};
+use crate::scale::{scale_cluster, scale_erms_config, settle_bootstrap, storm_reads, ScaleConfig};
 
 /// Schema version stamped into every emitted document.
 pub const FORMAT: u64 = 1;
@@ -197,27 +196,13 @@ fn run_scale(cfg: &ScaleConfig, seed: u64) -> ScenarioCard {
             .expect("cluster sized to hold the namespace");
     }
     c.run_until_quiescent();
-    // settle the bulk-create transient exactly like the scale bench:
-    // age the creation audit events out of the CEP window, drain the
-    // dirty set with one untimed tick, then discard the bootstrap trace
-    c.run_until(c.now() + cfg.window + cfg.tick_step);
-    c.run_until_quiescent();
-    let now = c.now();
-    let _ = m.tick(&mut c, now);
-    c.run_until(c.now() + cfg.tick_step);
-    c.run_until_quiescent();
+    // settle the bulk-create transient exactly like the scale bench,
+    // then discard the bootstrap trace
+    settle_bootstrap(cfg, &mut c, &mut m);
     let _ = sink.drain_jsonl();
 
     for tick in 0..cfg.ticks() {
-        if tick < cfg.storm_ticks {
-            for h in 0..cfg.hot_files.min(cfg.files) {
-                for r in 0..cfg.readers_per_hot {
-                    let id = (tick as u32) * 100_000 + (h as u32) * 1_000 + r;
-                    let _ = c.open_read(Endpoint::Client(ClientId(id)), &format!("/scale/f{h}"));
-                }
-            }
-            c.run_until_quiescent();
-        }
+        storm_reads(cfg, &mut c, tick);
         let now = c.now();
         let _ = m.tick(&mut c, now);
         c.run_until(c.now() + cfg.tick_step);

@@ -1,11 +1,9 @@
 //! Event routing and query registration.
 //!
-//! The engine is the piece ERMS talks to: register queries and patterns,
-//! push every audit event at it, then poll windowed counts and drain
-//! pattern matches.
+//! The engine is the piece ERMS talks to: register queries, push every
+//! audit event at it, then poll windowed counts.
 
 use crate::event::Event;
-use crate::pattern::{FollowedBy, PatternMatch, PatternState};
 use crate::query::{GroupRow, QuerySpec, QueryState};
 use checkpoint::codec::{put_row, Ck};
 use checkpoint::Checkpointable;
@@ -18,15 +16,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(u64);
 
-/// Handle to a registered sequence pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PatternId(u64);
-
 /// The CEP engine.
 #[derive(Default)]
 pub struct CepEngine {
     queries: BTreeMap<QueryId, QueryState>,
-    patterns: BTreeMap<PatternId, (PatternState, Vec<PatternMatch>)>,
     next_id: u64,
     events_seen: u64,
     telemetry: TelemetrySink,
@@ -52,29 +45,9 @@ impl CepEngine {
         id
     }
 
-    /// Register a sequence pattern ("A followed by B within t").
-    pub fn register_pattern(&mut self, spec: FollowedBy) -> PatternId {
-        let id = PatternId(self.next_id);
-        self.next_id += 1;
-        self.patterns
-            .insert(id, (PatternState::new(spec), Vec::new()));
-        id
-    }
-
-    /// Take the matches a pattern produced since the last drain.
-    pub fn drain_matches(&mut self, id: PatternId) -> Vec<PatternMatch> {
-        self.patterns
-            .get_mut(&id)
-            .map(|(_, buf)| std::mem::take(buf))
-            .unwrap_or_default()
-    }
-
-    /// Push one event through every registered pattern and query.
+    /// Push one event through every registered query.
     pub fn push(&mut self, event: &Event) {
         self.events_seen += 1;
-        for (state, buf) in self.patterns.values_mut() {
-            buf.extend(state.offer(event));
-        }
         for state in self.queries.values_mut() {
             state.offer(event);
         }
@@ -118,41 +91,22 @@ impl CepEngine {
     }
 }
 
-checkpoint::ck_id!(QueryId, PatternId);
+checkpoint::ck_id!(QueryId);
 
 impl checkpoint::Checkpointable for CepEngine {
     // Rebuild-then-hydrate: ids are assigned sequentially at registration,
-    // so a restored engine must re-register the same queries and patterns
-    // in the same order before loading. The telemetry sink is re-attached
-    // by the caller, never serialized.
+    // so a restored engine must re-register the same queries in the same
+    // order before loading. The telemetry sink is re-attached by the
+    // caller, never serialized.
     checkpoint::ck_fields! {
         next_id,
         events_seen,
         queries(save_queries, load_queries),
-        patterns(save_patterns, load_patterns),
     }
 }
 
-/// A snapshot row must name a component this engine registered.
-fn registered<'a, K: Ord + std::fmt::Debug, T>(
-    components: &'a mut BTreeMap<K, T>,
-    id: K,
-    rows: usize,
-    what: &str,
-) -> Result<&'a mut T, checkpoint::CheckpointError> {
-    if rows != components.len() {
-        return Err(checkpoint::CheckpointError::Corrupt(format!(
-            "snapshot has {rows} {what}, engine has {} registered",
-            components.len()
-        )));
-    }
-    components.get_mut(&id).ok_or_else(|| {
-        checkpoint::CheckpointError::Corrupt(format!("snapshot {what} {id:?} is not registered"))
-    })
-}
-
-/// The registered queries and patterns hydrate in place, by id:
-/// `[id, state]` and `[id, state, [[first, second]…]]` rows.
+/// The registered queries hydrate in place, by id: `[id, state]` rows.
+/// A snapshot row must name a query this engine registered.
 impl CepEngine {
     fn save_queries(&self) -> checkpoint::Value {
         let row = |(id, q): (&QueryId, &QueryState)| {
@@ -163,29 +117,20 @@ impl CepEngine {
 
     fn load_queries(&mut self, v: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
         let rows = Vec::<(QueryId, checkpoint::Value)>::take(v, "queries")?;
-        let n = rows.len();
-        for (id, state) in rows {
-            registered(&mut self.queries, id, n, "queries")?.load_state(&state)?;
+        if rows.len() != self.queries.len() {
+            return Err(checkpoint::CheckpointError::Corrupt(format!(
+                "snapshot has {} queries, engine has {} registered",
+                rows.len(),
+                self.queries.len()
+            )));
         }
-        Ok(())
-    }
-
-    fn save_patterns(&self) -> checkpoint::Value {
-        let row = |(id, (p, matches)): (&PatternId, &(PatternState, Vec<PatternMatch>))| {
-            put_row(3, |row| {
-                row.extend([id.put(), p.save_state(), matches.put()])
-            })
-        };
-        checkpoint::Value::Seq(self.patterns.iter().map(row).collect())
-    }
-
-    fn load_patterns(&mut self, v: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        let rows = Vec::<(PatternId, checkpoint::Value, Vec<PatternMatch>)>::take(v, "patterns")?;
-        let n = rows.len();
-        for (id, state, matches) in rows {
-            let (p, buf) = registered(&mut self.patterns, id, n, "patterns")?;
-            p.load_state(&state)?;
-            *buf = matches;
+        for (id, state) in rows {
+            let query = self.queries.get_mut(&id).ok_or_else(|| {
+                checkpoint::CheckpointError::Corrupt(format!(
+                    "snapshot queries {id:?} is not registered"
+                ))
+            })?;
+            query.load_state(&state)?;
         }
         Ok(())
     }
@@ -240,8 +185,6 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trip_resumes_identically() {
-        use crate::pattern::{EventFilter, FollowedBy};
-
         // Same registration sequence both times (rebuild-then-hydrate).
         let build = || {
             let mut eng = CepEngine::new();
@@ -254,13 +197,7 @@ mod tests {
                 top_by: Some("src".into()),
                 ..QuerySpec::count_per_group("block_read", "dn", SimDuration::from_secs(30))
             });
-            let pat = eng.register_pattern(FollowedBy {
-                first: EventFilter::of_type("audit").with("cmd", "open"),
-                second: EventFilter::of_type("block_read"),
-                within: SimDuration::from_secs(120),
-                key_field: "src".into(),
-            });
-            (eng, q_src, q_dn, pat)
+            (eng, q_src, q_dn)
         };
         let feed = |eng: &mut CepEngine, range: std::ops::Range<u64>| {
             for t in range {
@@ -274,7 +211,7 @@ mod tests {
         };
         let wire = |eng: &CepEngine| serde_json::to_string(&eng.save_state()).unwrap();
 
-        let (mut live, q_src, q_dn, pat) = build();
+        let (mut live, q_src, q_dn) = build();
         feed(&mut live, 0..40);
 
         let json = wire(&live);
@@ -305,7 +242,6 @@ mod tests {
             assert_eq!(wire(&live), wire(&restored));
         }
         assert_eq!(live.events_seen(), restored.events_seen());
-        assert_eq!(live.drain_matches(pat), restored.drain_matches(pat));
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! Audit-log streams have few distinct keys, so a sorted `Vec` beats a
 //! hash map for both memory and lookup at these sizes.
 
-use checkpoint::codec::{get, unknown, Ck, MapBuilder};
-use checkpoint::{CheckpointError, Value as Wire};
 use simcore::SimTime;
 use std::fmt;
 use std::sync::Arc;
@@ -49,15 +47,6 @@ impl Value {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
-        }
-    }
-
-    /// Loose equality used by query predicates: numeric values compare
-    /// across Int/Float, everything else requires matching variants.
-    pub fn loosely_eq(&self, other: &Value) -> bool {
-        match (self.as_f64(), other.as_f64()) {
-            (Some(a), Some(b)) => a == b,
-            _ => self == other,
         }
     }
 }
@@ -190,51 +179,6 @@ impl Event {
     }
 }
 
-/// `[tag, payload]`: `"i"` int, `"f"` float (raw bits), `"s"` string,
-/// `"b"` bool.
-impl Ck for Value {
-    fn put(&self) -> Wire {
-        match self {
-            Value::Int(i) => ("i".to_string(), i.put()),
-            Value::Float(f) => ("f".to_string(), f.put()),
-            Value::Str(s) => ("s".to_string(), s.put()),
-            Value::Bool(b) => ("b".to_string(), b.put()),
-        }
-        .put()
-    }
-
-    fn take(v: &Wire, at: &str) -> Result<Self, CheckpointError> {
-        let (tag, payload) = <(String, Wire)>::take(v, at)?;
-        Ok(match tag.as_str() {
-            "i" => Value::Int(Ck::take(&payload, at)?),
-            "f" => Value::Float(Ck::take(&payload, at)?),
-            "s" => Value::Str(Ck::take(&payload, at)?),
-            "b" => Value::Bool(Ck::take(&payload, at)?),
-            other => return Err(unknown(at, "event field tag", other)),
-        })
-    }
-}
-
-/// `{time, type, fields: [[key, value]…]}`; the fields go back in through
-/// the setter, which keeps them sorted whatever order they arrive in.
-impl Ck for Event {
-    fn put(&self) -> Wire {
-        MapBuilder::new()
-            .put("time", &self.time)
-            .put("type", &self.event_type)
-            .put("fields", &self.fields)
-            .build()
-    }
-
-    fn take(v: &Wire, _at: &str) -> Result<Self, CheckpointError> {
-        let mut e = Event::new_interned(get(v, "time")?, get(v, "type")?, 0);
-        for (key, value) in get::<Vec<(Arc<str>, Value)>>(v, "fields")? {
-            e.set_interned(key, value);
-        }
-        Ok(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,33 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn loose_equality_spans_numeric_types() {
-        assert!(Value::Int(3).loosely_eq(&Value::Float(3.0)));
-        assert!(!Value::Int(3).loosely_eq(&Value::Float(3.5)));
-        assert!(Value::str("a").loosely_eq(&Value::str("a")));
-        assert!(!Value::str("a").loosely_eq(&Value::Int(0)));
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(Value::Int(7).to_string(), "7");
         assert_eq!(Value::str("p").to_string(), "p");
         assert_eq!(Value::Bool(false).to_string(), "false");
-    }
-
-    #[test]
-    fn checkpoint_codec_round_trips_all_value_kinds() {
-        let e = Event::new(SimTime::from_secs(7), "audit")
-            .with("b", true)
-            .with("f", -0.1f64)
-            .with("i", -3i64)
-            .with("s", "/data/a");
-        let json = serde_json::to_string(&e.put()).unwrap();
-        let back = Event::take(&serde_json::parse_value(&json).unwrap(), "e").unwrap();
-        assert_eq!(back, e);
-        assert_eq!(
-            back.get("f").unwrap().as_f64().unwrap().to_bits(),
-            (-0.1f64).to_bits()
-        );
     }
 }

@@ -11,8 +11,6 @@
 //!   per arriving event,
 //! * `window` (crate-private) — the sliding time window every query
 //!   keeps its entries in, and the one place its boundary rule lives,
-//! * [`pattern`] — "A followed by B within t" sequences correlated on a
-//!   key field,
 //! * [`engine`] — registration, event routing and polled reads,
 //! * [`audit`] — the HDFS audit-log parser (the paper's hand-written
 //!   "log parser" that turns raw log lines into CEP events).
@@ -45,7 +43,6 @@ pub mod audit;
 pub mod engine;
 pub mod event;
 pub mod fnv;
-pub mod pattern;
 pub mod query;
 mod window;
 

@@ -9,7 +9,6 @@
 //! | `f64` | `U64` of its raw IEEE-754 bits — never a JSON float |
 //! | `SimTime`, `SimDuration` | `U64` nanoseconds |
 //! | `bool`, `String`, `Arc<str>` | `Bool`, `Str` |
-//! | `i64` (a CEP event's integer field, nothing else) | `I64` |
 //! | a unit enum ([`ck_enum!`](crate::ck_enum)) | `Str` of its declared wire name |
 //! | an enum with fields ([`ck_tagged!`](crate::ck_tagged)) | `Map` opening with the variant's tag, then its fields |
 //! | `Option<T>` | `Null` or `T` |
@@ -101,22 +100,6 @@ macro_rules! ck_uint {
     )+};
 }
 ck_uint!(u8, u16, u32, u64, usize);
-
-/// The one signed number in a snapshot (a CEP event's integer field).
-/// JSON keeps no signedness: a non-negative `I64` parses back as `U64`.
-impl Ck for i64 {
-    fn put(&self) -> Value {
-        Value::I64(*self)
-    }
-    fn take(v: &Value, at: &str) -> Result<Self, CheckpointError> {
-        match v {
-            Value::I64(n) => Some(*n),
-            Value::U64(n) => i64::try_from(*n).ok(),
-            _ => None,
-        }
-        .ok_or_else(|| mismatch(at, "i64"))
-    }
-}
 
 /// A cell left encoded: its reader decodes it once it knows what it is
 /// (a tagged payload, a section handed on to `load_state`).

@@ -4,7 +4,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 5,
+//!   "version": 7,
 //!   "meta": { "scenario": "faults-small", "seed": 42, "tick": 10 },
 //!   "sections": { "cluster": { ... }, "manager": { ... }, ... }
 //! }
@@ -15,9 +15,12 @@
 //! by path, not `FileId`), version 2 (whose `manager` section carried
 //! a `policy` key for the since-deleted learned judges), version 3
 //! (whose manager records carried an `active` flag and a `cold_due`
-//! cell, and which saved a `tick_count`) or version 4 (whose judge
+//! cell, and which saved a `tick_count`), version 4 (whose judge
 //! engine held a fourth query over derived per-(datanode, file)
-//! events) — fails with
+//! events), version 5 (whose queries wrote their group aggregates
+//! beside the window) or version 6 (whose judge engine wrote a
+//! `patterns` row for the `create → open` sequence pattern) — fails
+//! with
 //! [`CheckpointError::UnknownVersion`] before anything else is touched —
 //! never a panic. `meta` names the scenario and seed
 //! the snapshot belongs to; the runner rebuilds the static configuration
@@ -32,7 +35,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The snapshot format this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Identity of the run a snapshot belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,7 +215,7 @@ mod tests {
             retired(2),
             CheckpointError::UnknownVersion {
                 found: 2,
-                supported: 6
+                supported: 7
             }
         );
         // version 3 (manager records with `active` and `cold_due`)
@@ -220,7 +223,7 @@ mod tests {
             retired(3),
             CheckpointError::UnknownVersion {
                 found: 3,
-                supported: 6
+                supported: 7
             }
         );
         // version 4 (a judge engine with the derived per-(node, file)
@@ -229,7 +232,7 @@ mod tests {
             retired(4),
             CheckpointError::UnknownVersion {
                 found: 4,
-                supported: 6
+                supported: 7
             }
         );
         // version 5 (query windows beside serialized group aggregates)
@@ -237,7 +240,15 @@ mod tests {
             retired(5),
             CheckpointError::UnknownVersion {
                 found: 5,
-                supported: 6
+                supported: 7
+            }
+        );
+        // version 6 (a judge engine with a `patterns` row)
+        assert_eq!(
+            retired(6),
+            CheckpointError::UnknownVersion {
+                found: 6,
+                supported: 7
             }
         );
     }

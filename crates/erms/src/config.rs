@@ -107,11 +107,6 @@ pub struct ErmsConfig {
     /// demand briefly dips between job waves, which would re-copy every
     /// extra replica).
     pub cooled_patience: u32,
-    /// Experimental (paper future work): pre-warm files whose creation
-    /// is immediately followed by reads (the CEP `create → open`
-    /// correlation pattern) with one extra replica before Formula (1)
-    /// trips.
-    pub enable_freshness_boost: bool,
     /// Self-healing: repair under-replication, reconstruct dark encoded
     /// shards, evict crashed standby nodes and time out stuck tasks on
     /// every tick. Off by default — the figure harness flips it to show
@@ -154,7 +149,6 @@ impl ErmsConfig {
             max_concurrent_tasks: 8,
             max_task_attempts: 10,
             cooled_patience: 3,
-            enable_freshness_boost: false,
             enable_self_healing: false,
             task_timeout: SimDuration::from_mins(30),
             enable_scrubber: false,
@@ -279,11 +273,6 @@ impl ErmsConfigBuilder {
 
     pub fn cooled_patience(mut self, ticks: u32) -> Self {
         self.cfg.cooled_patience = ticks;
-        self
-    }
-
-    pub fn freshness_boost(mut self, on: bool) -> Self {
-        self.cfg.enable_freshness_boost = on;
         self
     }
 

@@ -22,7 +22,6 @@
 use crate::config::ConfigError;
 use crate::thresholds::Thresholds;
 use cep::audit::{AUDIT_EVENT, BLOCK_EVENT};
-use cep::pattern::{EventFilter, FollowedBy};
 use cep::{CepEngine, QuerySpec};
 use simcore::telemetry::TelemetrySink;
 use simcore::{SimDuration, SimTime};
@@ -124,8 +123,6 @@ pub struct DataJudge {
     q_block: cep::QueryId,
     /// Reads per datanode, each node's reads also counted per file.
     q_node: cep::QueryId,
-    /// `create → open` correlation: fresh data drawing immediate reads.
-    p_fresh: cep::engine::PatternId,
     thresholds: Thresholds,
     parse_errors: usize,
     /// Interning audit-line parser, persistent so field keys and the
@@ -157,27 +154,18 @@ impl DataJudge {
             top_by: Some("src".into()),
             ..count_query(BLOCK_EVENT, "dn", w)
         });
-        // "popularity spikes when the data is freshest": a create followed
-        // quickly by an open on the same path flags a fresh-data spike
-        let p_fresh = engine.register_pattern(FollowedBy {
-            first: EventFilter::of_type(AUDIT_EVENT).with("cmd", "create"),
-            second: EventFilter::of_type(AUDIT_EVENT).with("cmd", "open"),
-            within: w,
-            key_field: "src".into(),
-        });
         Ok(DataJudge {
             engine,
             q_file,
             q_block,
             q_node,
-            p_fresh,
             thresholds,
             parse_errors: 0,
             parser: {
                 let mut p = cep::audit::LineParser::new();
-                // Projection pushdown: the queries and pattern above read
-                // exactly these audit fields; skip materializing the rest.
-                p.project(&["blk", "cmd", "dn", "src"]);
+                // Projection pushdown: the queries above read exactly
+                // these audit fields; skip materializing the rest.
+                p.project(&["blk", "dn", "src"]);
                 p
             },
             blk_key: String::new(),
@@ -213,21 +201,6 @@ impl DataJudge {
                 Err(_) => self.parse_errors += 1,
             }
         }
-    }
-
-    /// Paths whose creation was followed by reads within the window —
-    /// fresh data spiking in popularity. Drains the pattern's matches;
-    /// the manager may pre-warm these before Formula (1) trips.
-    pub fn freshly_popular(&mut self) -> Vec<String> {
-        let mut paths: Vec<String> = self
-            .engine
-            .drain_matches(self.p_fresh)
-            .into_iter()
-            .filter_map(|m| m.second.get("src").map(|v| v.to_string()))
-            .collect();
-        paths.sort_unstable();
-        paths.dedup();
-        paths
     }
 
     /// Classify one file per Formulas (1)–(3), (5), (6).
@@ -309,10 +282,10 @@ impl DataJudge {
 }
 
 impl checkpoint::Checkpointable for DataJudge {
-    // Thresholds and the query/pattern registrations are constructor
-    // config: a restored judge is built by `DataJudge::new` first (which
-    // re-registers the three queries and the freshness pattern in the
-    // same deterministic order, yielding identical ids), then hydrated.
+    // Thresholds and the query registrations are constructor config: a
+    // restored judge is built by `DataJudge::new` first (which
+    // re-registers the three queries in the same deterministic order,
+    // yielding identical ids), then hydrated.
     // Only the CEP engine's runtime state and the parse-error counter
     // are dynamic.
     checkpoint::ck_fields!(engine: state, parse_errors);
@@ -727,23 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_data_pattern_fires_on_create_then_open() {
-        let mut j = judge();
-        let create = format_audit_line(
-            SimTime::from_secs(1),
-            "u",
-            "/10.0.0.1",
-            "create",
-            "/fresh",
-            None,
-        );
-        let lines = [create, open_line(5, "/fresh"), open_line(6, "/other")];
-        j.observe_lines(lines.iter().map(String::as_str));
-        assert_eq!(j.freshly_popular(), vec!["/fresh".to_string()]);
-        assert!(j.freshly_popular().is_empty(), "matches drain once");
-    }
-
-    #[test]
     fn parse_errors_are_counted_not_fatal() {
         let mut j = judge();
         j.observe_lines(["garbage", &open_line(1, "/f")]);
@@ -752,18 +708,10 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trip_preserves_windows_and_pattern() {
+    fn checkpoint_round_trip_preserves_windows() {
         use checkpoint::Checkpointable;
         let mut j = judge();
-        let create = format_audit_line(
-            SimTime::from_secs(1),
-            "u",
-            "/10.0.0.1",
-            "create",
-            "/fresh",
-            None,
-        );
-        let mut lines = vec!["garbage".to_string(), create];
+        let mut lines = vec!["garbage".to_string()];
         for i in 0..9 {
             lines.push(open_line(2 + i, "/hot"));
             lines.push(block_line(2 + i, 7, 0, "/hot"));
@@ -784,9 +732,5 @@ mod tests {
         assert_eq!(a.n_d.to_bits(), b.n_d.to_bits());
         assert_eq!(fresh.parse_errors(), 1);
         assert_eq!(fresh.events_seen(), j.events_seen());
-        // the pending create → open correlation survived: an open on the
-        // restored judge completes the pattern armed before the snapshot
-        fresh.observe_lines([open_line(5, "/fresh").as_str()]);
-        assert_eq!(fresh.freshly_popular(), vec!["/fresh".to_string()]);
     }
 }

@@ -160,7 +160,7 @@ struct FileCtl {
 
 /// When the judge pass revisits a file, besides whenever the cluster
 /// marks it dirty (see [`ClusterSim::drain_dirty_files`]) or it is a
-/// Formula (4) or freshness hit.
+/// Formula (4) hit.
 ///
 /// A file is *settled* when its verdict has reached a fixed point. The
 /// cluster marks a file dirty with every audit or client-trace line it
@@ -253,8 +253,6 @@ struct Pass {
     visit: Vec<FileId>,
     /// Formula (4): each overloaded datanode's top file.
     promoted: BTreeSet<FileId>,
-    /// Freshness pre-warm candidates (create → open correlation).
-    fresh: BTreeSet<FileId>,
     /// Settled-Cold files outside `visit`: Cold verdicts counted, not
     /// recomputed.
     settled_cold: usize,
@@ -437,29 +435,22 @@ impl ErmsManager {
     /// Phase 6: the judge pass's visit set. By default it is
     /// incremental: files touched by audit/replica traffic since the
     /// last tick (the cluster's dirty set), records to re-judge every
-    /// tick, Formula (4) promotions, freshness-pattern hits, and files
-    /// whose cold-age deadline has arrived. Every other file is settled
-    /// (see [`Visit`]): a full rescan would give it the verdict it last
-    /// had and act on none, so only the settled-Cold ones need counting
-    /// and the two modes yield identical actions (see DESIGN.md,
-    /// "Scaling the control loop"; `full_rescan` forces the exhaustive
-    /// walk, as does the first tick).
+    /// tick, Formula (4) promotions, and files whose cold-age deadline
+    /// has arrived. Every other file is settled (see [`Visit`]): a full
+    /// rescan would give it the verdict it last had and act on none, so
+    /// only the settled-Cold ones need counting and the two modes yield
+    /// identical actions (see DESIGN.md, "Scaling the control loop";
+    /// `full_rescan` forces the exhaustive walk, as does the first
+    /// tick).
     fn select(&mut self, cluster: &mut ClusterSim, now: SimTime) -> Pass {
         prof_scope!("select");
         let overloaded = self.judge.overloaded_nodes(now);
-        // the pattern's matches are drained whether or not they are used
-        let popular = self.judge.freshly_popular();
         let dirty = cluster.drain_dirty_files();
         let ns = cluster.namespace();
         let promoted: BTreeSet<FileId> = overloaded
             .iter()
             .filter_map(|(_, path, _)| ns.resolve(path))
             .collect();
-        let fresh: BTreeSet<FileId> = if self.cfg.enable_freshness_boost {
-            popular.iter().filter_map(|path| ns.resolve(path)).collect()
-        } else {
-            BTreeSet::new()
-        };
         let full = self.cfg.full_rescan || !self.primed;
         self.primed = true;
         #[cfg(test)]
@@ -476,7 +467,7 @@ impl ErmsManager {
                 .into_iter()
                 .filter(|&f| ns.file(f).is_some())
                 .collect();
-            visit.extend(promoted.iter().chain(&fresh));
+            visit.extend(&promoted);
             visit.extend(&self.visits.every);
             // the due records are a prefix of `due`: the oldest accesses
             let cold_age = self.judge.thresholds().cold_age;
@@ -495,7 +486,6 @@ impl ErmsManager {
         Pass {
             visit,
             promoted,
-            fresh,
             settled_cold,
         }
     }
@@ -545,7 +535,6 @@ impl ErmsManager {
             boosted,
             encoded: meta.is_encoded(),
         };
-        let is_fresh = pass.fresh.contains(&snap.id);
         let is_promoted = pass.promoted.contains(&snap.id);
         let verdict = self.judge.classify(now, &snap);
         let class = if verdict.class == DataClass::Normal && is_promoted {
@@ -627,11 +616,7 @@ impl ErmsManager {
                     self.submit(now, snap.id, task, Priority::WhenIdle, report);
                 }
             }
-            DataClass::Normal => {
-                if is_fresh && !snap.encoded && snap.replication == default_r {
-                    self.boost(now, &snap, default_r + 1, verdict.n_d, report);
-                }
-            }
+            DataClass::Normal => {}
         }
         self.note_visit(&snap, class, streak);
     }
@@ -1853,32 +1838,6 @@ mod tests {
             .any(|s| *s == condor::journal::ReplayState::Completed));
     }
 
-    #[test]
-    fn freshness_boost_prewarms_new_files() {
-        let mut c = cluster();
-        let cfg = ErmsConfig::builder()
-            .thresholds(fast_thresholds())
-            .standby([])
-            .freshness_boost(true)
-            .build()
-            .unwrap();
-        let mut m = ErmsManager::new(cfg, &mut c).unwrap();
-        let f = c.create_file("/new", 64 * MB, 3, None).unwrap();
-        // a couple of reads — far below the hot threshold
-        hammer(&mut c, "/new", 3);
-        for _ in 0..4 {
-            let now = c.now();
-            m.tick(&mut c, now);
-            c.run_until_quiescent();
-        }
-        let b = c.namespace().file(f).unwrap().blocks[0];
-        assert_eq!(
-            c.blockmap().replica_count(b),
-            4,
-            "create→open pattern should pre-warm by one replica"
-        );
-    }
-
     /// Every `Increase` submitted so far, in submission order.
     fn increases(m: &ErmsManager) -> Vec<ErmsTask> {
         use condor::journal::JournalEvent;
@@ -2169,7 +2128,7 @@ mod tests {
         );
         assert_eq!(
             (h.finish(), json.len()),
-            (0x01ed_74d1_f7b2_57fa, 910),
+            (0x6dc0_fa29_1449_0324, 875),
             "reconstructing-manager snapshot bytes changed"
         );
         let mut scratch = cluster();

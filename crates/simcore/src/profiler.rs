@@ -8,7 +8,11 @@
 //! it and charges the elapsed wall-ns (plus an optional
 //! allocation-count delta) to the node addressed by the stack of scope
 //! names above it. The result is a tree — `tick` → `judge` —
-//! mirroring the phase structure of the code.
+//! mirroring the phase structure of the code. A scope's `wall_ns`
+//! includes its own entry bookkeeping (the frame lookup, stack push and
+//! allocation probe run after its clock starts), so a parent's time
+//! not covered by its children is the parent's own work plus the
+//! children's exit bookkeeping, not their entry.
 //!
 //! Determinism discipline (same rules as [`trace!`](crate::trace)):
 //!
@@ -128,6 +132,9 @@ pub fn set_alloc_probe(probe: Option<fn() -> u64>) {
 /// [`prof_scope!`](crate::prof_scope), which skips this entirely (name
 /// expression included) when the profiler is disabled.
 pub fn enter(name: &str) -> ScopeGuard {
+    // The clock starts before the frame bookkeeping below, so that
+    // cost lands on this scope rather than on its parent.
+    let start = Instant::now();
     PROF.with(|p| {
         let mut prof = p.borrow_mut();
         let parent = prof.stack.last().copied().unwrap_or(0);
@@ -158,7 +165,7 @@ pub fn enter(name: &str) -> ScopeGuard {
         ScopeGuard {
             node,
             depth,
-            start: Instant::now(),
+            start,
             alloc_start,
         }
     })

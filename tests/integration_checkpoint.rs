@@ -215,15 +215,15 @@ fn snapshot_json(scenario: &str, at_tick: u64) -> String {
 /// or a number's encoding fails here.
 #[test]
 fn snapshot_digest_is_pinned() {
-    // (scenario, tick, format-6 digest, format-6 length)
+    // (scenario, tick, format-7 digest, format-7 length)
     let pinned = [
-        ("churn-small", 40, 0x1d1d_fe36_aacf_2574_u64, 24371_usize),
-        ("churn-small-full", 40, 0x476c_5d38_2a4f_a5dd, 24377),
-        ("churn-corrupt", 35, 0xc374_10a3_6d06_5485, 35594),
-        ("prod-flashcrowd", 20, 0xf31a_921e_339f_18ea, 32192),
-        ("prod-tiered", 33, 0x5b51_7c6a_4e26_77ec, 69967),
+        ("churn-small", 40, 0x969f_acab_ae54_92b7_u64, 24336_usize),
+        ("churn-small-full", 40, 0x412e_7cc2_fda6_e7ca, 24342),
+        ("churn-corrupt", 35, 0x6d34_4a48_39ba_5cb8, 35559),
+        ("prod-flashcrowd", 20, 0x917d_f67a_6577_6f8a, 30992),
+        ("prod-tiered", 33, 0x4bd9_6ecd_f82f_5b21, 69932),
     ];
-    assert_eq!(checkpoint::FORMAT_VERSION, 6);
+    assert_eq!(checkpoint::FORMAT_VERSION, 7);
     for (scenario, at_tick, digest, len) in pinned {
         let json = snapshot_json(scenario, at_tick);
         let mut h = FnvHasher::default();
